@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover check fmt-check bench bench-json bench-check table1 sweep ablation fuzz examples clean
+.PHONY: all build test test-short race cover check fmt-check bench bench-json bench-check bench-pair table1 sweep ablation fuzz examples clean
 
 all: build test
 
@@ -52,8 +52,8 @@ bench:
 # histogram-probe costs plus the skewed plan-pick A/B, WAL commit latency
 # (per-commit fsync vs group commit) and recovery speed per MB of log, and
 # Table-1 experiments (ns/op + allocs/op) written to $(BENCH_OUT).
-# Override per PR: make bench-json BENCH_OUT=BENCH_11.json
-BENCH_OUT ?= BENCH_10.json
+# Override per PR: make bench-json BENCH_OUT=BENCH_13.json
+BENCH_OUT ?= BENCH_12.json
 bench-json:
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
@@ -66,6 +66,14 @@ BENCH_THRESHOLD ?= 15
 bench-check:
 	$(GO) run ./cmd/benchjson -out .bench_check.json -experiments "" \
 		-baseline BENCH_1.json -threshold $(BENCH_THRESHOLD)
+
+# Paired runs of one benchmark workload, this checkout against REF (checked
+# out into a temporary git worktree): ten alternating pairs with fresh seeds,
+# each side's median and quartiles, pairs won, and whether the medians differ
+# by more than REF's interquartile range — the rule perf PRs are judged by.
+#   make bench-pair W=t1_large REF=HEAD~1
+bench-pair:
+	bash scripts/bench-pair.sh $(W) $(REF)
 
 # The paper's Table 1, normalized elapsed times
 table1:

@@ -417,10 +417,11 @@ func spillBench(record func(string, func(b *testing.B))) error {
 	return nil
 }
 
-// vecBench measures the vectorized select operator against the row pipeline
-// on the same prepared plans, toggled with SetVectorized: a zero-match scan
-// filter (pure predicate cost), a selective mixed int/string filter, and a
-// hash join driven by a 64k-row stream probing a grouped-view build. Results
+// vecBench measures the vectorized operators against the row pipeline on the
+// same prepared plans, toggled with SetVectorized: a zero-match scan filter
+// (pure predicate cost), a selective mixed int/string filter, a hash join
+// driven by a 64k-row stream probing a grouped-view build, a hash
+// aggregation, and a hash-join build over 64k distinct keys. Results
 // are normalized to ns per input row so they compare across PRs even if the
 // table size changes. Each vec run asserts the ROOT select actually executed
 // vectorized — a silent fallback would benchmark the row path twice.
@@ -440,6 +441,8 @@ func vecBench(record func(string, int, func(b *testing.B))) error {
 	db.SetHistograms(false)
 	if _, err := db.Exec(`
 	CREATE TABLE vt (a INT, k INT, name VARCHAR);
+	CREATE TABLE vp (a INT);
+	INSERT INTO vp VALUES (7);
 	CREATE VIEW vtot (ka, total) AS
 	  SELECT a, SUM(k) FROM vt WHERE name < 'v-0008' GROUPBY a;`); err != nil {
 		return err
@@ -459,12 +462,22 @@ func vecBench(record func(string, int, func(b *testing.B))) error {
 		name  string
 		query string
 		args  []any
+		// op is the operator kind that must (vec) or must not (row) report
+		// the columnar path; empty means the root.
+		op string
 	}{
-		{"scan", `SELECT t.a FROM vt t WHERE t.a < 0`, nil},
+		{"scan", `SELECT t.a FROM vt t WHERE t.a < 0`, nil, ""},
 		{"filter", `SELECT t.a FROM vt t
-		            WHERE t.k >= 100 AND t.k < 200 AND t.name <> 'v-0000'`, nil},
+		            WHERE t.k >= 100 AND t.k < 200 AND t.name <> 'v-0000'`, nil, ""},
 		{"hashjoin", `SELECT t.a, v.total FROM vt t, vtot v
-		              WHERE t.a = v.ka AND t.a >= ? AND t.k >= ?`, []any{0, 0}},
+		              WHERE t.a = v.ka AND t.a >= ? AND t.k >= ?`, []any{0, 0}, ""},
+		// Hash aggregation: 64k rows into 4096 groups — typed accumulators
+		// over column batches vs the row path's byte-keyed group table.
+		{"groupby", `SELECT t.k, SUM(t.a), COUNT(*) FROM vt t GROUP BY t.k`, nil, "group-by"},
+		// Hash-join build: one probe row against 64k distinct build keys, so
+		// the time is the build — flat table from the column arrays vs a
+		// byte-keyed map with a bucket per key.
+		{"hashbuild", `SELECT p.a FROM vp p, vt t WHERE p.a = t.a`, nil, ""},
 	}
 	ctx := context.Background()
 	defer db.SetVectorized(true)
@@ -486,6 +499,12 @@ func vecBench(record func(string, int, func(b *testing.B))) error {
 				return err
 			}
 			root := res.Plan.Operators[0]
+			for _, op := range res.Plan.Operators {
+				if c.op != "" && op.Kind == c.op {
+					root = op
+					break
+				}
+			}
 			if root.Vectorized != mode.vec {
 				return fmt.Errorf("%s/%s: root %s vectorized=%v, want %v — plan shape regressed:\n%s",
 					mode.prefix, c.name, root.Kind, root.Vectorized, mode.vec, res.Plan.Physical)

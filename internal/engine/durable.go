@@ -82,24 +82,6 @@ func (db *Database) RecoveryStats() (time.Duration, int64) {
 	return time.Duration(db.recoveryNanos), db.recoveryRecords
 }
 
-// logCommitLocked appends the transaction's write set as one commit record.
-// Called under commitMu after every stamp is in place, so the record order
-// in the log equals commit-timestamp order, and the logged begin stamps of
-// deleted versions are final.
-func (db *Database) logCommitLocked(ts uint64, writes []txnWrite) (uint64, error) {
-	ops := make([]wal.Op, len(writes))
-	for i, w := range writes {
-		row, begin := w.rel.VersionData(w.pos)
-		op := wal.Op{Table: w.rel.Meta.Name, Row: row}
-		if !w.insert {
-			op.Delete = true
-			op.Begin = begin
-		}
-		ops[i] = op
-	}
-	return db.wal.AppendCommit(ts, ops)
-}
-
 // logDDL makes one schema statement durable before the DDL returns. Called
 // under the database write lock after the statement succeeded, so replay
 // order equals execution order.
@@ -205,13 +187,17 @@ func (db *Database) Checkpoint() error {
 	defer db.ckptMu.Unlock()
 
 	db.mu.RLock()
-	db.commitMu.Lock()
-	ts := db.commitTS.Load()
-	gen, err := db.wal.Rotate()
-	if err == nil {
-		db.retainSnapshotAt(ts)
-	}
-	db.commitMu.Unlock()
+	var ts, gen uint64
+	err := func() error {
+		db.commitMu.Lock()
+		defer db.commitMu.Unlock()
+		ts = db.commitTS.Load()
+		var err error
+		if gen, err = db.wal.Rotate(); err == nil {
+			db.retainSnapshotAt(ts)
+		}
+		return err
+	}()
 	if err != nil {
 		db.mu.RUnlock()
 		return err

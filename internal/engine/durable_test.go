@@ -602,3 +602,67 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// TestCommitSurvivesVacuumBeforeLog pins the commit/vacuum race: once a
+// commit has resolved its markers nothing keeps vacuum off the relation, so a
+// compaction between stamping and logging moves every position the write set
+// holds. The commit record must have been rendered before that — on the old
+// code the log step re-read rows by position, panicked (index out of range)
+// and left the commit mutex locked, wedging every later writer.
+func TestCommitSurvivesVacuumBeforeLog(t *testing.T) {
+	dir := t.TempDir()
+	db := openDir(t, dir)
+	mustExecT(t, db, `
+		CREATE TABLE acct (id INT, bal INT, PRIMARY KEY (id));
+		INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30);
+		UPDATE acct SET bal = 11 WHERE id = 1;`) // leaves a dead version in front
+	vacuumed := 0
+	db.afterStamp = func() { vacuumed += db.Vacuum() }
+	// Deletes position 2 and appends position 4; the vacuum in the window
+	// drops position 0, so neither position is valid when the record is logged.
+	mustExecT(t, db, `UPDATE acct SET bal = 31 WHERE id = 3`)
+	db.afterStamp = nil
+	if vacuumed == 0 {
+		t.Fatal("the forced vacuum reclaimed nothing: the window was not exercised")
+	}
+	mustExecT(t, db, `UPDATE acct SET bal = 22 WHERE id = 2`)
+	want := tableImage(t, db, "acct")
+	closeDB(t, db)
+
+	db2 := openDir(t, dir)
+	defer closeDB(t, db2)
+	if got := tableImage(t, db2, "acct"); !equalStrings(got, want) {
+		t.Fatalf("recovered image differs:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestCommitPanicReleasesCommitMutex: a panic inside the commit critical
+// section must not leave the commit mutex held.
+func TestCommitPanicReleasesCommitMutex(t *testing.T) {
+	db := openDir(t, t.TempDir())
+	defer closeDB(t, db)
+	mustExecT(t, db, `CREATE TABLE acct (id INT, bal INT, PRIMARY KEY (id))`)
+	db.afterStamp = func() { panic("injected") }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("commit did not panic")
+			}
+		}()
+		_, _ = db.Exec(`INSERT INTO acct VALUES (1, 10)`)
+	}()
+	db.afterStamp = nil
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.Exec(`INSERT INTO acct VALUES (2, 20)`)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("commit after a panicked commit: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("commit after a panicked commit blocks: commit mutex still held")
+	}
+}

@@ -94,6 +94,11 @@ type Database struct {
 	txnSeq atomic.Uint64
 	// commitMu serializes commit stamping against the clock advance.
 	commitMu sync.Mutex
+	// afterStamp, when set, runs inside the commit critical section between
+	// resolving a transaction's markers and logging it. It exists for the
+	// regression test of that window (a vacuum there used to invalidate the
+	// positions the log record was read from) and is nil in production.
+	afterStamp func()
 	// snapMu guards snaps, the refcounts of live snapshot timestamps; the
 	// minimum key is the vacuum horizon.
 	snapMu sync.Mutex

@@ -22,6 +22,7 @@ import (
 	"starmagic/internal/semant"
 	"starmagic/internal/sql"
 	"starmagic/internal/storage"
+	"starmagic/internal/wal"
 )
 
 // vacuumThreshold is the number of reclaimable row versions that triggers a
@@ -79,29 +80,7 @@ func (t *Txn) Commit() error {
 		db.metrics.RecordTxnCommit()
 		return nil
 	}
-	db.commitMu.Lock()
-	ts := db.commitTS.Load() + 1
-	var deletes int64
-	for _, w := range t.writes {
-		if w.insert {
-			w.rel.FinishAppend(w.pos, ts)
-		} else {
-			w.rel.FinishDelete(w.pos, ts)
-			deletes++
-		}
-	}
-	// Log the commit while still holding the commit mutex: every stamp is
-	// final, and the record lands in the write-ahead log in commit-timestamp
-	// order. This only buffers — the fsync wait happens after the mutex is
-	// released, so the disk is never inside the commit critical section and
-	// concurrent committers share one group-commit fsync.
-	var walSeq uint64
-	var walErr error
-	if db.wal != nil {
-		walSeq, walErr = db.logCommitLocked(ts, t.writes)
-	}
-	db.commitTS.Store(ts)
-	db.commitMu.Unlock()
+	deletes, walSeq, walErr := t.stampAndLog()
 	db.statsDirty.Store(true)
 	db.metrics.RecordTxnCommit()
 	if deletes > 0 {
@@ -120,6 +99,67 @@ func (t *Txn) Commit() error {
 		}
 	}
 	return nil
+}
+
+// stampAndLog is Commit's critical section: under the commit mutex it stamps
+// every staged version with the next commit timestamp, buffers the commit
+// record, and advances the clock. The mutex is released on every exit path —
+// a panic in here must not wedge every later committer.
+func (t *Txn) stampAndLog() (deletes int64, walSeq uint64, walErr error) {
+	db := t.db
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	ts := db.commitTS.Load() + 1
+	// Read the rows to log while the markers are still unresolved: that is
+	// what keeps vacuum off the relation and the write set's positions valid.
+	// Once a marker is resolved a background vacuum may compact the relation
+	// at any moment, and a position means nothing.
+	var ops []wal.Op
+	if db.wal != nil {
+		ops = t.commitOps(ts)
+	}
+	for _, w := range t.writes {
+		if w.insert {
+			w.rel.FinishAppend(w.pos, ts)
+		} else {
+			w.rel.FinishDelete(w.pos, ts)
+			deletes++
+		}
+	}
+	if db.afterStamp != nil {
+		db.afterStamp()
+	}
+	// Log the commit while still holding the commit mutex: every stamp is
+	// final, and the record lands in the write-ahead log in commit-timestamp
+	// order. This only buffers — the fsync wait happens after the mutex is
+	// released, so the disk is never inside the commit critical section and
+	// concurrent committers share one group-commit fsync.
+	if db.wal != nil {
+		walSeq, walErr = db.wal.AppendCommit(ts, ops)
+	}
+	db.commitTS.Store(ts)
+	return deletes, walSeq, walErr
+}
+
+// commitOps renders the write set as the operations of its commit record.
+// Called before the markers are resolved (see stampAndLog). A deleted
+// version is identified by its begin stamp; one this transaction itself
+// inserted still carries the transaction id and will be stamped ts.
+func (t *Txn) commitOps(ts uint64) []wal.Op {
+	ops := make([]wal.Op, len(t.writes))
+	for i, w := range t.writes {
+		row, begin := w.rel.VersionData(w.pos)
+		op := wal.Op{Table: w.rel.Meta.Name, Row: row}
+		if !w.insert {
+			op.Delete = true
+			op.Begin = begin
+			if begin == t.id {
+				op.Begin = ts
+			}
+		}
+		ops[i] = op
+	}
+	return ops
 }
 
 // Rollback discards the transaction's writes: staged inserts become

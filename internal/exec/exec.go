@@ -19,7 +19,6 @@ import (
 	"starmagic/internal/qgm"
 	"starmagic/internal/resource"
 	"starmagic/internal/storage"
-	"starmagic/internal/vec"
 )
 
 // Counters records work done during evaluation; benchmarks and tests use
@@ -1010,95 +1009,55 @@ func (ev *Evaluator) evalGroupBy(b *qgm.Box, env Env) ([]datum.Row, error) {
 
 // accumulateGroup folds one input row (already bound in env) into gt: group
 // key, entry lookup/insert, aggregate update, DISTINCT-argument filtering.
-// Shared by both evaluators so grouped results agree exactly. gkBuf is a
+// Shared by the box-at-a-time evaluator and the streaming group-by's
+// byte-keyed path so grouped results agree exactly. The key is evaluated into
+// gt's scratch row and copied only when it starts a new group. gkBuf is a
 // reusable scratch copy of the group key (ev.keyBuf gets reused for the
 // distinct-argument keys); the returned slice is passed back in.
 func (ev *Evaluator) accumulateGroup(gt *groupTable, b *qgm.Box, env Env, gkBuf []byte) ([]byte, error) {
-	key := make(datum.Row, len(b.GroupBy))
+	if gt.vals == nil {
+		gt.key = make(datum.Row, len(b.GroupBy))
+		gt.vals = make([]datum.D, len(b.Aggs))
+	}
 	for i, ge := range b.GroupBy {
 		v, err := EvalExpr(ge, env)
 		if err != nil {
 			return gkBuf, err
 		}
-		key[i] = v
+		gt.key[i] = v
 	}
-	return ev.accumulateGroupKeyed(gt, b, env, key, gkBuf)
-}
-
-// accumulateGroupKeyed is accumulateGroup after the group key row has been
-// evaluated: byte-encode it, find or create the entry, update aggregates.
-func (ev *Evaluator) accumulateGroupKeyed(gt *groupTable, b *qgm.Box, env Env, key datum.Row, gkBuf []byte) ([]byte, error) {
-	ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], key)
+	ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], gt.key)
 	gkBuf = append(gkBuf[:0], ev.keyBuf...)
 	grp, ok, err := gt.lookup(gkBuf)
 	if err != nil {
 		return gkBuf, err
 	}
 	if !ok {
-		grp = newGroupEntry(key, b.Aggs)
+		grp = newGroupEntry(append(datum.Row(nil), gt.key...), b.Aggs)
 		if err := gt.insert(gkBuf, grp); err != nil {
 			return gkBuf, err
 		}
 	}
-	return gkBuf, ev.updateGroup(gt, b, grp, gkBuf, env)
-}
-
-// accumulateGroupFast is accumulateGroup with a fixed-width key cache in
-// front of the byte-keyed table: keyable group keys (at most vec.MaxKeyCols
-// encodable columns) hit a map[vec.RowKey]*groupEntry and skip byte-key
-// encoding after a group's first row. Only valid without a memory budget —
-// it caches entry pointers, which stay stable only in the map-backed table.
-// Non-keyable keys fall through to the byte path; equal keys always
-// classify the same way, so the two maps never split a group.
-func (ev *Evaluator) accumulateGroupFast(gt *groupTable, b *qgm.Box, env Env, keyer *vec.RowKeyer, fast map[vec.RowKey]*groupEntry, gkBuf []byte) ([]byte, error) {
-	key := make(datum.Row, len(b.GroupBy))
-	for i, ge := range b.GroupBy {
-		v, err := EvalExpr(ge, env)
-		if err != nil {
+	for i, a := range b.Aggs {
+		if a.Arg == nil {
+			continue
+		}
+		if gt.vals[i], err = EvalExpr(a.Arg, env); err != nil {
 			return gkBuf, err
 		}
-		key[i] = v
 	}
-	rk, ok := keyer.Key(key)
-	if !ok {
-		return ev.accumulateGroupKeyed(gt, b, env, key, gkBuf)
-	}
-	grp := fast[rk]
-	if grp == nil {
-		ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], key)
-		gkBuf = append(gkBuf[:0], ev.keyBuf...)
-		var present bool
-		var err error
-		grp, present, err = gt.lookup(gkBuf)
-		if err != nil {
-			return gkBuf, err
-		}
-		if !present {
-			grp = newGroupEntry(key, b.Aggs)
-			if err := gt.insert(gkBuf, grp); err != nil {
-				return gkBuf, err
-			}
-		}
-		fast[rk] = grp
-	}
-	return gkBuf, ev.updateGroup(gt, b, grp, gkBuf, env)
+	return gkBuf, ev.updateGroup(gt, b, grp, gkBuf, gt.vals)
 }
 
-// updateGroup folds the current row's aggregate arguments into grp:
-// DISTINCT-argument filtering, state updates, and distinct-set growth
-// accounting against the spill table (gkBuf is the entry's byte key for
-// recharging; unused for in-memory tables).
-func (ev *Evaluator) updateGroup(gt *groupTable, b *qgm.Box, grp *groupEntry, gkBuf []byte, env Env) error {
+// updateGroup folds one row's aggregate arguments (vals[i] for b.Aggs[i];
+// ignored for COUNT(*)) into grp: DISTINCT-argument filtering, state
+// updates, and distinct-set growth accounting against the spill table (gkBuf
+// is the entry's byte key for recharging; gt is nil for groups held outside
+// a groupTable).
+func (ev *Evaluator) updateGroup(gt *groupTable, b *qgm.Box, grp *groupEntry, gkBuf []byte, vals []datum.D) error {
 	var delta int64
 	for i, a := range b.Aggs {
-		var v datum.D
-		if a.Arg != nil {
-			var err error
-			v, err = EvalExpr(a.Arg, env)
-			if err != nil {
-				return err
-			}
-		}
+		v := vals[i]
 		if a.Distinct {
 			if v.IsNull() {
 				continue
@@ -1114,7 +1073,7 @@ func (ev *Evaluator) updateGroup(gt *groupTable, b *qgm.Box, grp *groupEntry, gk
 			return err
 		}
 	}
-	if delta > 0 {
+	if delta > 0 && gt != nil {
 		grp.memSize += delta
 		if err := gt.recharge(gkBuf, delta); err != nil {
 			return err
@@ -1123,17 +1082,32 @@ func (ev *Evaluator) updateGroup(gt *groupTable, b *qgm.Box, grp *groupEntry, gk
 	return nil
 }
 
+// emptyAggRow is the one row a scalar aggregation (no GROUP BY) yields over
+// empty input.
+func emptyAggRow(b *qgm.Box) datum.Row {
+	row := make(datum.Row, len(b.Output))
+	for i, a := range b.Aggs {
+		row[i] = datum.NewAggState(a.Kind).Result()
+	}
+	return row
+}
+
+// row renders the group's output row: key values, then aggregate results.
+func (e *groupEntry) row(width int) datum.Row {
+	row := make(datum.Row, 0, width)
+	row = append(row, e.key...)
+	for _, st := range e.states {
+		row = append(row, st.Result())
+	}
+	return row
+}
+
 // emitGroups renders gt's groups in first-seen order (insertion sequence),
 // matching the in-memory map+order emission even after partitions spilled
 // and paged back in hash order.
 func emitGroups(gt *groupTable, b *qgm.Box) ([]datum.Row, error) {
-	// Scalar aggregation (no GROUP BY) over empty input yields one row.
 	if gt.len() == 0 && len(b.GroupBy) == 0 {
-		row := make(datum.Row, len(b.Output))
-		for i, a := range b.Aggs {
-			row[i] = datum.NewAggState(a.Kind).Result()
-		}
-		return []datum.Row{row}, nil
+		return []datum.Row{emptyAggRow(b)}, nil
 	}
 	type seqRow struct {
 		seq uint64
@@ -1141,12 +1115,7 @@ func emitGroups(gt *groupTable, b *qgm.Box) ([]datum.Row, error) {
 	}
 	srows := make([]seqRow, 0, gt.len())
 	err := gt.each(func(e *groupEntry) error {
-		row := make(datum.Row, 0, len(b.Output))
-		row = append(row, e.key...)
-		for _, st := range e.states {
-			row = append(row, st.Result())
-		}
-		srows = append(srows, seqRow{seq: e.seq, row: row})
+		srows = append(srows, seqRow{seq: e.seq, row: e.row(len(b.Output))})
 		return nil
 	})
 	if err != nil {

@@ -633,13 +633,17 @@ type groupEntry struct {
 }
 
 func newGroupEntry(key datum.Row, aggs []qgm.AggSpec) *groupEntry {
-	e := &groupEntry{key: key}
-	for _, a := range aggs {
-		e.states = append(e.states, datum.NewAggState(a.Kind))
+	e := &groupEntry{
+		key:      key,
+		states:   make([]*datum.AggState, len(aggs)),
+		distinct: make([]map[string]bool, len(aggs)),
+	}
+	states := make([]datum.AggState, len(aggs))
+	for i, a := range aggs {
+		states[i].Kind = a.Kind
+		e.states[i] = &states[i]
 		if a.Distinct {
-			e.distinct = append(e.distinct, map[string]bool{})
-		} else {
-			e.distinct = append(e.distinct, nil)
+			e.distinct[i] = map[string]bool{}
 		}
 	}
 	e.memSize = 96 + datum.RowMemBytes(key) + 64*int64(len(e.states))
@@ -738,6 +742,10 @@ type groupTable struct {
 	pt    *pagedTable[*groupEntry]
 	next  uint64
 	count int
+	// key and vals are accumulateGroup's per-row scratch: the evaluated group
+	// key and aggregate arguments.
+	key  datum.Row
+	vals []datum.D
 }
 
 func (ev *Evaluator) newGroupTable(label string, onSpill func(int64)) *groupTable {

@@ -178,7 +178,11 @@ func (r *planRun) build(n *plan.Node) operator {
 			op = &selectPipeOp{r: r, n: n}
 		}
 	case plan.OpGroupBy:
-		op = &groupByOp{r: r, n: n}
+		if v := r.tryVecGroupBy(n); v != nil {
+			op = v
+		} else {
+			op = &groupByOp{groupOut{r: r, n: n}}
+		}
 	case plan.OpUnion:
 		op = &unionOp{r: r, n: n}
 	case plan.OpIntersect, plan.OpExcept:
@@ -206,7 +210,7 @@ func (r *planRun) build(n *plan.Node) operator {
 func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
 	ev := r.ev
 	if n.Kind == plan.OpBoxEval || n.Kind == plan.OpFixpoint {
-		rows, err := ev.EvalBox(n.Box, ev.rootEnv())
+		rows, err := r.evalBridge(n)
 		if err != nil {
 			return nil, err
 		}
@@ -272,6 +276,54 @@ func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
 		ev.memoInsert(n.Box, rows)
 	}
 	return rows, nil
+}
+
+// evalBridge materializes a bridge node's box. A shared box carries its own
+// streamed plan below the bridge: that runs (vectorized where it can) and
+// lands in the box memo, which serves every later consumer, bridged or
+// streamed. Correlated, recursive and extension boxes — and every bridge
+// under a memory budget, whose memo the classic evaluator governs — evaluate
+// box-at-a-time.
+func (r *planRun) evalBridge(n *plan.Node) ([]datum.Row, error) {
+	if len(n.Children) == 1 && r.ev.Mem == nil {
+		return r.materialize(n.Children[0])
+	}
+	return r.ev.EvalBox(n.Box, r.ev.rootEnv())
+}
+
+// scanBuild snapshots the base table of scan node n columnar, for a flat
+// hash-join build: the zero-copy column arrays, the aligned row slice, the
+// visibility selection (nil when every version is visible) and the intern
+// table. It charges exactly what materialize charges for the same node —
+// nothing when a bridged box already scanned (and memoized) the table.
+func (r *planRun) scanBuild(n *plan.Node) (vec.Table, []datum.Row, []int32, *vec.Intern, error) {
+	ev := r.ev
+	rel, ok := ev.view.Relation(n.Box.Table.Name)
+	if !ok {
+		return vec.Table{}, nil, nil, nil, fmt.Errorf("exec: no storage for table %q", n.Box.Table.Name)
+	}
+	tbl, rows, vis, tab := rel.Vec()
+	if !ev.NoSubqueryCache {
+		if _, ok := ev.memo[n.Box]; ok {
+			return tbl, rows, vis, tab, nil
+		}
+	}
+	visible := tbl.N
+	if vis != nil {
+		visible = len(vis)
+	}
+	ev.Counters.BoxEvals++
+	ev.Counters.BaseRows += int64(visible)
+	if err := ev.addOutput(visible); err != nil {
+		return vec.Table{}, nil, nil, nil, err
+	}
+	st := &r.stats[n.ID]
+	st.Opens++
+	if visible > 0 {
+		st.Batches++
+		st.Rows += int64(visible)
+	}
+	return tbl, rows, vis, tab, nil
 }
 
 // instrumented wraps an operator with per-node counters: opens, batches,
@@ -360,10 +412,11 @@ func (s *scanOp) close() error {
 	return nil
 }
 
-// boxEvalOp bridges to the classic evaluator: OpBoxEval (correlated, shared,
-// extension) and OpFixpoint (recursive) nodes materialize through EvalBox —
-// which handles memoization and semi-naive fixpoint iteration — and stream
-// the result out in batches. All Counters accounting happens inside EvalBox.
+// boxEvalOp materializes a box and streams the result out in batches:
+// OpBoxEval (correlated, shared, extension) and OpFixpoint (recursive) nodes
+// go through evalBridge — the classic evaluator's EvalBox, which handles
+// memoization and semi-naive fixpoint iteration, or for a shared box its own
+// streamed plan. All Counters accounting happens inside those.
 type boxEvalOp struct {
 	r    *planRun
 	n    *plan.Node
@@ -372,7 +425,7 @@ type boxEvalOp struct {
 }
 
 func (o *boxEvalOp) open() error {
-	rows, err := o.r.ev.EvalBox(o.n.Box, o.r.ev.rootEnv())
+	rows, err := o.r.evalBridge(o.n)
 	if err != nil {
 		return err
 	}
@@ -411,9 +464,21 @@ type stageState struct {
 	child     operator         // AccessStream
 	rel       *storage.RelView // AccessIndex: snapshot-filtered probes
 	probe     datum.Row        // AccessIndex probe buffer
+	lookup    []datum.Row      // AccessIndex: probe-result buffer, reused per binding
+	probed    bool             // lookup holds the result of probing with probe
 	childRows []datum.Row      // materialized child (hash/scan)
 	built     bool
 	ht        map[string][]datum.Row
+
+	// Flat hash build (see flatKeys): jt replaces ht for a base-table build
+	// side keyed on plain columns — jrows are the rows its ids index, tab the
+	// intern table string probes resolve through, chain the next candidate
+	// for the current outer binding (-1 none).
+	flat  []int // key column ordinals; nil when the stage builds byte-keyed
+	jt    *vec.JoinTable
+	jrows []datum.Row
+	tab   *vec.Intern
+	chain int32
 
 	// Budget-mode variants: sht replaces ht (spillable partitioned hash
 	// table), buf replaces childRows (spillable nested-loop inner, replayed
@@ -451,6 +516,13 @@ type selectPipeOp struct {
 	// grace, when set, replaces the odometer: the pipeline switched to a
 	// partition-wise grace join (see grace.go) and next() emits its merge.
 	grace *graceJoin
+
+	// recycle lets next project into one reused slab instead of a fresh row
+	// per binding. Set by a consumer that keeps no reference to a row past
+	// the following next call (the group-by's flat path).
+	recycle bool
+	slab    []datum.D
+	out     []datum.Row
 }
 
 func (p *selectPipeOp) open() error {
@@ -514,6 +586,8 @@ func (p *selectPipeOp) open() error {
 			}
 			ss.rel = rel
 			ss.probe = make(datum.Row, len(st.KeyOther))
+		case plan.AccessHash:
+			ss.flat = p.flatKeys(st)
 		}
 	}
 	p.subqs = make([]subqState, len(p.n.Subqs))
@@ -623,34 +697,109 @@ func (p *selectPipeOp) buildSpillScan(ss *stageState) error {
 	return nil
 }
 
-// downgrade switches a stage whose index probe found no usable index to a
-// hash join (build side big enough) or a nested loop with the key
-// equalities as filters. The choice depends only on the store, so plans
-// stay deterministic.
+// downgrade switches a stage whose index probe found no usable index — the
+// index was dropped under a cached plan; lowering only plans index access
+// where the catalog has one — to a hash join (build side big enough) or a
+// nested loop with the key equalities as filters. The choice depends only on
+// the store, so plans stay deterministic; the caller's resetStage retry
+// builds whichever it picked.
 func (p *selectPipeOp) downgrade(ss *stageState) error {
-	ev := p.r.ev
-	if ev.Mem != nil {
+	if p.r.ev.Mem != nil {
 		return p.downgradeSpill(ss)
+	}
+	if ss.rel.Len() > 4 {
+		ss.access = plan.AccessHash
+		ss.flat = p.flatKeys(ss.st)
+		return nil
+	}
+	ss.access = plan.AccessScan
+	ss.filters = p.downgradeFilters(ss)
+	return nil
+}
+
+// flatKeys returns the key column ordinals of a hash stage that can build a
+// flat vec.JoinTable straight from its base table's columnar snapshot, or
+// nil when it must build byte-keyed: the same conditions as the vectorized
+// select (no memory budget, vectorization on), a base-table scan as the
+// build side, and at most vec.MaxKeyCols plain-column keys whose probe
+// expressions are of the same comparability class wherever their type is
+// known statically (probes of unknown type are classed per row).
+func (p *selectPipeOp) flatKeys(st *plan.Stage) []int {
+	ev := p.r.ev
+	if ev.Mem != nil || ev.NoVec || st.Child.Kind != plan.OpScan || len(st.KeyMine) > vec.MaxKeyCols {
+		return nil
+	}
+	cols := st.Child.Box.Table.Columns
+	ords := make([]int, len(st.KeyMine))
+	for j, m := range st.KeyMine {
+		cr, ok := m.(*qgm.ColRef)
+		if !ok || cr.Q != st.Quant || cr.Ord >= len(cols) {
+			return nil
+		}
+		mine := vecClass(cols[cr.Ord].Type)
+		if other := vecClass(qgm.TypeOf(st.KeyOther[j])); mine == 0 || other != 0 && other != mine {
+			return nil
+		}
+		ords[j] = cr.Ord
+	}
+	return ords
+}
+
+// buildHash builds a hash stage's table: flat from the build table's column
+// arrays when flatKeys allows, byte-keyed over the materialized child
+// otherwise.
+func (p *selectPipeOp) buildHash(ss *stageState) error {
+	ev := p.r.ev
+	ev.Counters.HashBuilds++
+	ss.built = true
+	if ss.flat != nil {
+		tbl, rows, vis, tab, err := p.r.scanBuild(ss.st.Child)
+		if err != nil {
+			return err
+		}
+		cols := make([]*vec.Col, len(ss.flat))
+		for j, ord := range ss.flat {
+			cols[j] = &tbl.Cols[ord]
+		}
+		ss.jt, ss.jrows, ss.tab = vec.BuildJoinTable(cols, tbl.N, vis), rows, tab
+		return nil
 	}
 	rows, err := p.r.materialize(ss.st.Child)
 	if err != nil {
 		return err
 	}
-	if len(rows) > 4 {
-		ss.access = plan.AccessHash
-		ss.childRows = rows
-		ev.Counters.HashBuilds++
-		ss.ht, err = ev.buildHashTable(ss.st.Quant, ss.st.KeyMine, rows, p.env)
+	ss.childRows = rows
+	ss.ht, err = ev.buildHashTable(ss.st.Quant, ss.st.KeyMine, rows, p.env)
+	return err
+}
+
+// probeFlat positions a flat hash stage on the chain matching the current
+// outer binding, with the byte-keyed probe's accounting: a NULL key component
+// skips the probe, and a value that cannot equal any build key (a string
+// that was never interned, a value of another class) probes and misses.
+func (p *selectPipeOp) probeFlat(ss *stageState) error {
+	ss.chain = -1
+	var key vec.Key
+	miss := false
+	cols := ss.st.Child.Box.Table.Columns
+	for j, e := range ss.st.KeyOther {
+		v, err := EvalExpr(e, p.env)
 		if err != nil {
 			return err
 		}
-		ss.built = true
-		return nil
+		if v.IsNull() {
+			return nil // equality never matches NULL
+		}
+		w, ok := vec.NormDatum(v, ss.tab)
+		if !ok || vecClass(v.T) != vecClass(cols[ss.flat[j]].Type) {
+			miss = true
+		}
+		key.V[j] = w
 	}
-	ss.access = plan.AccessScan
-	ss.childRows = rows
-	ss.built = true
-	ss.filters = p.downgradeFilters(ss)
+	p.r.ev.Counters.HashProbes++
+	if !miss {
+		ss.chain = ss.jt.Head(&key)
+	}
 	return nil
 }
 
@@ -763,16 +912,25 @@ func (p *selectPipeOp) resetStage(i int) error {
 		// advanceStage pulls batches from the child.
 		ss.rows = nil
 	case plan.AccessIndex:
+		same := ss.probed
 		for j, e := range ss.st.KeyOther {
 			v, err := EvalExpr(e, p.env)
 			if err != nil {
 				return err
 			}
+			same = same && v == ss.probe[j]
 			ss.probe[j] = v
 		}
-		if rows, used := ss.rel.Lookup(ss.st.IndexCols, ss.probe); used {
+		if same {
+			// The previous binding's key again (a clustered outer side
+			// repeats keys in runs): same snapshot, same rows.
 			ev.Counters.IndexLookups++
-			ss.rows = rows
+			ss.rows = ss.lookup
+			return nil
+		}
+		if rows, used := ss.rel.LookupInto(ss.st.IndexCols, ss.probe, ss.lookup[:0]); used {
+			ev.Counters.IndexLookups++
+			ss.rows, ss.lookup, ss.probed = rows, rows, true
 			return nil
 		}
 		if err := p.downgrade(ss); err != nil {
@@ -793,19 +951,12 @@ func (p *selectPipeOp) resetStage(i int) error {
 					// and emits its merge.
 					return p.graceRun(ss)
 				}
-			} else {
-				rows, err := p.r.materialize(ss.st.Child)
-				if err != nil {
-					return err
-				}
-				ss.childRows = rows
-				ev.Counters.HashBuilds++
-				ss.ht, err = ev.buildHashTable(ss.st.Quant, ss.st.KeyMine, rows, p.env)
-				if err != nil {
-					return err
-				}
-				ss.built = true
+			} else if err := p.buildHash(ss); err != nil {
+				return err
 			}
+		}
+		if ss.jt != nil {
+			return p.probeFlat(ss)
 		}
 		ev.keyBuf = ev.keyBuf[:0]
 		for _, e := range ss.st.KeyOther {
@@ -875,7 +1026,18 @@ func (p *selectPipeOp) advanceStage(i int) (bool, error) {
 	ss := &p.stages[i]
 	q := ss.st.Quant
 	for {
-		if ss.idx >= len(ss.rows) {
+		var row datum.Row
+		if ss.jt != nil {
+			if ss.chain < 0 {
+				delete(p.env, q)
+				return false, nil
+			}
+			row = ss.jrows[ss.chain]
+			ss.chain = ss.jt.Next(ss.chain)
+		} else if ss.idx < len(ss.rows) {
+			row = ss.rows[ss.idx]
+			ss.idx++
+		} else {
 			if ss.access == plan.AccessStream {
 				batch, err := ss.child.next()
 				if err != nil {
@@ -901,8 +1063,6 @@ func (p *selectPipeOp) advanceStage(i int) (bool, error) {
 			delete(p.env, q)
 			return false, nil
 		}
-		row := ss.rows[ss.idx]
-		ss.idx++
 		if err := ev.tick(); err != nil {
 			return false, err
 		}
@@ -1078,7 +1238,7 @@ func (p *selectPipeOp) next() ([]datum.Row, error) {
 		return out, nil
 	}
 
-	var out []datum.Row
+	out := p.out[:0]
 	i := p.depth
 	last := len(p.stages) - 1
 	for {
@@ -1112,7 +1272,7 @@ func (p *selectPipeOp) next() ([]datum.Row, error) {
 		}
 		var row datum.Row
 		if pass {
-			row, err = ev.projectRow(p.n.Box, p.env)
+			row, err = p.project(len(out))
 		}
 		for _, q := range p.n.Scalars {
 			delete(p.env, q)
@@ -1127,6 +1287,7 @@ func (p *selectPipeOp) next() ([]datum.Row, error) {
 			}
 		}
 	}
+	p.out = out
 	p.depth = i
 	if p.n.BoxRoot && len(out) > 0 {
 		if err := ev.addOutput(len(out)); err != nil {
@@ -1134,6 +1295,27 @@ func (p *selectPipeOp) next() ([]datum.Row, error) {
 		}
 	}
 	return out, nil
+}
+
+// project renders the current binding as the k-th row of the batch being
+// assembled: a fresh row, or under recycle a window of the reused slab.
+func (p *selectPipeOp) project(k int) (datum.Row, error) {
+	if !p.recycle {
+		return p.r.ev.projectRow(p.n.Box, p.env)
+	}
+	out := p.n.Box.Output
+	if p.slab == nil {
+		p.slab = make([]datum.D, streamBatch*len(out))
+	}
+	row := datum.Row(p.slab[k*len(out) : (k+1)*len(out) : (k+1)*len(out)])
+	for i, oc := range out {
+		v, err := EvalExpr(oc.Expr, p.env)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	return row, nil
 }
 
 func (p *selectPipeOp) close() error {
@@ -1158,80 +1340,20 @@ func (p *selectPipeOp) close() error {
 	}
 	p.stages = nil
 	p.env = nil
+	p.out, p.slab = nil, nil
 	return err
 }
 
-// groupByOp is a pipeline breaker: open drains the input into grouped
-// aggregate state (insertion order preserved), next streams the groups.
-type groupByOp struct {
+// groupOut streams a finished group-by's result rows; both group-by
+// operators fill out at open.
+type groupOut struct {
 	r   *planRun
 	n   *plan.Node
 	out []datum.Row
 	pos int
 }
 
-func (g *groupByOp) open() error {
-	ev := g.r.ev
-	b := g.n.Box
-	if g.n.BoxRoot {
-		ev.Counters.BoxEvals++
-	}
-	inQ := b.Quantifiers[0]
-	child := g.r.build(g.n.Children[0])
-	if err := child.open(); err != nil {
-		child.close()
-		return err
-	}
-
-	gt := ev.newGroupTable("group-by", g.r.spillNote(g.n))
-	defer gt.close()
-	env := ev.rootEnv()
-	var gkBuf []byte
-	// Without a budget the table is map-backed and entry pointers are
-	// stable, so a fixed-width RowKey cache can front the byte-keyed map.
-	var keyer *vec.RowKeyer
-	var fast map[vec.RowKey]*groupEntry
-	if ev.Mem == nil && !ev.NoVec {
-		keyer = vec.NewRowKeyer()
-		fast = map[vec.RowKey]*groupEntry{}
-	}
-
-	err := func() error {
-		for {
-			batch, err := child.next()
-			if err != nil {
-				return err
-			}
-			if len(batch) == 0 {
-				return nil
-			}
-			for _, row := range batch {
-				if err := ev.tick(); err != nil {
-					return err
-				}
-				env[inQ] = row
-				if keyer != nil {
-					gkBuf, err = ev.accumulateGroupFast(gt, b, env, keyer, fast, gkBuf)
-				} else {
-					gkBuf, err = ev.accumulateGroup(gt, b, env, gkBuf)
-				}
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}()
-	if cerr := child.close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	g.out, err = emitGroups(gt, b)
-	return err
-}
-
-func (g *groupByOp) next() ([]datum.Row, error) {
+func (g *groupOut) next() ([]datum.Row, error) {
 	if g.pos >= len(g.out) {
 		return nil, nil
 	}
@@ -1247,6 +1369,163 @@ func (g *groupByOp) next() ([]datum.Row, error) {
 		}
 	}
 	return batch, nil
+}
+
+// groupByOp is a pipeline breaker: open drains the input into grouped
+// aggregate state (insertion order preserved), next streams the groups.
+type groupByOp struct {
+	groupOut
+}
+
+func (g *groupByOp) open() error {
+	ev := g.r.ev
+	b := g.n.Box
+	if g.n.BoxRoot {
+		ev.Counters.BoxEvals++
+	}
+	child := g.r.build(g.n.Children[0])
+	if err := child.open(); err != nil {
+		child.close()
+		return err
+	}
+	var err error
+	if keyOrds, argOrds := groupOrds(b); keyOrds != nil && ev.Mem == nil && !ev.NoVec {
+		// Nothing below keeps a reference to an input row, so a select child
+		// may recycle its projected rows between batches.
+		if sp, ok := child.(*instrumented).op.(*selectPipeOp); ok {
+			sp.recycle = true
+		}
+		err = g.drainFlat(child, keyOrds, argOrds)
+	} else {
+		err = g.drainKeyed(child)
+	}
+	if cerr := child.close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// groupOrds resolves b's group keys and aggregate arguments to ordinals of
+// its input row (-1 for COUNT(*)). It returns nil, nil unless every one is a
+// plain column of the input quantifier — what semant emits — and the key
+// fits a fixed-width vec.RowKey.
+func groupOrds(b *qgm.Box) (keyOrds, argOrds []int) {
+	if len(b.GroupBy) > vec.MaxKeyCols {
+		return nil, nil
+	}
+	ord := func(e qgm.Expr) int {
+		if cr, ok := e.(*qgm.ColRef); ok && cr.Q == b.Quantifiers[0] {
+			return cr.Ord
+		}
+		return -1
+	}
+	keyOrds = make([]int, len(b.GroupBy))
+	for i, ge := range b.GroupBy {
+		if keyOrds[i] = ord(ge); keyOrds[i] < 0 {
+			return nil, nil
+		}
+	}
+	argOrds = make([]int, len(b.Aggs))
+	for i, a := range b.Aggs {
+		argOrds[i] = -1
+		if a.Arg != nil {
+			if argOrds[i] = ord(a.Arg); argOrds[i] < 0 {
+				return nil, nil
+			}
+		}
+	}
+	return keyOrds, argOrds
+}
+
+// drainFlat groups the child's rows through a flat fixed-width key table:
+// keys and arguments are read by ordinal — no Env binding, no expression
+// interpreter, no byte-key encoding — and a row that lands in an existing
+// group allocates nothing. Group ids are dense in first-seen order, so
+// entries is the emission order.
+func (g *groupByOp) drainFlat(child operator, keyOrds, argOrds []int) error {
+	ev := g.r.ev
+	b := g.n.Box
+	keyer := vec.NewRowKeyer()
+	gt := vec.NewGroupTable()
+	var entries []*groupEntry
+	key := make(datum.Row, len(keyOrds))
+	vals := make([]datum.D, len(argOrds))
+	for {
+		batch, err := child.next()
+		if err != nil {
+			return err
+		}
+		if len(batch) == 0 {
+			break
+		}
+		for _, row := range batch {
+			if err := ev.tick(); err != nil {
+				return err
+			}
+			for i, ord := range keyOrds {
+				key[i] = row[ord]
+			}
+			rk, ok := keyer.Key(key)
+			if !ok {
+				return fmt.Errorf("exec: group key %v has no fixed-width encoding", key)
+			}
+			gid, fresh := gt.Find(&rk)
+			if fresh {
+				entries = append(entries, newGroupEntry(append(datum.Row(nil), key...), b.Aggs))
+			}
+			for i, ord := range argOrds {
+				if ord >= 0 {
+					vals[i] = row[ord]
+				}
+			}
+			if err := ev.updateGroup(nil, b, entries[gid], nil, vals); err != nil {
+				return err
+			}
+		}
+	}
+	if len(entries) == 0 && len(b.GroupBy) == 0 {
+		g.out = []datum.Row{emptyAggRow(b)}
+		return nil
+	}
+	g.out = make([]datum.Row, len(entries))
+	for i, e := range entries {
+		g.out[i] = e.row(len(b.Output))
+	}
+	return nil
+}
+
+// drainKeyed groups through the byte-keyed, spill-capable groupTable with
+// full expression evaluation: the path for memory-budgeted runs, keys wider
+// than vec.MaxKeyCols, computed keys or arguments, and NoVec.
+func (g *groupByOp) drainKeyed(child operator) error {
+	ev := g.r.ev
+	b := g.n.Box
+	inQ := b.Quantifiers[0]
+	gt := ev.newGroupTable("group-by", g.r.spillNote(g.n))
+	defer gt.close()
+	env := ev.rootEnv()
+	var gkBuf []byte
+	for {
+		batch, err := child.next()
+		if err != nil {
+			return err
+		}
+		if len(batch) == 0 {
+			break
+		}
+		for _, row := range batch {
+			if err := ev.tick(); err != nil {
+				return err
+			}
+			env[inQ] = row
+			if gkBuf, err = ev.accumulateGroup(gt, b, env, gkBuf); err != nil {
+				return err
+			}
+		}
+	}
+	var err error
+	g.out, err = emitGroups(gt, b)
+	return err
 }
 
 func (g *groupByOp) close() error {

@@ -455,8 +455,9 @@ type probeSrc struct {
 }
 
 // vecStage is one compiled hash-join stage: build rows keyed by normalized
-// fixed-width words (single-word map for one key column, vec.Key for up to
-// four).
+// fixed-width words in a flat vec.JoinTable. A base-table build side is
+// keyed straight from its columnar snapshot (tbl is set, row ids are version
+// positions); any other child is materialized and keyed row by row.
 type vecStage struct {
 	st      *plan.Stage
 	quant   *qgm.Quantifier
@@ -465,13 +466,14 @@ type vecStage struct {
 	filters []qgm.Expr
 
 	built bool
-	rows  []datum.Row
-	ht1   map[uint64][]int32
-	htN   map[vec.Key][]int32
+	rows  []datum.Row // build rows, indexed by the join table's row ids
+	tbl   *vec.Table  // columnar build side (base-table child only)
+	jt    *vec.JoinTable
 
-	bucket []int32
-	bi     int
-	cur    datum.Row
+	chain int32 // next candidate build row for the current outer binding; -1 none
+	curID int32
+	cur   datum.Row
+	ids   vec.Sel // nextIDs: matched build-row ids of the current batch
 }
 
 // vecProjSrc is one output column of the gather fast path: a plain column
@@ -492,6 +494,7 @@ type vecSelectOp struct {
 
 	q0       *qgm.Quantifier
 	scanNode *plan.Node
+	colTypes []datum.Type // column types of the driving scan's table
 	preds    []vecPred
 	stages   []*vecStage
 	projSrcs []vecProjSrc // nil: project through env + projectRow
@@ -519,6 +522,7 @@ type vecSelectOp struct {
 	depth      int
 	done       bool
 	out        []datum.Row
+	ids        vec.Sel // nextIDs: driving-row ids of the current batch
 }
 
 // tryVecSelect compiles a Vec-marked select node, returning nil when the
@@ -542,6 +546,7 @@ func (r *planRun) tryVecSelect(n *plan.Node) operator {
 	for i, c := range st0.Child.Box.Table.Columns {
 		colTypes[i] = c.Type
 	}
+	o.colTypes = colTypes
 	for _, e := range st0.Residual {
 		p, ok := o.compilePred(e, colTypes)
 		if !ok {
@@ -987,119 +992,126 @@ func (o *vecSelectOp) open() error {
 }
 
 // advanceDrive moves the driving scan to its next filter-surviving row,
-// refilling the selection from the next vecBatch chunk when exhausted.
-// Counter accounting per chunk matches scanOp per batch: BaseRows and the
-// scan box's output budget for every row read, stats batches/rows on the
-// scan node.
+// refilling the selection from the next chunk when exhausted.
 func (o *vecSelectOp) advanceDrive() (bool, error) {
-	ev := o.ev
-	for {
-		if o.selPos < len(o.sel) {
-			o.cur = int(o.sel[o.selPos])
-			o.selPos++
+	for o.selPos >= len(o.sel) {
+		ok, err := o.refill()
+		if err != nil {
+			return false, err
+		}
+		if !ok {
 			if o.alwaysBind {
-				o.env[o.q0] = o.rows[o.cur]
+				delete(o.env, o.q0)
 			}
-			return true, nil
+			return false, nil
 		}
-		// Refill: chunk either the full table (everything visible) or the
-		// snapshot's visibility selection. Counters charge visible rows only,
-		// matching the row pipeline, which never sees invisible versions.
-		var sel vec.Sel
-		var n int
-		if o.vis != nil {
-			if o.visPos >= len(o.vis) {
-				if o.alwaysBind {
-					delete(o.env, o.q0)
-				}
-				return false, nil
-			}
-			lo := o.visPos
-			hi := lo + vecBatch
-			if hi > len(o.vis) {
-				hi = len(o.vis)
-			}
-			o.visPos = hi
-			n = hi - lo
-			sel = o.vis[lo:hi]
-		} else {
-			if o.chunkStart >= o.tbl.N {
-				if o.alwaysBind {
-					delete(o.env, o.q0)
-				}
-				return false, nil
-			}
-			lo := o.chunkStart
-			hi := lo + vecBatch
-			if hi > o.tbl.N {
-				hi = o.tbl.N
-			}
-			o.chunkStart = hi
-			n = hi - lo
-			sel = vec.Iota(o.selA[:0], int32(lo), int32(hi))
-		}
-		ev.Counters.BaseRows += int64(n)
-		if err := ev.addOutput(n); err != nil {
-			return false, err
-		}
-		st := &o.r.stats[o.scanNode.ID]
-		st.Batches++
-		st.Rows += int64(n)
-		if err := ev.tickN(n); err != nil {
-			return false, err
-		}
-		for _, p := range o.preds {
-			if len(sel) == 0 {
-				break
-			}
-			tvs := o.tvs[:len(sel)]
-			p.eval(o, sel, tvs)
-			sel = vec.FilterTrue(sel, tvs, o.selB[:0])
-			o.selA, o.selB = o.selB, o.selA
-		}
-		o.sel = sel
-		o.selPos = 0
 	}
+	o.cur = int(o.sel[o.selPos])
+	o.selPos++
+	if o.alwaysBind {
+		o.env[o.q0] = o.rows[o.cur]
+	}
+	return true, nil
 }
 
-// buildStage materializes and keys a hash stage's build side. The child
-// materializes through planRun.materialize for exact counter/memo parity
-// with the row pipeline; string key values are interned through the shared
-// engine table, so any probe-side Lookup miss proves no build key matches.
+// refill loads o.sel with the filter survivors of the next vecBatch chunk of
+// the scan (possibly none); false means the scan is exhausted. Counter
+// accounting per chunk matches scanOp per batch: BaseRows and the scan box's
+// output budget for every row read, stats batches/rows on the scan node.
+func (o *vecSelectOp) refill() (bool, error) {
+	ev := o.ev
+	// Chunk either the full table (everything visible) or the snapshot's
+	// visibility selection. Counters charge visible rows only, matching the
+	// row pipeline, which never sees invisible versions.
+	var sel vec.Sel
+	if o.vis != nil {
+		if o.visPos >= len(o.vis) {
+			return false, nil
+		}
+		lo := o.visPos
+		hi := lo + vecBatch
+		if hi > len(o.vis) {
+			hi = len(o.vis)
+		}
+		o.visPos = hi
+		sel = o.vis[lo:hi]
+	} else {
+		if o.chunkStart >= o.tbl.N {
+			return false, nil
+		}
+		lo := o.chunkStart
+		hi := lo + vecBatch
+		if hi > o.tbl.N {
+			hi = o.tbl.N
+		}
+		o.chunkStart = hi
+		sel = vec.Iota(o.selA[:0], int32(lo), int32(hi))
+	}
+	n := len(sel)
+	ev.Counters.BaseRows += int64(n)
+	if err := ev.addOutput(n); err != nil {
+		return false, err
+	}
+	st := &o.r.stats[o.scanNode.ID]
+	st.Batches++
+	st.Rows += int64(n)
+	if err := ev.tickN(n); err != nil {
+		return false, err
+	}
+	for _, p := range o.preds {
+		if len(sel) == 0 {
+			break
+		}
+		tvs := o.tvs[:len(sel)]
+		p.eval(o, sel, tvs)
+		sel = vec.FilterTrue(sel, tvs, o.selB[:0])
+		o.selA, o.selB = o.selB, o.selA
+	}
+	o.sel = sel
+	o.selPos = 0
+	return true, nil
+}
+
+// buildStage keys a hash stage's build side into its join table. A
+// base-table child is keyed from the relation's columnar snapshot (see
+// planRun.scanBuild); any other child materializes through
+// planRun.materialize for exact counter/memo parity with the row pipeline
+// and is keyed row by row, interning string keys through the shared engine
+// table. Either way a probe-side Lookup miss proves no build key matches.
 func (o *vecSelectOp) buildStage(vs *vecStage) error {
+	o.ev.Counters.HashBuilds++
+	vs.built = true
+	if vs.st.Child.Kind == plan.OpScan {
+		tbl, rows, vis, _, err := o.r.scanBuild(vs.st.Child)
+		if err != nil {
+			return err
+		}
+		cols := make([]*vec.Col, len(vs.keyOrds))
+		for p, ord := range vs.keyOrds {
+			cols[p] = &tbl.Cols[ord]
+		}
+		vs.tbl, vs.rows = &tbl, rows
+		vs.jt = vec.BuildJoinTable(cols, tbl.N, vis)
+		return nil
+	}
 	rows, err := o.r.materialize(vs.st.Child)
 	if err != nil {
 		return err
 	}
-	o.ev.Counters.HashBuilds++
 	vs.rows = rows
-	single := len(vs.keyOrds) == 1
-	if single {
-		vs.ht1 = make(map[uint64][]int32, len(rows))
-	} else {
-		vs.htN = make(map[vec.Key][]int32, len(rows))
-	}
-	for j, row := range rows {
+	vs.jt = vec.NewJoinTable(len(vs.keyOrds), len(rows))
+rows:
+	for j := len(rows) - 1; j >= 0; j-- {
 		var key vec.Key
-		null := false
 		for p, ord := range vs.keyOrds {
-			d := row[ord]
+			d := rows[j][ord]
 			if d.IsNull() {
-				null = true
-				break
+				continue rows // equality never matches NULL
 			}
 			key.V[p] = o.buildWord(d)
 		}
-		if null {
-			continue // equality never matches NULL
-		}
-		if single {
-			vs.ht1[key.V[0]] = append(vs.ht1[key.V[0]], int32(j))
-		} else {
-			vs.htN[key] = append(vs.htN[key], int32(j))
-		}
+		vs.jt.Prepend(&key, int32(j))
 	}
-	vs.built = true
 	return nil
 }
 
@@ -1162,13 +1174,13 @@ func (o *vecSelectOp) probeWord(ps *probeSrc) (word uint64, null, missing bool) 
 	}
 }
 
-// resetHash prepares hash stage si's bucket for the current outer binding,
-// with the row pipeline's exact accounting: a NULL key component skips the
-// probe entirely; a missing interned string still probes (and misses).
+// resetHash positions hash stage si on the chain of build rows matching the
+// current outer binding, with the row pipeline's exact accounting: a NULL
+// key component skips the probe entirely; a missing interned string still
+// probes (and misses).
 func (o *vecSelectOp) resetHash(si int) error {
-	ev := o.ev
 	vs := o.stages[si]
-	vs.bi = 0
+	vs.chain = -1
 	if !vs.built {
 		if err := o.buildStage(vs); err != nil {
 			return err
@@ -1179,7 +1191,6 @@ func (o *vecSelectOp) resetHash(si int) error {
 	for p := range vs.probes {
 		w, null, miss := o.probeWord(&vs.probes[p])
 		if null {
-			vs.bucket = nil
 			return nil
 		}
 		if miss {
@@ -1187,15 +1198,9 @@ func (o *vecSelectOp) resetHash(si int) error {
 		}
 		key.V[p] = w
 	}
-	ev.Counters.HashProbes++
-	if missing {
-		vs.bucket = nil
-		return nil
-	}
-	if vs.ht1 != nil {
-		vs.bucket = vs.ht1[key.V[0]]
-	} else {
-		vs.bucket = vs.htN[key]
+	o.ev.Counters.HashProbes++
+	if !missing {
+		vs.chain = vs.jt.Head(&key)
 	}
 	return nil
 }
@@ -1204,9 +1209,10 @@ func (o *vecSelectOp) resetHash(si int) error {
 func (o *vecSelectOp) advanceHash(si int) (bool, error) {
 	ev := o.ev
 	vs := o.stages[si]
-	for vs.bi < len(vs.bucket) {
-		row := vs.rows[vs.bucket[vs.bi]]
-		vs.bi++
+	for vs.chain >= 0 {
+		vs.curID = vs.chain
+		vs.chain = vs.jt.Next(vs.curID)
+		row := vs.rows[vs.curID]
 		if err := ev.tick(); err != nil {
 			return false, err
 		}
@@ -1252,19 +1258,12 @@ func (o *vecSelectOp) emit() (datum.Row, error) {
 	return o.ev.projectRow(o.n.Box, o.env)
 }
 
-func (o *vecSelectOp) next() ([]datum.Row, error) {
-	ev := o.ev
-	if o.done {
-		return nil, nil
-	}
-	o.out = o.out[:0]
+// advance moves the odometer to the next full binding of the driving scan
+// and every hash stage; false means the pipeline is exhausted.
+func (o *vecSelectOp) advance() (bool, error) {
 	i := o.depth
 	last := len(o.stages)
-	for {
-		if i < 0 {
-			o.done = true
-			break
-		}
+	for i >= 0 {
 		var ok bool
 		var err error
 		if i == 0 {
@@ -1273,35 +1272,101 @@ func (o *vecSelectOp) next() ([]datum.Row, error) {
 			ok, err = o.advanceHash(i - 1)
 		}
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		if !ok {
 			i--
 			continue
 		}
-		if i < last {
-			i++
-			if err := o.resetHash(i - 1); err != nil {
-				return nil, err
-			}
-			continue
+		if i == last {
+			o.depth = i
+			return true, nil
+		}
+		i++
+		if err := o.resetHash(i - 1); err != nil {
+			return false, err
+		}
+	}
+	o.depth = i
+	o.done = true
+	return false, nil
+}
+
+func (o *vecSelectOp) next() ([]datum.Row, error) {
+	if o.done {
+		return nil, nil
+	}
+	o.out = o.out[:0]
+	for len(o.out) < streamBatch {
+		ok, err := o.advance()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
 		}
 		row, err := o.emit()
 		if err != nil {
 			return nil, err
 		}
 		o.out = append(o.out, row)
-		if len(o.out) >= streamBatch {
-			break
-		}
 	}
-	o.depth = i
 	if o.n.BoxRoot && len(o.out) > 0 {
-		if err := ev.addOutput(len(o.out)); err != nil {
+		if err := o.ev.addOutput(len(o.out)); err != nil {
 			return nil, err
 		}
 	}
 	return o.out, nil
+}
+
+// nextIDs is next for a columnar consumer (the vectorized group-by): instead
+// of projecting rows it returns the driving-scan row ids of the next batch
+// of joined tuples, with each hash stage's matched build-row ids in its ids
+// slice at the same positions. Without hash stages a filtered scan chunk is
+// handed over as it stands. Accounting matches next.
+func (o *vecSelectOp) nextIDs() (vec.Sel, error) {
+	if o.done {
+		return nil, nil
+	}
+	var ids vec.Sel
+	if len(o.stages) == 0 {
+		for len(ids) == 0 {
+			ok, err := o.refill()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				o.done = true
+				break
+			}
+			ids = o.sel
+		}
+	} else {
+		o.ids = o.ids[:0]
+		for _, vs := range o.stages {
+			vs.ids = vs.ids[:0]
+		}
+		for len(o.ids) < vecBatch {
+			ok, err := o.advance()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			o.ids = append(o.ids, int32(o.cur))
+			for _, vs := range o.stages {
+				vs.ids = append(vs.ids, vs.curID)
+			}
+		}
+		ids = o.ids
+	}
+	if o.n.BoxRoot && len(ids) > 0 {
+		if err := o.ev.addOutput(len(ids)); err != nil {
+			return nil, err
+		}
+	}
+	return ids, nil
 }
 
 func (o *vecSelectOp) close() error {
@@ -1310,7 +1375,7 @@ func (o *vecSelectOp) close() error {
 	o.out = nil
 	o.env = nil
 	for _, vs := range o.stages {
-		vs.rows, vs.ht1, vs.htN, vs.bucket, vs.cur = nil, nil, nil, nil, nil
+		vs.rows, vs.tbl, vs.jt, vs.cur = nil, nil, nil, nil
 	}
 	return nil
 }

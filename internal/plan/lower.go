@@ -163,8 +163,20 @@ func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
 	case lw.hasFree(b):
 		return lw.bridge(b, "correlated")
 	case lw.uses[b] > 1 && b.Kind != qgm.KindBaseTable:
-		return lw.bridge(b, "shared")
+		// A shared box is evaluated once and its rows serve every consumer.
+		// Its own streamed plan hangs below each bridge; the consumer that
+		// runs first drains it into the evaluator's box memo, the others
+		// read the memo and leave their copy unopened.
+		n := lw.bridge(b, "shared")
+		n.Children = []*Node{lw.lowerOwn(b)}
+		return n
 	}
+	return lw.lowerOwn(b)
+}
+
+// lowerOwn lowers b itself to a streamed operator subtree, whatever its
+// sharing.
+func (lw *lowerer) lowerOwn(b *qgm.Box) *Node {
 	lw.visiting[b] = true
 	defer delete(lw.visiting, b)
 
@@ -178,6 +190,7 @@ func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
 		n = lw.p.newNode(OpGroupBy, b, "group-by "+boxName(b))
 		n.Detail = fmt.Sprintf("%d keys, %d aggs", len(b.GroupBy), len(b.Aggs))
 		n.Children = []*Node{lw.lowerBox(b.Quantifiers[0].Ranges)}
+		n.Vec = vectorizableGroupBy(n)
 	case qgm.KindUnion:
 		n = lw.p.newNode(OpUnion, b, "union "+boxName(b))
 		for _, q := range b.Quantifiers {
@@ -321,8 +334,10 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 				}
 				st.IndexCols = append(st.IndexCols, cr.Ord)
 			}
-			if !indexable {
-				st.IndexCols = nil
+			// No index on exactly these columns: the stage is a hash join,
+			// planned as one here rather than discovered by the executor.
+			if !indexable || !childBox.Table.HasIndex(st.IndexCols) {
+				indexable, st.IndexCols = false, nil
 			}
 		}
 
@@ -447,6 +462,48 @@ func vectorizableSelect(n *Node) bool {
 	return true
 }
 
+// vectorizableGroupBy is the lowering-time decision for vectorized hash
+// aggregation: the input is a vectorizable select pipeline, there are at
+// most vec.MaxKeyCols group keys, no aggregate is DISTINCT, and every key
+// and aggregate argument is an input column the select produces as a plain
+// column of its driving scan or of a base-table hash stage, or as
+// kernel-compilable arithmetic over the driving scan. The executor
+// re-verifies against runtime types and the memory mode.
+func vectorizableGroupBy(n *Node) bool {
+	b, sel := n.Box, n.Children[0]
+	if sel.Kind != OpSelect || !sel.Vec || len(b.GroupBy) > maxVecKeys {
+		return false
+	}
+	columnar := func(e qgm.Expr) bool {
+		cr, ok := e.(*qgm.ColRef)
+		if !ok || cr.Q != b.Quantifiers[0] || cr.Ord >= len(sel.Box.Output) {
+			return false
+		}
+		se := sel.Box.Output[cr.Ord].Expr
+		x, ok := se.(*qgm.ColRef)
+		if !ok {
+			return vecNumeric(se, sel.Stages[0].Quant)
+		}
+		for i := range sel.Stages {
+			if st := &sel.Stages[i]; st.Quant == x.Q {
+				return st.Child.Kind == OpScan
+			}
+		}
+		return false
+	}
+	for _, ge := range b.GroupBy {
+		if !columnar(ge) {
+			return false
+		}
+	}
+	for _, a := range b.Aggs {
+		if a.Distinct || a.Arg != nil && !columnar(a.Arg) {
+			return false
+		}
+	}
+	return true
+}
+
 // maxVecKeys mirrors vec.MaxKeyCols without importing the executor's vec
 // package into the plan layer.
 const maxVecKeys = 4
@@ -479,6 +536,22 @@ func vecFilterable(e qgm.Expr, q *qgm.Quantifier) bool {
 		return vecFilterable(x.L, q) && vecFilterable(x.R, q)
 	case *qgm.Neg:
 		return vecFilterable(x.X, q)
+	}
+	return false
+}
+
+// vecNumeric reports whether e is arithmetic the executor's numeric VM
+// compiles: +, -, * and negation over q's columns, constants and parameters.
+func vecNumeric(e qgm.Expr, q *qgm.Quantifier) bool {
+	switch x := e.(type) {
+	case *qgm.Const, *qgm.Param:
+		return true
+	case *qgm.ColRef:
+		return x.Q == q
+	case *qgm.Arith:
+		return x.Op != datum.Div && x.Op != datum.Mod && vecNumeric(x.L, q) && vecNumeric(x.R, q)
+	case *qgm.Neg:
+		return vecNumeric(x.X, q)
 	}
 	return false
 }

@@ -255,19 +255,24 @@ func (c *relCapture) visibleSel(s Snap) []int32 {
 // same read lock, so vacuum cannot move them mid-probe — and the returned
 // rows carry their strings inline, immune to intern compaction.
 func (r *Relation) LookupSnap(cols []int, key datum.Row, s Snap) ([]datum.Row, bool) {
+	return r.lookupInto(cols, key, s, nil)
+}
+
+// lookupInto is LookupSnap appending the matches to dst, so a caller probing
+// once per outer row can reuse one result buffer.
+func (r *Relation) lookupInto(cols []int, key datum.Row, s Snap, dst []datum.Row) ([]datum.Row, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	positions, ok := r.probeLocked(cols, key)
 	if !ok {
 		return nil, false
 	}
-	var out []datum.Row
 	for _, pos := range positions {
 		if s.Visible(atomic.LoadUint64(&r.begins[pos]), atomic.LoadUint64(&r.ends[pos])) {
-			out = append(out, r.rows[pos])
+			dst = append(dst, r.rows[pos])
 		}
 	}
-	return out, true
+	return dst, true
 }
 
 // AddIndex builds a hash index over cols in place, covering every stored
@@ -562,4 +567,11 @@ func (rv *RelView) Intern() *vec.Intern { return rv.cap.tab }
 // boolean reports whether an index over exactly cols was available.
 func (rv *RelView) Lookup(cols []int, key datum.Row) ([]datum.Row, bool) {
 	return rv.rel.LookupSnap(cols, key, rv.snap)
+}
+
+// LookupInto is Lookup appending the matches to dst (pass a reused buffer's
+// [:0]): the join pipeline's per-outer-row probe, allocation-free once the
+// buffer has grown to the largest bucket.
+func (rv *RelView) LookupInto(cols []int, key datum.Row, dst []datum.Row) ([]datum.Row, bool) {
+	return rv.rel.lookupInto(cols, key, rv.snap, dst)
 }

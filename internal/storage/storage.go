@@ -367,9 +367,7 @@ const compactMinStrings = 1024
 func (s *Store) MaybeCompactIntern() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	strs := s.tab.Strs()
-	total := len(strs)
-	if total < compactMinStrings {
+	if len(s.tab.Strs()) < compactMinStrings {
 		return false
 	}
 	// Lock every relation for the duration: marking and rewriting must see
@@ -390,6 +388,11 @@ func (s *Store) MaybeCompactIntern() bool {
 			r.mu.Unlock()
 		}
 	}()
+	// Snapshot the id space only now: an append interns under its relation's
+	// lock alone, so a snapshot taken before the locks could miss ids the
+	// columns already hold.
+	strs := s.tab.Strs()
+	total := len(strs)
 	live := make([]bool, total)
 	nLive := 0
 	for _, r := range rels {

@@ -311,8 +311,17 @@ func FilterTrue(sel Sel, tvs []datum.TV, out Sel) Sel {
 
 // Iota fills out with the identity selection [lo, hi).
 func Iota(out Sel, lo, hi int32) Sel {
-	for i := lo; i < hi; i++ {
-		out = append(out, i)
+	base := len(out)
+	n := int(hi - lo)
+	if n <= 0 {
+		return out
+	}
+	if cap(out)-base < n {
+		out = append(out, make(Sel, n)...)
+	}
+	out = out[:base+n]
+	for k := range out[base:] {
+		out[base+k] = lo + int32(k)
 	}
 	return out
 }
