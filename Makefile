@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover check fmt-check bench bench-json bench-check bench-pair table1 sweep ablation fuzz examples clean
+.PHONY: all build test test-short race cover check fmt-check bench bench-pair table1 sweep ablation fuzz examples clean
 
 all: build test
 
@@ -17,23 +17,22 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# The race detector over every package whose state more than one goroutine
+# reaches — concurrent executions against one engine, the server's
+# connections, the group-commit log — and over the executor and the
+# vectorized kernels those executions run.
 race:
-	$(GO) test -race ./internal/engine/ ./internal/core/ ./internal/resource/ ./internal/storage/ ./internal/wal/ ./internal/wire/ ./internal/opt/ ./internal/catalog/
+	$(GO) test -race ./internal/exec/... ./internal/engine/... ./internal/core/... ./internal/resource/... ./internal/storage/... ./internal/vec/... ./internal/wal/... ./internal/wire/... ./internal/opt/... ./internal/catalog/...
 
 cover:
 	$(GO) test -cover ./...
 
 # Full verification gate: formatting, build, vet, tests, the race detector
-# over the packages with intra-query parallelism and durability (executor,
-# engine — including the crash-recovery suite in durable_test.go — the
-# resource governor, and the write-ahead log), and the bench-regression
-# gate against the recorded baseline.
-check: fmt-check
-	$(GO) build ./...
-	$(GO) vet ./...
-	$(GO) test ./...
-	$(GO) test -race ./internal/exec/... ./internal/engine/... ./internal/resource/... ./internal/storage/... ./internal/vec/... ./internal/wal/... ./internal/wire/... ./internal/opt/... ./internal/catalog/...
-	$(MAKE) bench-check
+# (engine includes the crash-recovery suite in durable_test.go), and the
+# benchmark's self-agreement check: every workload's timed pass twice,
+# answers against the frozen digests, metrics within BENCHMARK.json's bounds.
+check: fmt-check build test race
+	bash benchmark/run.sh --agree
 
 # gofmt as a gate: print offending files and fail if any exist.
 fmt-check:
@@ -43,29 +42,6 @@ fmt-check:
 # Table 1 + figure benchmarks (testing.B)
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Machine-readable perf trajectory: row-key encoders, hash-join build,
-# cold-vs-cached prepares, spill-on vs spill-off join/sort pairs,
-# vectorized-vs-row executor pairs (ns/row), wire-protocol round-trips
-# (COM_QUERY ns/row and cached COM_STMT_EXECUTE), MVCC transaction-commit
-# latency plus DML throughput under an open streaming scan, ANALYZE and
-# histogram-probe costs plus the skewed plan-pick A/B, WAL commit latency
-# (per-commit fsync vs group commit) and recovery speed per MB of log, and
-# Table-1 experiments (ns/op + allocs/op) written to $(BENCH_OUT).
-# Override per PR: make bench-json BENCH_OUT=BENCH_13.json
-BENCH_OUT ?= BENCH_12.json
-bench-json:
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT)
-
-# Regression gate: rerun the row-key, hash-join, and prepare-path
-# microbenchmarks and fail if any is >15% slower than the BENCH_1.json
-# baseline (threshold tunable via BENCH_THRESHOLD; benchmarks absent from
-# the baseline pass trivially). The fresh run goes to a scratch file, not
-# the baseline.
-BENCH_THRESHOLD ?= 15
-bench-check:
-	$(GO) run ./cmd/benchjson -out .bench_check.json -experiments "" \
-		-baseline BENCH_1.json -threshold $(BENCH_THRESHOLD)
 
 # Paired runs of one benchmark workload, this checkout against REF (checked
 # out into a temporary git worktree): ten alternating pairs with fresh seeds,
@@ -99,4 +75,3 @@ examples:
 
 clean:
 	$(GO) clean -testcache
-	rm -f .bench_check.json

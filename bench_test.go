@@ -155,28 +155,31 @@ func BenchmarkRecursiveTC(b *testing.B) {
 	}
 }
 
-// BenchmarkRowKey compares the executor's row-key encoders over a mixed-type
-// row set (ints, floats, strings, bools, NULLs): the binary length-prefixed
-// AppendKey with a reused buffer against the seed's strings.Builder path.
-// Run with -benchmem; the binary path amortizes to zero allocations per row.
+// BenchmarkRowKey measures the executor's row-key encoder — the binary
+// length-prefixed AppendKey into a reused buffer — over the shapes the
+// executor hashes in practice: ints, floats, short and longer strings, bools
+// and NULLs. Run with -benchmem; it amortizes to zero allocations per row.
 func BenchmarkRowKey(b *testing.B) {
-	rows := bench.KeyRows(1024)
-	b.Run("binary", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, 64)
-		for i := 0; i < b.N; i++ {
-			buf = datum.AppendKey(buf[:0], rows[i%len(rows)])
+	names := []string{"alice", "bob", "carol", "a longer employee name", ""}
+	rows := make([]datum.Row, 1024)
+	for i := range rows {
+		rows[i] = datum.Row{
+			datum.Int(int64(i)),
+			datum.String(names[i%len(names)]),
+			datum.Float(float64(i%97) / 3),
+			datum.Bool(i%2 == 0),
 		}
-		_ = buf
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink string
-		for i := 0; i < b.N; i++ {
-			sink = bench.LegacyRowKey(rows[i%len(rows)])
+		if i%11 == 0 {
+			rows[i][2] = datum.NullOf(datum.TFloat)
 		}
-		_ = sink
-	})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	buf := make([]byte, 0, 64)
+	for i := 0; i < b.N; i++ {
+		buf = datum.AppendKey(buf[:0], rows[i%len(rows)])
+	}
+	_ = buf
 }
 
 // hashJoinDB builds two unindexed tables so the equi-join below must take
@@ -205,35 +208,23 @@ func hashJoinDB(b *testing.B, rows int) *engine.Database {
 
 // BenchmarkHashJoinBuild measures one execution of an unindexed equi-join:
 // each Execute runs with a fresh evaluator, so the transient hash table is
-// rebuilt every iteration — serial and with the parallel range-partitioned
-// build.
+// rebuilt every iteration.
 func BenchmarkHashJoinBuild(b *testing.B) {
 	const rows = 8192
 	db := hashJoinDB(b, rows)
 	const query = `SELECT p.a FROM probe_side p, build_side s
 	               WHERE p.b = s.b AND s.a < 50 AND p.a < 50`
-	// The parallel variant pins 4 workers (rather than GOMAXPROCS) so the
-	// range-partitioned build path is measured even on single-CPU hosts.
-	for _, par := range []struct {
-		name string
-		n    int
-	}{{"serial", 1}, {"parallel", 4}} {
-		b.Run(par.name, func(b *testing.B) {
-			b.ReportAllocs()
-			db.SetParallelism(par.n)
-			p, err := db.Prepare(query, engine.EMST)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Execute(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	p, err := db.Prepare(query, engine.EMST)
+	if err != nil {
+		b.Fatal(err)
 	}
-	db.SetParallelism(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Execute(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // earlyExitDB builds a 100k-row table for the streaming early-exit

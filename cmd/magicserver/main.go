@@ -8,10 +8,10 @@
 // by default, durable when -data names a directory (write-ahead logged,
 // checkpointed, recovered on start; -durability picks the fsync policy) —
 // optionally seeded from an -init SQL script, with the engine's resource
-// controls (memory governor, admission queue, parallelism) exposed as
-// flags. SIGINT/SIGTERM shut it down gracefully: the listener closes,
-// in-flight query contexts are cancelled, connection goroutines drain, and
-// the write-ahead log is flushed and closed.
+// controls (memory governor, admission queue) exposed as flags.
+// SIGINT/SIGTERM shut it down gracefully: the listener closes, in-flight
+// query contexts are cancelled, connection goroutines drain, and the
+// write-ahead log is flushed and closed.
 package main
 
 import (
@@ -39,7 +39,6 @@ func main() {
 		memTotal      = flag.Int64("mem-total", 0, "total memory budget across queries in bytes (0 = unlimited)")
 		maxConcurrent = flag.Int("max-concurrent", 0, "max concurrently executing queries (0 = unlimited)")
 		maxQueue      = flag.Int("max-queue", 64, "max queries waiting for an execution slot")
-		parallelism   = flag.Int("parallelism", 0, "intra-query parallelism (0/1 serial, -1 = GOMAXPROCS)")
 		maxConns      = flag.Int("max-conns", 0, "max concurrent client connections (0 = unlimited)")
 		metricsDump   = flag.Bool("metrics", false, "dump engine and wire metrics as JSON on shutdown")
 	)
@@ -81,7 +80,6 @@ func main() {
 	}
 	db.SetMemoryLimit(*memPerQuery, *memTotal)
 	db.SetAdmission(*maxConcurrent, *maxQueue)
-	db.SetParallelism(*parallelism)
 
 	srv := wire.NewServer(db, wire.Config{
 		User:     *user,

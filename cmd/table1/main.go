@@ -21,7 +21,6 @@ import (
 func main() {
 	scale := flag.Int("scale", 1, "data size multiplier")
 	reps := flag.Int("reps", 3, "executions per measurement (fastest wins)")
-	parallel := flag.Int("parallel", 0, "intra-query parallelism (0/1 serial, -1 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print raw timings, counters, and regimes")
 	metrics := flag.Bool("metrics", false, "print the database-wide metrics snapshot after the runs")
 	ablation := flag.Bool("ablation", false, "also run the design-choice ablation study on experiments G and H")
@@ -38,7 +37,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "setup:", err)
 		os.Exit(1)
 	}
-	db.SetParallelism(*parallel)
 	if *mem > 0 {
 		db.SetMemoryLimit(*mem, 0)
 		fmt.Printf("per-query memory budget: %d bytes (operators spill beyond it)\n", *mem)

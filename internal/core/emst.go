@@ -173,8 +173,9 @@ func (e *EMSTRule) processAMQ(ctx *rewrite.Context, b *qgm.Box) (bool, error) {
 		// Sharing is abandoned when feeding this consumer's magic into the
 		// shared copy would make the graph recursive — the phenomenon the
 		// paper notes in §1 ("the magic-sets transformation can rewrite a
-		// nonrecursive query into a recursive query"); this engine does not
-		// evaluate recursion, so such consumers get a private copy.
+		// nonrecursive query into a recursive query"); the executor iterates
+		// only fixpoint roots that binding marked Recursive, so such
+		// consumers get a private copy.
 		cacheable := len(cond) == 0
 		cp, fresh := e.adornedCopy(ctx, child, adornment, cacheable)
 		if !fresh && m != nil && reachesBox(m, cp) {

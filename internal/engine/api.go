@@ -28,13 +28,11 @@ import (
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	strategy       Strategy
-	tracer         obs.Tracer
-	parallelism    int
-	hasParallelism bool
-	rowLimit       int64
-	snapshots      bool
-	materialized   bool
+	strategy     Strategy
+	tracer       obs.Tracer
+	rowLimit     int64
+	snapshots    bool
+	materialized bool
 	// args are the values bound to the query's `?` placeholders; hasArgs
 	// records that WithArgs was used (so a binding-count mismatch fails at
 	// prepare time rather than on first execute); argsErr carries a WithArgs
@@ -113,12 +111,6 @@ func WithTracer(t obs.Tracer) QueryOption {
 	return func(c *queryConfig) { c.tracer = t }
 }
 
-// WithParallelism overrides the database-wide SetParallelism setting for
-// this call: 0 or 1 serial, negative = GOMAXPROCS workers.
-func WithParallelism(n int) QueryOption {
-	return func(c *queryConfig) { c.parallelism = n; c.hasParallelism = true }
-}
-
 // WithRowLimit bounds the executor's total produced rows (a runaway-query
 // guard for serving concurrent traffic, not a LIMIT clause): evaluation
 // aborts with an error once the budget is exceeded. 0 means unlimited.
@@ -180,8 +172,7 @@ func newQueryConfig(opts []QueryOption) queryConfig {
 // QueryContext optimizes and executes a SELECT under ctx: cancellation and
 // deadlines are honored between pipeline stages and — amortized, every few
 // hundred rows — inside the executor's scan/join/recursion loops, returning
-// ctx.Err() promptly. Options select strategy, tracing, parallelism, and
-// row budget.
+// ctx.Err() promptly. Options select strategy, tracing, and row budget.
 func (db *Database) QueryContext(ctx context.Context, query string, opts ...QueryOption) (*Result, error) {
 	p, err := db.PrepareContext(ctx, query, opts...)
 	if err != nil {

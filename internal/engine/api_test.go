@@ -75,9 +75,8 @@ func TestQueryContextCancelRecursive(t *testing.T) {
 	}
 }
 
-// TestQueryContextCancelParallel cancels a recursive query running with
-// intra-query parallelism, exercising context inheritance in child
-// evaluators.
+// TestQueryContextCancelParallel cancels a recursive query from another
+// goroutine while its fixpoint runs.
 func TestQueryContextCancelParallel(t *testing.T) {
 	db := denseGraphDB(t, 600)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -85,7 +84,7 @@ func TestQueryContextCancelParallel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	_, err := db.QueryContext(ctx, "SELECT COUNT(*) FROM tc", WithParallelism(-1))
+	_, err := db.QueryContext(ctx, "SELECT COUNT(*) FROM tc")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v; want context.Canceled", err)
 	}
@@ -268,7 +267,7 @@ func TestWithRowLimit(t *testing.T) {
 }
 
 // TestConcurrentQueryContext hammers one database from many goroutines with
-// mixed strategies, tracers, and per-call parallelism under -race.
+// mixed strategies and tracers under -race.
 func TestConcurrentQueryContext(t *testing.T) {
 	db := newDB(t)
 	query := `SELECT d.deptname, s.avgsalary FROM department d, avgMgrSal s
@@ -293,9 +292,6 @@ func TestConcurrentQueryContext(t *testing.T) {
 				opts := []QueryOption{WithStrategy(strategies[(i+j)%len(strategies)])}
 				if j%2 == 0 {
 					opts = append(opts, WithTracer(obs.NewRecorder()))
-				}
-				if j%3 == 0 {
-					opts = append(opts, WithParallelism(2))
 				}
 				res, err := db.QueryContext(context.Background(), query, opts...)
 				if err != nil {

@@ -110,9 +110,9 @@ func cacheShardIndex(key string) uint32 {
 
 // cacheKey identifies a plan: normalized SQL (whitespace, case, and comments
 // do not fragment the cache) plus everything that changes the *stored* plan —
-// strategy and snapshot capture. Per-call state (args, tracer, parallelism,
-// row limit, materialized execution) stays out of the key: it is applied to
-// a shallow per-call copy on every hit.
+// strategy and snapshot capture. Per-call state (args, tracer, row limit,
+// materialized execution) stays out of the key: it is applied to a shallow
+// per-call copy on every hit.
 func cacheKey(query string, cfg queryConfig) string {
 	k := sql.Normalize(query) + "\x00" + cfg.strategy.String()
 	if cfg.snapshots {

@@ -8,10 +8,9 @@ import (
 )
 
 // TestConcurrentMixedStrategyQueries runs mixed-strategy queries from many goroutines
-// against one database — with intra-query parallelism enabled and concurrent
-// inserts into an unrelated table — and asserts every result is identical to
-// serial execution. This is the end-to-end race test for the parallel
-// executor and the storage RWMutex.
+// against one database — with concurrent inserts into an unrelated table —
+// and asserts every result is identical to serial execution. This is the
+// end-to-end race test for concurrent executions and the storage RWMutex.
 func TestConcurrentMixedStrategyQueries(t *testing.T) {
 	db := newDB(t)
 	if _, err := db.Exec(`CREATE TABLE noise (id INT, payload VARCHAR(20))`); err != nil {
@@ -42,8 +41,6 @@ func TestConcurrentMixedStrategyQueries(t *testing.T) {
 			expected[q+"|"+s.String()] = sortedRows(res)
 		}
 	}
-
-	db.SetParallelism(-1) // GOMAXPROCS workers per query
 
 	const goroutines = 12
 	const iters = 6

@@ -125,8 +125,6 @@ type Database struct {
 	recoveryRecords int64
 	// plans caches prepared plans by normalized SQL + strategy (see cache.go).
 	plans *planCache
-	// parallelism is handed to each query's evaluator (see SetParallelism).
-	parallelism int
 	// metrics accumulates plan and execution samples (see Metrics).
 	metrics obs.MetricsSink
 	// gov enforces the engine-wide memory cap and admission control across
@@ -165,17 +163,6 @@ func (db *Database) Catalog() *catalog.Catalog { return db.cat }
 
 // Store exposes the storage layer for bulk loading.
 func (db *Database) Store() *storage.Store { return db.store }
-
-// SetParallelism configures intra-query parallelism for subsequent
-// executions: concurrent materialization of independent closed view subtrees
-// and parallel hash-join builds. 0 or 1 executes serially (the default);
-// negative means GOMAXPROCS workers. Results are identical to serial
-// execution regardless of the setting.
-func (db *Database) SetParallelism(n int) {
-	db.mu.Lock()
-	db.parallelism = n
-	db.mu.Unlock()
-}
 
 // SetMemoryLimit configures memory governance: perQuery caps each
 // execution's resident operator state (hash tables, sort buffers, distinct

@@ -130,11 +130,6 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 	ev.SetView(view)
 	ev.Params = bound
 	ev.SetContext(ctx)
-	if p.cfg.hasParallelism {
-		ev.Parallelism = p.cfg.parallelism
-	} else {
-		ev.Parallelism = p.db.parallelism
-	}
 	if p.cfg.rowLimit > 0 {
 		ev.MaxRows = p.cfg.rowLimit
 	}

@@ -178,9 +178,9 @@ func TestRowLimitAbortsFixpoint(t *testing.T) {
 }
 
 // TestEarlyCloseNoGoroutineLeak runs early-exiting queries (LIMIT above a
-// parallel plan) repeatedly and checks the goroutine count returns to its
-// baseline: closing a partially-consumed operator tree must not strand
-// prefetch or hash-build workers.
+// hash join on a grouped view) repeatedly and checks the goroutine count
+// returns to its baseline: closing a partially-consumed operator tree must
+// strand no goroutine.
 func TestEarlyCloseNoGoroutineLeak(t *testing.T) {
 	db := streamBenchDB(t, 20_000)
 	if _, err := db.Exec(`
@@ -191,7 +191,7 @@ func TestEarlyCloseNoGoroutineLeak(t *testing.T) {
 	const query = `SELECT b.id, g.cnt FROM big b, bigGroups g WHERE b.grp = g.grp LIMIT 3`
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		res, err := db.QueryContext(context.Background(), query, WithParallelism(4))
+		res, err := db.QueryContext(context.Background(), query)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -237,8 +237,7 @@ func (ev *Evaluator) cacheDeleteQuant(q *qgm.Quantifier) {
 }
 
 // clearCacheCharges returns every cached-state reservation to the budget
-// without touching the caches themselves. Used for prefetch workers whose
-// memo entries the parent adopts (and re-charges) after the merge.
+// without touching the caches themselves; ResetCaches drops those.
 func (ev *Evaluator) clearCacheCharges() {
 	if cg := ev.cgov; cg != nil {
 		cg.acct.Clear()

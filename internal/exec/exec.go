@@ -34,18 +34,6 @@ type Counters struct {
 	OutputRows    int64 // rows produced by box evaluations
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.BaseRows += other.BaseRows
-	c.BoxEvals += other.BoxEvals
-	c.SubqueryEvals += other.SubqueryEvals
-	c.HashBuilds += other.HashBuilds
-	c.HashProbes += other.HashProbes
-	c.IndexLookups += other.IndexLookups
-	c.GraceJoins += other.GraceJoins
-	c.OutputRows += other.OutputRows
-}
-
 // Evaluator executes QGM graphs against a store.
 type Evaluator struct {
 	store *storage.Store
@@ -75,14 +63,6 @@ type Evaluator struct {
 	// (0 = default 1000).
 	MaxRecursion int
 
-	// Parallelism bounds the worker pool for intra-query parallelism:
-	// concurrent materialization of independent closed quantifier subtrees
-	// and parallel hash-join build over row ranges. 0 or 1 runs serially;
-	// negative values mean GOMAXPROCS. Workers evaluate with private caches
-	// and Counters that are merged into this evaluator at join points, so
-	// counter totals stay deterministic for a given Parallelism setting.
-	Parallelism int
-
 	// Params binds the query's positional `?` placeholders for this run,
 	// slot i holding the value of parameter ordinal i. Bindings are constant
 	// for the whole evaluation, so box memoization and subquery caches stay
@@ -95,14 +75,13 @@ type Evaluator struct {
 	// set-operation counts, fixpoint seen-sets, nested-loop inners — is
 	// charged against it through per-operator accounts and spills to disk
 	// when a reservation is denied (see spill.go). Budget mode also changes
-	// how build sides are gathered: the streaming executor skips closed-
-	// subtree prefetch and streams hash-build inputs instead of
-	// materializing them, so peak memory stays bounded. Memoization caches
-	// (box memo, subquery/hash caches, fixpoint sets) are governed too: see
-	// cachegov.go — denied inserts skip caching and recompute, cached
-	// entries are evicted under pressure, and only resident fixpoint sets
-	// can fail the query. Final result rows remain exempt. Set by the
-	// engine; nil means unbounded in-memory execution.
+	// how build sides are gathered: the streaming executor streams
+	// hash-build inputs instead of materializing them, so peak memory stays
+	// bounded. Memoization caches (box memo, subquery/hash caches, fixpoint
+	// sets) are governed too: see cachegov.go — denied inserts skip caching
+	// and recompute, cached entries are evicted under pressure, and only
+	// resident fixpoint sets can fail the query. Final result rows remain
+	// exempt. Set by the engine; nil means unbounded in-memory execution.
 	Mem *resource.Budget
 
 	// cgov charges memoization state to Mem; nil until the first governed
@@ -272,8 +251,9 @@ func (ev *Evaluator) EvalBox(b *qgm.Box, env Env) ([]datum.Row, error) {
 			return rows, nil
 		}
 	}
-	// A closed box re-entered during its own evaluation means the graph is
-	// cyclic (recursive); this engine evaluates only nonrecursive graphs.
+	// A closed box re-entered during its own evaluation is a cycle that was
+	// not marked Recursive (those take the fixpoint path above): a malformed
+	// graph, reported rather than looped on.
 	if closed {
 		if ev.inProgress == nil {
 			ev.inProgress = map[*qgm.Box]bool{}
@@ -574,9 +554,6 @@ func buildSelectPlan(b *qgm.Box, outer Env) *selectPlan {
 }
 
 func (ev *Evaluator) evalSelect(b *qgm.Box, env Env) ([]datum.Row, error) {
-	if err := ev.prefetchClosed(b); err != nil {
-		return nil, err
-	}
 	plan := buildSelectPlan(b, env)
 	var out []datum.Row
 
@@ -744,31 +721,25 @@ func (ev *Evaluator) joinStage(b *qgm.Box, plan *selectPlan, q *qgm.Quantifier, 
 		return err
 	}
 
-	// Access path 2: transient hash join on the equality keys. When the
-	// child is closed (materialized once) and the key expressions reference
-	// only q, the hash table itself is reusable across outer bindings and
-	// cached per (quantifier, key set).
-	if len(keys) > 0 && len(rows) > 4 {
-		cacheable := !ev.NoSubqueryCache && len(ev.freeRefs(q.Ranges)) == 0
-		keySig := ""
-		for _, k := range keys {
-			strict := true
-			qgm.VisitRefs(k.mine, func(c *qgm.ColRef) {
-				if c.Q != q {
-					strict = false
-				}
-			})
-			if !strict {
+	// Access path 2: transient hash join on the equality keys, taken only
+	// when the table is reusable across outer bindings: the child is closed
+	// (materialized once) and the key expressions reference only q, so the
+	// table is cached per (quantifier, key set). A table that cannot be
+	// cached would be built over every child row to serve one probe; the
+	// scan below does the same work without the build.
+	cacheable := len(keys) > 0 && len(rows) > 4 &&
+		!ev.NoSubqueryCache && len(ev.freeRefs(q.Ranges)) == 0
+	keySig := ""
+	for j := 0; cacheable && j < len(keys); j++ {
+		qgm.VisitRefs(keys[j].mine, func(c *qgm.ColRef) {
+			if c.Q != q {
 				cacheable = false
 			}
-			keySig += k.mine.String() + "|"
-		}
-		var ht map[string][]datum.Row
-		if cacheable {
-			if byKey := ev.hashCache[q]; byKey != nil {
-				ht = byKey[keySig]
-			}
-		}
+		})
+		keySig += keys[j].mine.String() + "|"
+	}
+	if cacheable {
+		ht := ev.hashCache[q][keySig]
 		if ht == nil {
 			ev.Counters.HashBuilds++
 			mines := make([]qgm.Expr, len(keys))
@@ -780,9 +751,7 @@ func (ev *Evaluator) joinStage(b *qgm.Box, plan *selectPlan, q *qgm.Quantifier, 
 			if err != nil {
 				return err
 			}
-			if cacheable {
-				ev.hashInsert(q, keySig, ht)
-			}
+			ev.hashInsert(q, keySig, ht)
 		}
 		delete(cur, q)
 
@@ -830,6 +799,49 @@ func (ev *Evaluator) joinStage(b *qgm.Box, plan *selectPlan, q *qgm.Quantifier, 
 	}
 	delete(cur, q)
 	return nil
+}
+
+// buildHashTable builds the transient join hash table for quantifier q over
+// rows, keyed by keyExprs evaluated with q bound to each row; rows with a NULL
+// key component are left out, and buckets keep the input row order. Buckets
+// are found through an index map during the build because a map lookup with
+// string(buf) does not allocate while a map assignment does: a key string is
+// allocated once per distinct key, not per row.
+func (ev *Evaluator) buildHashTable(q *qgm.Quantifier, keyExprs []qgm.Expr, rows []datum.Row, cur Env) (map[string][]datum.Row, error) {
+	env := cur.clone()
+	idx := make(map[string]int, len(rows))
+	var buckets [][]datum.Row
+	buf := make([]byte, 0, 64)
+	for _, row := range rows {
+		env[q] = row
+		buf = buf[:0]
+		null := false
+		for _, e := range keyExprs {
+			v, err := EvalExpr(e, env)
+			if err != nil {
+				return nil, err
+			}
+			if v.IsNull() {
+				null = true
+				break
+			}
+			buf = v.AppendKey(buf)
+		}
+		if null {
+			continue // equality never matches NULL
+		}
+		if i, ok := idx[string(buf)]; ok {
+			buckets[i] = append(buckets[i], row)
+		} else {
+			idx[string(buf)] = len(buckets)
+			buckets = append(buckets, []datum.Row{row})
+		}
+	}
+	ht := make(map[string][]datum.Row, len(idx))
+	for k, i := range idx {
+		ht[k] = buckets[i]
+	}
+	return ht, nil
 }
 
 // finishRow binds scalar quantifiers, evaluates post-predicates, and checks
@@ -1130,9 +1142,6 @@ func emitGroups(gt *groupTable, b *qgm.Box) ([]datum.Row, error) {
 }
 
 func (ev *Evaluator) evalUnion(b *qgm.Box, env Env) ([]datum.Row, error) {
-	if err := ev.prefetchClosed(b); err != nil {
-		return nil, err
-	}
 	var out []datum.Row
 	for _, q := range b.Quantifiers {
 		rows, err := ev.EvalBox(q.Ranges, env)
@@ -1152,9 +1161,6 @@ func (ev *Evaluator) evalUnion(b *qgm.Box, env Env) ([]datum.Row, error) {
 }
 
 func (ev *Evaluator) evalIntersectExcept(b *qgm.Box, env Env) ([]datum.Row, error) {
-	if err := ev.prefetchClosed(b); err != nil {
-		return nil, err
-	}
 	left, err := ev.EvalBox(b.Quantifiers[0].Ranges, env)
 	if err != nil {
 		return nil, err

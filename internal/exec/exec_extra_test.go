@@ -169,16 +169,6 @@ func TestScalarQuantifierTypedNullRow(t *testing.T) {
 	expect(t, got, []string{"-1"})
 }
 
-func TestCountersAccumulate(t *testing.T) {
-	var a, b Counters
-	a.BaseRows, a.HashProbes = 5, 2
-	b.BaseRows, b.OutputRows = 7, 3
-	a.Add(b)
-	if a.BaseRows != 12 || a.HashProbes != 2 || a.OutputRows != 3 {
-		t.Errorf("Add wrong: %+v", a)
-	}
-}
-
 func TestStorageMissingRelation(t *testing.T) {
 	g := qgm.NewGraph()
 	b := g.NewBox(qgm.KindBaseTable, "ghost")

@@ -6,8 +6,8 @@
 // intermediate-result size.
 //
 // The operators reuse the classic evaluator's machinery — expression
-// evaluation, subquery memoization, partitioned parallel hash build, closed
-// -subtree prefetch, the shared box memo — so a plan mixing streamed
+// evaluation, subquery memoization, the join hash build, the shared box
+// memo — so a plan mixing streamed
 // operators with box-eval bridges (correlated or shared subtrees, extension
 // kinds, recursive fixpoints) stays consistent with box-at-a-time results.
 package exec
@@ -544,25 +544,6 @@ func (p *selectPipeOp) open() error {
 		if tv != datum.True {
 			p.done = true
 			return nil
-		}
-	}
-
-	// Under parallelism, prefetch the closed subtrees the stages will
-	// materialize anyway (hash build sides and nested-loop inners) — never
-	// the streamed driving stage, which must stay pull-driven for early
-	// exit. Skipped under a memory budget: prefetch materializes whole
-	// subtrees into the (ungoverned) memo, defeating the bound; budget mode
-	// streams build sides into governed spillable state instead.
-	if ev.Mem == nil {
-		var pre []*qgm.Box
-		for i := range p.n.Stages {
-			st := &p.n.Stages[i]
-			if st.Access == plan.AccessHash || st.Access == plan.AccessScan {
-				pre = append(pre, st.Quant.Ranges)
-			}
-		}
-		if err := ev.prefetchBoxes(pre); err != nil {
-			return err
 		}
 	}
 

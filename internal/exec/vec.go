@@ -957,15 +957,6 @@ func (o *vecSelectOp) open() error {
 			return nil
 		}
 	}
-	// Same closed-subtree prefetch as the row pipeline (vec only runs with
-	// Mem == nil), so parallel counter totals stay identical across paths.
-	var pre []*qgm.Box
-	for _, vs := range o.stages {
-		pre = append(pre, vs.st.Quant.Ranges)
-	}
-	if err := ev.prefetchBoxes(pre); err != nil {
-		return err
-	}
 	rel, ok := ev.view.Relation(o.scanNode.Box.Table.Name)
 	if !ok {
 		return fmt.Errorf("exec: no storage for table %q", o.scanNode.Box.Table.Name)

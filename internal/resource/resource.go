@@ -319,9 +319,8 @@ func updatePeak(peak *atomic.Int64, v int64) {
 	}
 }
 
-// Budget tracks one query's memory. Grow/Shrink are safe for concurrent use
-// (parallel subtree prefetch shares the budget across worker evaluators).
-// A nil *Budget is valid and unlimited.
+// Budget tracks one query's memory. Grow/Shrink are safe for concurrent
+// use. A nil *Budget is valid and unlimited.
 type Budget struct {
 	gov   *Governor // optional engine-wide cap
 	limit int64     // per-query cap; 0 = unlimited

@@ -501,8 +501,7 @@ func (v *View) Refresh() {
 // RelView is one relation as seen through a view's snapshot. Visibility
 // gathers (row slice, vectorized selection) are computed once on first use
 // and memoized; the zero-copy fast path skips them entirely when every
-// captured version is visible. Safe for concurrent use by parallel
-// evaluator workers.
+// captured version is visible. Safe for concurrent use.
 type RelView struct {
 	Meta *catalog.Table
 	rel  *Relation

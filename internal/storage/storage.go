@@ -5,9 +5,8 @@
 // exercises the same optimized plans.
 //
 // Relations and the store are safe for concurrent use: reads (scans, index
-// probes) share an RWMutex read lock so many evaluators — including the
-// parallel workers of a single evaluator — can run at once, while Insert and
-// Rebuild serialize behind the write lock. Relations are multi-versioned:
+// probes) share an RWMutex read lock so many evaluators can run at once,
+// while Insert and Rebuild serialize behind the write lock. Relations are multi-versioned:
 // see mvcc.go for the begin/end stamp protocol, snapshot visibility, views,
 // and vacuum.
 package storage
@@ -207,8 +206,8 @@ func (r *Relation) Len() int {
 }
 
 // probeBuf is the reusable scratch of one Lookup call. Lookup runs under
-// the shared read lock — concurrent probes from parallel evaluators are the
-// norm — so the scratch lives in a pool rather than on the relation.
+// the shared read lock — concurrent probes from the evaluators of
+// concurrent queries are the norm — so the scratch lives in a pool rather than on the relation.
 type probeBuf struct {
 	probe datum.Row
 	key   []byte

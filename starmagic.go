@@ -26,8 +26,8 @@
 // against), and StrategyEMST (the default).
 //
 // QueryContext honors cancellation and deadlines (polled in the executor's
-// hot loops), and per-call options select strategy, tracing, parallelism
-// and row budgets:
+// hot loops), and per-call options select strategy, tracing and row
+// budgets:
 //
 //	res, err := db.QueryContext(ctx, query,
 //	    starmagic.WithStrategy(starmagic.StrategyEMST),
@@ -229,9 +229,6 @@ func WithArgs(args ...any) QueryOption { return engine.WithArgs(args...) }
 // WithTracer installs a span tracer for one call.
 func WithTracer(t Tracer) QueryOption { return engine.WithTracer(t) }
 
-// WithParallelism overrides the database-wide parallelism for one call.
-func WithParallelism(n int) QueryOption { return engine.WithParallelism(n) }
-
 // WithRowLimit bounds the executor's total produced rows for one call;
 // exceeding it aborts the query with an error.
 func WithRowLimit(n int64) QueryOption { return engine.WithRowLimit(n) }
@@ -401,11 +398,6 @@ type MemInfo = engine.MemInfo
 // GovernorStats is a point-in-time snapshot of the memory governor and the
 // admission queue.
 type GovernorStats = resource.GovernorStats
-
-// SetParallelism configures intra-query parallelism for subsequent
-// executions: 0 or 1 executes serially (the default); negative means
-// GOMAXPROCS workers. Results are identical to serial execution.
-func (db *DB) SetParallelism(n int) { db.eng.SetParallelism(n) }
 
 // SetMemoryLimit configures memory governance for every subsequent query:
 // perQuery caps each query's resident operator state and total caps the sum
