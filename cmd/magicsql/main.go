@@ -15,8 +15,6 @@
 //	.admission [N [queue]|off]            cap concurrent query executions
 //	.stats <table>                        per-column statistics and
 //	                                      equi-depth histograms
-//	.feedback on|off|stats                toggle or inspect execution-
-//	                                      feedback re-optimization
 //	.checkpoint                           checkpoint a durable database now
 //	.tables                               list tables and views
 //	.help                                 this text
@@ -244,7 +242,6 @@ func (sh *shell) dotCommand(line string) {
 		fmt.Fprintln(sh.out, ".mem [limit [total]|off]           — cap per-query (and total) memory; spill beyond it")
 		fmt.Fprintln(sh.out, ".admission [N [queue]|off]         — cap concurrent query executions")
 		fmt.Fprintln(sh.out, ".stats <table> [column]            — per-column statistics and histograms")
-		fmt.Fprintln(sh.out, ".feedback on|off|stats             — toggle or inspect execution feedback")
 		fmt.Fprintln(sh.out, ".checkpoint                        — checkpoint a durable database now")
 		fmt.Fprintln(sh.out, ".tables                            — list tables and views")
 	case ".strategy":
@@ -410,27 +407,6 @@ func (sh *shell) dotCommand(line string) {
 				fmt.Fprintf(sh.out, "    histogram: %s\n", st.Hist)
 			}
 		}
-	case ".feedback":
-		if len(fields) > 1 {
-			switch fields[1] {
-			case "on":
-				sh.db.SetFeedback(true)
-			case "off":
-				sh.db.SetFeedback(false)
-			case "stats":
-				// fall through to the printout below
-			default:
-				fmt.Fprintln(sh.out, "usage: .feedback on|off|stats")
-				return
-			}
-		}
-		state := "off"
-		if sh.db.FeedbackEnabled() {
-			state = "on"
-		}
-		m := sh.db.Metrics()
-		fmt.Fprintf(sh.out, "feedback: %s  updates: %d  marked: %d  reopts: %d  max-q: %.1f\n",
-			state, m.FeedbackUpdates, m.FeedbackMarked, m.FeedbackReopts, m.FeedbackMaxQ)
 	case ".explain":
 		query := strings.TrimSpace(strings.TrimPrefix(line, ".explain"))
 		info, err := sh.db.ExplainContext(context.Background(), query,

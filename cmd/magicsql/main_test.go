@@ -153,29 +153,6 @@ func TestShellStatsCommand(t *testing.T) {
 	}
 }
 
-func TestShellFeedbackCommand(t *testing.T) {
-	sh, buf := newShell()
-	sh.dotCommand(".feedback")
-	sh.dotCommand(".feedback off")
-	sh.dotCommand(".feedback on")
-	sh.dotCommand(".feedback stats")
-	sh.dotCommand(".feedback bogus")
-	out := buf.String()
-	for _, want := range []string{
-		"feedback: on  updates: 0",
-		"feedback: off",
-		"max-q:",
-		"usage: .feedback on|off|stats",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	if !sh.db.FeedbackEnabled() {
-		t.Error("feedback left disabled")
-	}
-}
-
 func TestShellErrorPropagates(t *testing.T) {
 	sh, _ := newShell()
 	if err := sh.runScript("SELECT * FROM missing"); err == nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"starmagic/internal/datum"
 	"starmagic/internal/engine"
 	"starmagic/internal/exec"
 )
@@ -69,16 +70,21 @@ func executeOnce(t *testing.T, db *engine.Database, e Experiment, s engine.Strat
 	if err != nil {
 		t.Fatalf("exp %s %v: %v", e.ID, s, err)
 	}
-	rows := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
+	return sortedRows(res.Rows), res.Plan.Counters, after.TotalAlloc - before.TotalAlloc
+}
+
+// sortedRows formats rows as "|"-joined values, sorted.
+func sortedRows(rows []datum.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
 		parts := make([]string, len(r))
 		for j, d := range r {
 			parts[j] = d.Format()
 		}
-		rows[i] = strings.Join(parts, "|")
+		out[i] = strings.Join(parts, "|")
 	}
-	sort.Strings(rows)
-	return rows, res.Plan.Counters, after.TotalAlloc - before.TotalAlloc
+	sort.Strings(out)
+	return out
 }
 
 // correlatedAllocCeiling bounds what one Correlated execution of the
@@ -115,6 +121,64 @@ func TestExperimentsAgreeAcrossStrategies(t *testing.T) {
 				t.Errorf("exp %s: one Correlated execution allocated %d bytes, ceiling %d", e.ID, alloc, ceiling)
 			}
 		}
+	}
+}
+
+// TestPreparedPlansHoldStill: the §3.2 magic/no-magic choice is made once,
+// when the query is optimized. Re-preparing and re-executing a Table-1 text
+// on one database must serve the cached plan unchanged — one physical plan
+// per (experiment, strategy), a cold miss once and hits afterwards — with
+// identical rows every round.
+func TestPreparedPlansHoldStill(t *testing.T) {
+	const rounds = 30
+	for _, cfg := range []Config{testConfig(), DefaultConfig()} {
+		name := fmt.Sprintf("depts=%d", cfg.Departments)
+		t.Run(name, func(t *testing.T) {
+			if cfg == DefaultConfig() && testing.Short() {
+				t.Skip("benchmark scale")
+			}
+			db, err := NewDB(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range Experiments() {
+				for _, s := range []engine.Strategy{engine.Original, engine.Correlated, engine.EMST} {
+					var plan, rows string
+					for i := 1; i <= rounds; i++ {
+						p, err := db.Prepare(e.Query, s)
+						if err != nil {
+							t.Fatalf("exp %s %v: %v", e.ID, s, err)
+						}
+						want := "hit"
+						if i == 1 {
+							want = "miss"
+						}
+						if got := p.Explain().CacheStatus; got != want {
+							t.Errorf("exp %s %v round %d: cache status %q, want %q", e.ID, s, i, got, want)
+							break
+						}
+						res, err := p.Execute()
+						if err != nil {
+							t.Fatalf("exp %s %v: %v", e.ID, s, err)
+						}
+						got := sortedRows(res.Rows)
+						if i == 1 {
+							plan, rows = p.Explain().Physical, strings.Join(got, ";")
+							continue
+						}
+						if p.Explain().Physical != plan {
+							t.Errorf("exp %s %v round %d: physical plan changed\n%s\nvs round 1\n%s",
+								e.ID, s, i, p.Explain().Physical, plan)
+							break
+						}
+						if strings.Join(got, ";") != rows {
+							t.Errorf("exp %s %v round %d: rows changed", e.ID, s, i)
+							break
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -279,16 +343,7 @@ func TestAblations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", v.Name, err)
 			}
-			rendered := make([]string, len(got))
-			for i, r := range got {
-				parts := make([]string, len(r))
-				for j, d := range r {
-					parts[j] = d.Format()
-				}
-				rendered[i] = strings.Join(parts, "|")
-			}
-			sort.Strings(rendered)
-			gotS := strings.Join(rendered, ";")
+			gotS := strings.Join(sortedRows(got), ";")
 			if gotS != want {
 				t.Errorf("exp G variant %q: results differ\ngot  %s\nwant %s", v.Name, gotS, want)
 			}

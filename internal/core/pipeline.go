@@ -32,10 +32,11 @@ type Options struct {
 	// plan-opt2.
 	Tracer obs.Tracer
 
-	// Est configures the estimators used by both plan-optimization passes
-	// and by lowering: execution-feedback cardinality hints (box name →
-	// observed rows) and the flat-statistics mode that ignores histograms.
-	Est EstimatorConfig
+	// NoHist makes the estimators of both plan-optimization passes and of
+	// lowering ignore histograms (flat-default selectivities). Each pass
+	// gets a fresh estimator: memoized cardinalities must not survive graph
+	// rewrites.
+	NoHist bool
 	// ForceEMST executes the post-EMST plan even when the cost comparison
 	// favors the pre-EMST one. A/B benchmarks and the skewed-plan oracle use
 	// it to measure the runtime of the strategy the optimizer rejected.
@@ -44,21 +45,6 @@ type Options struct {
 	// Ablations disable individual design choices for the ablation study
 	// (cmd/table1 -ablation); all false in normal operation.
 	Ablations Ablations
-}
-
-// EstimatorConfig selects how the pipeline's estimators are constructed.
-// Each optimization pass gets a fresh estimator (memoized cardinalities must
-// not survive graph rewrites) built from this shared configuration.
-type EstimatorConfig struct {
-	// Hints maps qgm box names to observed output cardinalities; see
-	// opt.Estimator.Hints.
-	Hints map[string]float64
-	// NoHist disables histogram probes (flat-default selectivities).
-	NoHist bool
-}
-
-func (c EstimatorConfig) new() *opt.Estimator {
-	return opt.NewEstimatorWith(c.Hints, c.NoHist)
 }
 
 // Ablations switches off individual EMST design decisions so their
@@ -176,7 +162,7 @@ func Optimize(g *qgm.Graph, o Options) (*Result, error) {
 	// Plan optimization #1: join orders for EMST, and the no-EMST cost.
 	var r1 opt.Result
 	if err := stage("plan-opt1", func() error {
-		r1 = opt.OptimizeEst(g, o.Est.new())
+		r1 = opt.OptimizeEst(g, opt.NewEstimatorWith(nil, o.NoHist))
 		return nil
 	}); err != nil {
 		return res, err
@@ -188,7 +174,7 @@ func Optimize(g *qgm.Graph, o Options) (*Result, error) {
 		res.Graph = g
 		res.CostAfter = r1.Cost
 		err := stage("lower", func() error {
-			res.Physical = plan.LowerWith(res.Graph, o.Est.new())
+			res.Physical = plan.LowerWith(res.Graph, opt.NewEstimatorWith(nil, o.NoHist))
 			return nil
 		})
 		return res, err
@@ -237,7 +223,7 @@ func Optimize(g *qgm.Graph, o Options) (*Result, error) {
 	// Plan optimization #2 and the cost comparison.
 	var r2 opt.Result
 	if err := stage("plan-opt2", func() error {
-		r2 = opt.OptimizeEst(g, o.Est.new())
+		r2 = opt.OptimizeEst(g, opt.NewEstimatorWith(nil, o.NoHist))
 		return nil
 	}); err != nil {
 		return res, err
@@ -254,7 +240,7 @@ func Optimize(g *qgm.Graph, o Options) (*Result, error) {
 	// Lowering: the winning graph plus its chosen join orders become the
 	// physical operator tree the streaming executor runs.
 	if err := stage("lower", func() error {
-		res.Physical = plan.LowerWith(res.Graph, o.Est.new())
+		res.Physical = plan.LowerWith(res.Graph, opt.NewEstimatorWith(nil, o.NoHist))
 		return nil
 	}); err != nil {
 		return res, err

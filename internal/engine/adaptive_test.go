@@ -3,10 +3,9 @@ package engine
 // Oracle tests for adaptive statistics: (1) on a skewed (Zipf-like) Table-1
 // instance, equi-depth histograms flip the §3.2 magic/no-magic choice that a
 // flat uniform-assumption baseline gets wrong — confirmed at runtime by
-// executing both plans and comparing the work they do; (2) execution
-// feedback detects a correlated-predicate misestimate (q-error > 8x) and
-// re-optimizes the cached plan within one subsequent execution, with
-// identical results.
+// executing both plans and comparing the work they do; (2) a
+// correlated-predicate misestimate (q-error > 8x) is reported on every
+// execution while the cached plan stays fixed.
 
 import (
 	"context"
@@ -139,13 +138,12 @@ func TestHistogramsFlipMagicChoice(t *testing.T) {
 	}
 }
 
-// TestFeedbackReoptimization is the feedback oracle: a conjunction over two
-// perfectly correlated columns is underestimated ~20x by independence (even
-// with exact histograms), the first fully-drained execution observes the
-// q-error > 8x and marks the cached plan, and the next prepare serves a
-// re-optimized plan (CacheStatus "reopt") with the observed cardinality
-// injected — returning identical rows and an accurate estimate.
-func TestFeedbackReoptimization(t *testing.T) {
+// TestMisestimateReportedNotActedOn: a conjunction over two perfectly
+// correlated columns is underestimated ~20x by independence (even with exact
+// histograms). Every execution reports the q-error > 8x in PlanInfo, and the
+// cached plan still holds still: the next prepare is a plain hit serving the
+// same physical plan and identical rows.
+func TestMisestimateReportedNotActedOn(t *testing.T) {
 	db := New()
 	if _, err := db.Exec("CREATE TABLE t (id INT, a INT, b INT, PRIMARY KEY (id))"); err != nil {
 		t.Fatal(err)
@@ -181,18 +179,22 @@ func TestFeedbackReoptimization(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", len(res1.Rows), rows/groups)
 	}
 	// Independence multiplies two ~5% selectivities: ~5 rows estimated
-	// against 100 actual, q-error ~20x — past the 8x re-optimization bar.
+	// against 100 actual, q-error ~20x.
 	if res1.Plan.MaxQError <= 8 {
 		t.Fatalf("first run MaxQError = %.1f, want > 8 (misestimate not observed)", res1.Plan.MaxQError)
 	}
 
-	// Within one subsequent execution: the very next prepare re-optimizes.
+	// The misestimate is reported, not acted on: the next prepare is a plain
+	// hit on the same plan, which still misestimates.
 	p2, err := db.PrepareContext(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p2.Explain().CacheStatus; got != "reopt" {
-		t.Fatalf("second prepare = %q, want reopt", got)
+	if got := p2.Explain().CacheStatus; got != "hit" {
+		t.Fatalf("second prepare = %q, want hit", got)
+	}
+	if p1.Explain().Physical != p2.Explain().Physical {
+		t.Fatalf("cached plan changed:\n%s\nvs\n%s", p1.Explain().Physical, p2.Explain().Physical)
 	}
 	res2, err := p2.ExecuteContext(ctx)
 	if err != nil {
@@ -202,44 +204,9 @@ func TestFeedbackReoptimization(t *testing.T) {
 	sort.Strings(r1)
 	sort.Strings(r2)
 	if strings.Join(r1, "\n") != strings.Join(r2, "\n") {
-		t.Fatal("re-optimized plan changed the result")
+		t.Fatal("second execution changed the result")
 	}
-	// The injected observed cardinality makes the estimate accurate.
-	if res2.Plan.MaxQError > 2 {
-		t.Errorf("re-optimized MaxQError = %.1f, want <= 2", res2.Plan.MaxQError)
-	}
-	if m := db.Metrics(); m.FeedbackReopts != 1 || m.FeedbackUpdates < 1 {
-		t.Errorf("metrics = reopts %d updates %d, want 1 and >=1", m.FeedbackReopts, m.FeedbackUpdates)
-	}
-
-	// The replacement entry serves plain hits afterwards.
-	p3, err := db.PrepareContext(ctx, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p3.Explain().CacheStatus; got != "hit" {
-		t.Fatalf("third prepare = %q, want hit", got)
-	}
-
-	// With feedback off, a misestimated plan is never marked.
-	db2 := New()
-	if _, err := db2.Exec("CREATE TABLE t (id INT, a INT, b INT, PRIMARY KEY (id))"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db2.Exec(ins.String()); err != nil {
-		t.Fatal(err)
-	}
-	db2.SetFeedback(false)
-	for i := 0; i < 3; i++ {
-		if _, err := db2.QueryContext(ctx, query); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p4, err := db2.PrepareContext(ctx, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p4.Explain().CacheStatus; got != "hit" {
-		t.Fatalf("feedback-off prepare = %q, want hit", got)
+	if res2.Plan.MaxQError <= 8 {
+		t.Errorf("second run MaxQError = %.1f, want > 8 (same plan, same misestimate)", res2.Plan.MaxQError)
 	}
 }

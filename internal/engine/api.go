@@ -46,10 +46,6 @@ type queryConfig struct {
 	memLimit    int64
 	hasMemLimit bool
 	noAdmission bool
-	// hints injects execution-feedback cardinalities (box name → observed
-	// rows) into the optimizer's estimators. Set internally by the plan
-	// cache's re-optimization path; there is no public option.
-	hints map[string]float64
 	// forceEMST skips the cost comparison and executes the magic plan.
 	forceEMST bool
 }
@@ -330,7 +326,7 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 			Snapshots: cfg.snapshots,
 			Ctx:       ctx,
 			Tracer:    cfg.tracer,
-			Est:       core.EstimatorConfig{Hints: cfg.hints, NoHist: db.noHist.Load()},
+			NoHist:    db.noHist.Load(),
 			ForceEMST: cfg.forceEMST,
 		})
 		if res != nil {
@@ -352,7 +348,7 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 		info.CostAfter = res.Cost
 		info.PlansConsidered = res.PlansConsidered
 		if err := timed("lower", func() error {
-			phys = plan.LowerWith(g, db.newEstimator(cfg))
+			phys = plan.LowerWith(g, db.newEstimator())
 			return nil
 		}); err != nil {
 			return nil, err
@@ -393,16 +389,12 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 		info:      info,
 		explain:   explain,
 		ruleFires: ruleFires,
-		// The feedback record inherits the hints this plan was optimized
-		// with, so successive re-optimizations accumulate observations.
-		fb: newFeedbackState(phys, cfg.hints),
 	}, nil
 }
 
-// newEstimator builds an estimator under the call's feedback hints and the
-// database's histogram mode.
-func (db *Database) newEstimator(cfg queryConfig) *opt.Estimator {
-	return opt.NewEstimatorWith(cfg.hints, db.noHist.Load())
+// newEstimator builds an estimator under the database's histogram mode.
+func (db *Database) newEstimator() *opt.Estimator {
+	return opt.NewEstimatorWith(nil, db.noHist.Load())
 }
 
 // prepareCorrelated runs the Correlated strategy's pipeline (phase-1
@@ -441,7 +433,7 @@ func (db *Database) prepareCorrelated(ctx context.Context, g *qgm.Graph, cfg que
 		return res, err
 	}
 	if err := stage("plan-opt1", func() error {
-		opt.OptimizeEst(g, db.newEstimator(cfg))
+		opt.OptimizeEst(g, db.newEstimator())
 		return nil
 	}); err != nil {
 		return res, err
@@ -453,7 +445,7 @@ func (db *Database) prepareCorrelated(ctx context.Context, g *qgm.Graph, cfg que
 		return res, err
 	}
 	err := stage("plan-opt2", func() error {
-		res = opt.OptimizeEst(g, db.newEstimator(cfg))
+		res = opt.OptimizeEst(g, db.newEstimator())
 		return nil
 	})
 	snap("correlated")

@@ -152,19 +152,6 @@ func (db *Database) prepareCached(ctx context.Context, query string, cfg queryCo
 			select {
 			case <-e.ready:
 				if e.err == nil && e.epoch == epoch {
-					// Execution feedback marked this entry's estimates as off
-					// by more than the q-error threshold: drop it and
-					// re-optimize in its place with the observed cardinalities
-					// injected as estimates. Exactly one caller consumes the
-					// mark (takeReopt); concurrent prepares wait on the
-					// replacement entry like any single-flight miss.
-					if fb := e.p.fb; fb != nil && db.FeedbackEnabled() && fb.takeReopt() {
-						sh.removeLocked(el)
-						recfg := cfg
-						recfg.hints = fb.hints(e.p.phys)
-						db.metrics.RecordReopt()
-						return db.leadPrepare(ctx, query, recfg, epoch, key, sh, "reopt")
-					}
 					sh.lru.MoveToFront(el)
 					sh.mu.Unlock()
 					db.metrics.RecordCacheHit()
@@ -191,16 +178,15 @@ func (db *Database) prepareCached(ctx context.Context, query string, cfg queryCo
 		}
 		// Miss: optimize cold as the leader for this key.
 		db.metrics.RecordCacheMiss()
-		return db.leadPrepare(ctx, query, cfg, epoch, key, sh, "miss")
+		return db.leadPrepare(ctx, query, cfg, epoch, key, sh)
 	}
 }
 
 // leadPrepare makes the caller the single-flight leader for key: it publishes
 // an in-flight entry (sh.mu must be held; leadPrepare unlocks it), runs the
 // cold optimization outside the lock, and completes the entry so waiters
-// unblock. cfg.hints carries injected feedback cardinalities on the "reopt"
-// path.
-func (db *Database) leadPrepare(ctx context.Context, query string, cfg queryConfig, epoch uint64, key string, sh *cacheShard, status string) (*Prepared, error) {
+// unblock.
+func (db *Database) leadPrepare(ctx context.Context, query string, cfg queryConfig, epoch uint64, key string, sh *cacheShard) (*Prepared, error) {
 	e := &cacheEntry{key: key, ready: make(chan struct{}), epoch: epoch}
 	el := sh.lru.PushFront(e)
 	sh.m[key] = el
@@ -225,7 +211,7 @@ func (db *Database) leadPrepare(ctx context.Context, query string, cfg queryConf
 		sh.mu.Unlock()
 		return nil, err
 	}
-	return p.withConfig(cfg, status, epoch), nil
+	return p.withConfig(cfg, "miss", epoch), nil
 }
 
 // SetPlanCache enables or disables the prepared-plan cache (it starts

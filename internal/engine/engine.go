@@ -136,9 +136,6 @@ type Database struct {
 	// noVec disables the vectorized select operator (see SetVectorized).
 	// The zero value means vectorized execution is on.
 	noVec atomic.Bool
-	// noFeedback disables the execution-feedback loop (see SetFeedback);
-	// the zero value means feedback is on.
-	noFeedback atomic.Bool
 	// noHist makes estimators ignore column histograms (see SetHistograms);
 	// the zero value means histograms are used.
 	noHist atomic.Bool
@@ -200,18 +197,6 @@ func (db *Database) SetAdmission(maxConcurrent, maxQueue int) {
 func (db *Database) SetVectorized(on bool) {
 	db.noVec.Store(!on)
 }
-
-// SetFeedback toggles the execution-feedback loop (on by default): after
-// each fully-drained execution of a cached plan, per-operator actual
-// cardinalities are EMA-folded into the plan-cache entry, and an entry whose
-// worst estimate-vs-actual q-error exceeds 8x is re-optimized — with the
-// observed cardinalities injected as estimates — at its next prepare.
-// Turning feedback off stops both the observation and any pending
-// re-optimizations; learned state on live entries is kept.
-func (db *Database) SetFeedback(on bool) { db.noFeedback.Store(!on) }
-
-// FeedbackEnabled reports whether the execution-feedback loop is active.
-func (db *Database) FeedbackEnabled() bool { return !db.noFeedback.Load() }
 
 // SetHistograms toggles histogram-backed selectivity estimation (on by
 // default). Off, the optimizer reverts to flat defaults — the pre-adaptive
@@ -547,9 +532,8 @@ type PlanInfo struct {
 	// (0 when admission control is off or a slot was free).
 	AdmissionWait time.Duration
 	// MaxQError is the run's worst per-operator estimate-vs-actual q-error
-	// (max(est/actual, actual/est); 1.0 = perfect, 0 = not measured). The
-	// feedback loop re-optimizes cached plans whose smoothed value exceeds
-	// 8x.
+	// (max(est/actual, actual/est); 1.0 = perfect, 0 = not measured). It is
+	// reported only: the plan stays fixed for its catalog epoch.
 	MaxQError float64
 }
 
@@ -595,10 +579,6 @@ type Prepared struct {
 	explain  *ExplainInfo
 	// ruleFires feeds the metrics sink (fires-only subset of explain.Rules).
 	ruleFires map[string]int64
-	// fb is the execution-feedback record, shared across the per-call
-	// shallow copies withConfig makes of a cached plan (nil for
-	// materialized-only plans with no physical tree).
-	fb *feedbackState
 }
 
 // Prepare parses, binds and optimizes a query for repeated execution.

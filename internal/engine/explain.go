@@ -50,10 +50,9 @@ type ExplainInfo struct {
 	// optimizer's default selectivities.
 	Params int
 	// CacheStatus reports how the plan cache served this prepare: "hit",
-	// "miss" (optimized cold and stored), "reopt" (execution feedback
-	// re-optimized a cached plan with observed cardinalities injected), or
-	// "bypass" (cache disabled or a tracer was attached). CacheEpoch is the
-	// catalog epoch the plan is valid for.
+	// "miss" (optimized cold and stored), or "bypass" (cache disabled or a
+	// tracer was attached). A cached plan is served unchanged until its
+	// catalog epoch, CacheEpoch, goes stale.
 	CacheStatus string
 	CacheEpoch  uint64
 }

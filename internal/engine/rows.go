@@ -62,7 +62,6 @@ type Rows struct {
 
 	finalized bool
 	closed    bool
-	exhausted bool // cursor reached end of stream (not early-Closed)
 	info      PlanInfo
 }
 
@@ -194,7 +193,6 @@ func (r *Rows) Next() bool {
 			return false
 		}
 		if len(batch) == 0 {
-			r.exhausted = true
 			r.finish(nil)
 			return false
 		}
@@ -207,7 +205,6 @@ func (r *Rows) Next() bool {
 		r.matPos++
 		return true
 	}
-	r.exhausted = true
 	r.finish(nil)
 	return false
 }
@@ -376,14 +373,6 @@ func (r *Rows) finish(execErr error) {
 		r.info.Physical = r.p.phys.Format(opStats)
 		r.info.Operators = reports
 		r.info.MaxQError = r.p.phys.MaxQError(opStats)
-		// Execution feedback only learns from fully-drained, error-free runs:
-		// an early-Closed cursor or a LIMIT plan reports truncated actuals
-		// that would poison the learned cardinalities.
-		if execErr == nil && r.exhausted && r.p.fb != nil &&
-			r.p.db.FeedbackEnabled() && !r.p.phys.HasLimit() {
-			maxQ, marked := r.p.fb.observe(r.p.phys, opStats)
-			r.p.db.metrics.RecordFeedback(maxQ, marked)
-		}
 	}
 	if r.bud != nil {
 		r.bud.Close()

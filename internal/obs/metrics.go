@@ -216,15 +216,6 @@ type Metrics struct {
 	// VacuumReclaimed the row versions they removed.
 	VacuumRuns      int64 `json:"vacuum_runs"`
 	VacuumReclaimed int64 `json:"vacuum_reclaimed"`
-	// Execution-feedback counters. FeedbackUpdates counts fully-drained
-	// executions folded into a plan's learned cardinalities, FeedbackMarked
-	// plans newly marked for re-optimization by a q-error crossing, and
-	// FeedbackReopts re-optimizations actually served at a subsequent
-	// prepare. FeedbackMaxQ is the worst smoothed q-error observed.
-	FeedbackUpdates int64   `json:"feedback_updates"`
-	FeedbackMarked  int64   `json:"feedback_marked"`
-	FeedbackReopts  int64   `json:"feedback_reopts"`
-	FeedbackMaxQ    float64 `json:"feedback_max_q"`
 	// Intern is the engine-wide string-intern table at snapshot time (filled
 	// by the engine from storage, not accumulated through the sink).
 	Intern InternStats `json:"intern"`
@@ -369,28 +360,6 @@ func (s *MetricsSink) RecordTxnRollback() {
 func (s *MetricsSink) RecordTxnConflict() {
 	s.mu.Lock()
 	s.m.TxnConflicts++
-	s.mu.Unlock()
-}
-
-// RecordFeedback counts one execution folded into a plan's learned
-// cardinalities: maxQ is the worst smoothed q-error after the fold, marked
-// reports that the fold newly marked the plan for re-optimization.
-func (s *MetricsSink) RecordFeedback(maxQ float64, marked bool) {
-	s.mu.Lock()
-	s.m.FeedbackUpdates++
-	if marked {
-		s.m.FeedbackMarked++
-	}
-	if maxQ > s.m.FeedbackMaxQ {
-		s.m.FeedbackMaxQ = maxQ
-	}
-	s.mu.Unlock()
-}
-
-// RecordReopt counts a feedback-driven re-optimization served at prepare.
-func (s *MetricsSink) RecordReopt() {
-	s.mu.Lock()
-	s.m.FeedbackReopts++
 	s.mu.Unlock()
 }
 

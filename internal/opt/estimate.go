@@ -33,9 +33,8 @@ const (
 type Estimator struct {
 	card map[*qgm.Box]float64
 	// Hints maps box names (qgm.Box.Name, deterministic across re-plans of
-	// the same SQL) to observed output cardinalities from execution
-	// feedback. A hinted box's Card is the observed value, overriding the
-	// statistical estimate — this is how re-optimization injects actuals.
+	// the same SQL) to known output cardinalities. A hinted box's Card is the
+	// given value, overriding the statistical estimate.
 	Hints map[string]float64
 	// NoHist disables histogram probes, reverting to the flat defaults
 	// (defaultNDVFrac and the fixed comparison selectivities). Used for
@@ -50,8 +49,8 @@ func NewEstimator() *Estimator {
 	return &Estimator{card: map[*qgm.Box]float64{}}
 }
 
-// NewEstimatorWith returns an estimator with execution-feedback cardinality
-// hints and an optional flat-statistics mode.
+// NewEstimatorWith returns an estimator with cardinality hints (nil for none)
+// and an optional flat-statistics mode.
 func NewEstimatorWith(hints map[string]float64, noHist bool) *Estimator {
 	return &Estimator{card: map[*qgm.Box]float64{}, Hints: hints, NoHist: noHist}
 }

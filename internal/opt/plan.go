@@ -36,9 +36,8 @@ func Optimize(g *qgm.Graph) Result {
 	return OptimizeEst(g, NewEstimator())
 }
 
-// OptimizeEst is Optimize with a caller-supplied estimator, so feedback
-// cardinality hints and the flat-statistics mode reach join ordering and
-// costing.
+// OptimizeEst is Optimize with a caller-supplied estimator, so the
+// flat-statistics mode reaches join ordering and costing.
 func OptimizeEst(g *qgm.Graph, e *Estimator) Result {
 	res := Result{}
 	for _, b := range g.Reachable() {

@@ -21,8 +21,7 @@ func Lower(g *qgm.Graph) *Plan {
 }
 
 // LowerWith is Lower with a caller-supplied estimator, so operator EstRows
-// annotations reflect feedback cardinality hints when a plan is re-optimized
-// from observed actuals.
+// annotations match the estimates the plan was optimized with.
 func LowerWith(g *qgm.Graph, est *opt.Estimator) *Plan {
 	lw := &lowerer{
 		p:         &Plan{Graph: g},

@@ -350,9 +350,8 @@ func qError(est float64, actual int64) float64 {
 	return a / est
 }
 
-// MaxQError returns the worst per-operator q-error of one execution: the
-// plan-level signal execution feedback compares against its re-optimization
-// threshold, and the number EXPLAIN prints after the operator tree. Operators
+// MaxQError returns the worst per-operator q-error of one execution, the
+// number EXPLAIN prints after the operator tree. Operators
 // that never opened (short-circuited subtrees) and operators without an
 // estimate are skipped; 0 means no operator qualified.
 func (p *Plan) MaxQError(stats []OpStats) float64 {
@@ -366,19 +365,6 @@ func (p *Plan) MaxQError(stats []OpStats) float64 {
 		}
 	}
 	return maxQ
-}
-
-// HasLimit reports whether the plan contains a LIMIT operator. Execution
-// feedback skips such plans: a truncated run's actual row counts describe the
-// early exit, not the operators' true cardinalities, and learning from them
-// would poison the estimates.
-func (p *Plan) HasLimit() bool {
-	for _, n := range p.Nodes {
-		if n.Kind == OpLimit {
-			return true
-		}
-	}
-	return false
 }
 
 // OpReport is one operator's flattened explain entry (depth-first order),

@@ -12,13 +12,17 @@
 # The reference is checked out into a temporary git worktree (removed on
 # exit); REF_DIR=<dir> uses an existing checkout of it instead. SECS
 # overrides the run length (default 28, what BENCHMARK.json gates on) and
-# SEED the first seed (default: the clock).
+# SEED the first seed (default: the clock). TRACE=1 runs the traced pass
+# (--trace 1) on the same seeds and alternation, and reports per side how
+# many runs printed a FAILED line (the Table-1 regime checks) and which,
+# in place of the metric table.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,16p' "$0" >&2
+	sed -n '2,19p' "$0" >&2
 	exit 2
 fi
+trace=${TRACE:-0}
 workload=$1 ref=$2 pairs=${3:-10}
 secs=${SECS:-28}
 seed0=${SEED:-$(date +%s)}
@@ -38,8 +42,14 @@ if [ -z "$ref_dir" ]; then
 	git -C "$root" worktree add --detach "$ref_dir" "$ref" >&2
 fi
 
-# run <checkout> <seed>: the run's result line (the last line of stdout).
+# run <checkout> <seed>: the run's result line (the last line of stdout), or
+# under TRACE=1 its FAILED lines, each prefixed with the seed.
 run() {
+	if [ "$trace" = 1 ]; then
+		(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$2" --seconds "$secs" --trace 1 2>&1 >/dev/null |
+			grep FAILED | sed "s/^/seed $2: /" || true)
+		return
+	fi
 	(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$2" --seconds "$secs" --trace 0 2>/dev/null | tail -n 1)
 }
 
@@ -55,6 +65,15 @@ for i in $(seq 1 "$pairs"); do
 	fi
 	echo "pair $i (seed $seed) done" >&2
 done
+
+if [ "$trace" = 1 ]; then
+	for side in ref new; do
+		k=$(cut -d: -f1 "$tmp/$side.jsonl" | sort -u | wc -l)
+		echo "$side: $k of $pairs runs printed FAILED"
+		cat "$tmp/$side.jsonl"
+	done
+	exit 0
+fi
 
 # value <file> <metric>: one value per run.
 value() {
