@@ -84,8 +84,8 @@ func main() {
 			fmt.Printf("Exp %s — %s\n  regime: %s\n", r.Experiment.ID, r.Experiment.Name, r.Experiment.Regime)
 			for _, s := range []engine.Strategy{engine.Original, engine.Correlated, engine.EMST} {
 				m := r.Raw[s]
-				fmt.Printf("  %-10s %12v rows=%-6d base-rows=%-8d probes=%-8d emst-plan=%v\n",
-					s, m.Elapsed, m.Rows, m.Counters.BaseRows, m.Counters.HashProbes, m.UsedEMST)
+				fmt.Printf("  %-10s %12v rows=%-6d base-rows=%-8d probes=%-8d fires=%d vec=%d/%d\n",
+					s, m.Elapsed, m.Rows, m.Counters.BaseRows, m.Counters.HashProbes, m.Fires, m.Vec[0], m.Vec[1])
 			}
 		}
 	}

@@ -272,6 +272,11 @@ type Measurement struct {
 	Rows     int
 	Counters exec.Counters
 	UsedEMST bool
+	// Fires counts the EMST rule's fires while the statement was prepared.
+	Fires int64
+	// Vec counts the executed plan's select and group-by operators that ran
+	// vectorized (Vec[0]) out of all of them (Vec[1]).
+	Vec [2]int
 }
 
 // Run prepares the experiment once under the strategy and reports the
@@ -286,6 +291,11 @@ func Run(db *engine.Database, e Experiment, strategy engine.Strategy, reps int) 
 		reps = 1
 	}
 	best := Measurement{Strategy: strategy, Elapsed: 1<<62 - 1}
+	for _, r := range p.Explain().Rules {
+		if r.Rule == "emst" {
+			best.Fires = r.Fires
+		}
+	}
 	for i := 0; i < reps; i++ {
 		start := time.Now()
 		res, err := p.Execute()
@@ -298,6 +308,15 @@ func Run(db *engine.Database, e Experiment, strategy engine.Strategy, reps int) 
 			best.Rows = len(res.Rows)
 			best.Counters = res.Plan.Counters
 			best.UsedEMST = res.Plan.UsedEMST
+			best.Vec = [2]int{}
+			for _, op := range res.Plan.Operators {
+				if op.Kind == "select" || op.Kind == "group-by" {
+					best.Vec[1]++
+					if op.Vectorized {
+						best.Vec[0]++
+					}
+				}
+			}
 		}
 	}
 	return best, nil

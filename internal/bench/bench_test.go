@@ -75,6 +75,13 @@ func executeOnce(t *testing.T, db *engine.Database, e Experiment, s engine.Strat
 
 // sortedRows formats rows as "|"-joined values, sorted.
 func sortedRows(rows []datum.Row) []string {
+	out := formatRows(rows)
+	sort.Strings(out)
+	return out
+}
+
+// formatRows formats rows as "|"-joined values, in order.
+func formatRows(rows []datum.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		parts := make([]string, len(r))
@@ -83,7 +90,6 @@ func sortedRows(rows []datum.Row) []string {
 		}
 		out[i] = strings.Join(parts, "|")
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -179,6 +185,74 @@ func TestPreparedPlansHoldStill(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMagicPipelinesColumnar: under EMST the magic-restricted pipelines of
+// experiments C and D — literal, and prepared with the t1_large workload's
+// texts — run on the columnar path. C's magic set keys the join table and
+// orders streams through it, with exactly the counters of the row
+// pipeline's build over orders. D's department stage, probed once per joined
+// orders row, is one hash build instead of 18 000 index lookups. The rows are
+// the row pipeline's, in order.
+func TestMagicPipelinesColumnar(t *testing.T) {
+	db, err := NewDB(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := map[string]Experiment{}
+	for _, e := range Experiments() {
+		exps[e.ID] = e
+	}
+	cases := []struct {
+		id, query string
+		args      []any
+	}{
+		{"C", exps["C"].Query, nil},
+		{"C", `SELECT d.deptname, v.total FROM department d, deptOrders v
+		        WHERE d.deptno = v.deptno AND d.deptno < ?`, []any{int64(7)}},
+		{"D", exps["D"].Query, nil},
+		{"D", `SELECT d.deptname, v.total FROM department d, deptOrdersJ v
+		        WHERE d.deptno = v.deptno AND d.deptno <= ?`, []any{int64(120)}},
+	}
+	// C's counters on the row path, before its magic pipeline went columnar.
+	wantC := exec.Counters{BaseRows: 22650, BoxEvals: 6, HashBuilds: 2, HashProbes: 12, OutputRows: 23568}
+	for _, tc := range cases {
+		name := fmt.Sprintf("%s%v", tc.id, tc.args)
+		p, err := db.Prepare(tc.query, engine.EMST)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := p.Execute(tc.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		vectorized := map[string]bool{}
+		for _, op := range res.Plan.Operators {
+			vectorized[op.Label] = vectorized[op.Label] || op.Vectorized
+		}
+		for _, label := range []string{"select T3", "group-by GB4"} {
+			if !vectorized[label] {
+				t.Errorf("%s: %s not vectorized\n%s", name, label, res.Plan.Physical)
+			}
+		}
+		switch {
+		case tc.id == "C" && res.Plan.Counters != wantC:
+			t.Errorf("%s: counters %+v, want %+v", name, res.Plan.Counters, wantC)
+		case tc.id == "D" && res.Plan.Counters.IndexLookups != 0:
+			t.Errorf("%s: %d index lookups\n%s", name, res.Plan.Counters.IndexLookups, res.Plan.Physical)
+		case tc.id == "D" && res.Plan.UsedEMST && !strings.Contains(res.Plan.Physical, "o:hash, d:hash]"):
+			t.Errorf("%s: department stage is not a hash join\n%s", name, res.Plan.Physical)
+		}
+		db.SetVectorized(false)
+		row, err := p.Execute(tc.args...)
+		db.SetVectorized(true)
+		if err != nil {
+			t.Fatalf("%s (row path): %v", name, err)
+		}
+		if got, want := strings.Join(formatRows(row.Rows), ";"), strings.Join(formatRows(res.Rows), ";"); got != want {
+			t.Errorf("%s: row path disagrees\nvec %s\nrow %s", name, want, got)
+		}
 	}
 }
 

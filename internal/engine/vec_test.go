@@ -205,8 +205,9 @@ func TestVectorizedStringPredicates(t *testing.T) {
 // aggOracleDB loads the fixture of TestVectorizedAggOracle: a fact table
 // whose every column has NULLs, float amounts that do not add exactly (so
 // any reordering of a SUM shows in its bits), -0.0 next to 0.0, one group
-// (k1 = 3) whose aggregate arguments are all NULL, and an unindexed
-// dimension to hash-join against.
+// (k1 = 3) whose aggregate arguments are all NULL, and unindexed dimensions
+// to hash-join against — two of them with duplicate and NULL join keys —
+// plus aggregate views over fact for magic sets to restrict.
 func aggOracleDB(t *testing.T) *Database {
 	t.Helper()
 	db := New()
@@ -216,7 +217,15 @@ func aggOracleDB(t *testing.T) *Database {
 	CREATE TABLE dim (k1 INT, label VARCHAR, w FLOAT);
 	CREATE TABLE nothing (a INT, b FLOAT);
 	CREATE VIEW factTot (k1, total, n, top) AS
-	  SELECT k1, SUM(amt), COUNT(*), MAX(tag) FROM fact GROUPBY k1;`); err != nil {
+	  SELECT k1, SUM(amt), COUNT(*), MAX(tag) FROM fact GROUPBY k1;
+	CREATE TABLE dimdup (k1 INT, label VARCHAR, w FLOAT);
+	CREATE TABLE strdim (k2 VARCHAR, w FLOAT);
+	CREATE VIEW factAmt (k1, total, lo, hi) AS
+	  SELECT k1, SUM(amt), MIN(amt), MAX(qty) FROM fact GROUPBY k1;
+	CREATE VIEW factK2 (k2, total, n, k3sum) AS
+	  SELECT k2, SUM(amt), COUNT(*), SUM(k3) FROM fact GROUPBY k2;
+	CREATE VIEW dimBoth (k1, w) AS
+	  SELECT k1, w FROM dim UNION ALL SELECT k1, w FROM dimdup;`); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -257,11 +266,27 @@ func aggOracleDB(t *testing.T) *Database {
 	if err := db.InsertRows("dim", dims); err != nil {
 		t.Fatal(err)
 	}
+	var dups, strs []datum.Row
+	for i := 0; i < 14; i++ {
+		k1 := null(datum.Int(int64(rng.Intn(8))), datum.TInt, 7)
+		dups = append(dups, datum.Row{k1, datum.String(fmt.Sprintf("D%d", i%5)), datum.Float(float64(rng.Intn(90)) * 0.1)})
+	}
+	for i := 0; i < 9; i++ {
+		k2 := null(datum.String(append(k2s, "absent")[rng.Intn(len(k2s)+1)]), datum.TString, 7)
+		strs = append(strs, datum.Row{k2, datum.Float(float64(rng.Intn(90)) * 0.1)})
+	}
+	if err := db.InsertRows("dimdup", dups); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("strdim", strs); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
-// aggOracleQueries are the grouped shapes the issue names, followed by n
-// random combinations of keys, aggregates, filters and HAVING.
+// aggOracleQueries are fixed grouped shapes, n random combinations of keys,
+// aggregates, filters and HAVING, and n view-over-fact joins (see
+// magicOracleQueries).
 func aggOracleQueries(rng *rand.Rand, n int) []string {
 	qs := []string{
 		// NULL keys, NULL arguments, an all-NULL group, every aggregate kind.
@@ -312,7 +337,58 @@ func aggOracleQueries(rng *rand.Rand, n int) []string {
 		}
 		qs = append(qs, q)
 	}
+	return append(qs, magicOracleQueries(rng, max(n, 24))...)
+}
+
+// magicOracleQueries are n random joins of a small side to fact in which a
+// materialized input drives a hash join into fact: an aggregate view over
+// fact that EMST restricts by a magic set of the small side's keys, or a
+// UNION ALL of two dimensions grouped over its join with fact. The small
+// sides carry duplicate and NULL join keys, the sums are FLOAT, and some
+// joins keep a residual filter over both sides.
+func magicOracleQueries(rng *rand.Rand, n int) []string {
+	smalls := []struct{ from, key, cols string }{
+		{"dim d", "d.k1", "d.label"},
+		{"dimdup d", "d.k1", "d.label, d.w"},
+		{"strdim d", "d.k2", "d.k2, d.w"},
+	}
+	views := map[string][]string{
+		"d.k1": {"factTot v|v.k1|v.total, v.n, v.top", "factAmt v|v.k1|v.total, v.lo, v.hi"},
+		"d.k2": {"factK2 v|v.k2|v.total, v.n, v.k3sum"},
+	}
+	filters := []string{"d.w > %d.5", "d.w < %d.5", "d.w > %d.5 AND d.w < 7.5"}
+	aggs := []string{"SUM(f.amt)", "COUNT(*)", "MAX(f.tag)", "SUM(f.k3)", "AVG(f.amt)", "MIN(f.qty)"}
+	var qs []string
+	for i := 0; i < n; i++ {
+		filter := fmt.Sprintf(filters[rng.Intn(len(filters))], rng.Intn(8))
+		if i%4 == 3 {
+			residual := ""
+			if rng.Intn(2) == 0 {
+				residual = " AND f.amt > b.w * 10"
+			}
+			qs = append(qs, fmt.Sprintf("SELECT b.k1, %s, %s FROM dimBoth b, fact f WHERE b.k1 = f.k1 AND %s%s GROUP BY b.k1",
+				aggs[rng.Intn(len(aggs))], aggs[rng.Intn(len(aggs))], strings.ReplaceAll(filter, "d.", "b."), residual))
+			continue
+		}
+		sm := smalls[rng.Intn(len(smalls))]
+		vs := views[sm.key]
+		v := strings.Split(vs[rng.Intn(len(vs))], "|")
+		qs = append(qs, fmt.Sprintf("SELECT %s, %s FROM %s, %s WHERE %s = %s AND %s", sm.cols, v[2], sm.from, v[0], sm.key, v[1], filter))
+	}
 	return qs
+}
+
+// drivenSelectVectorized reports whether the run executed a select pipeline
+// on the columnar path driven by a materialized input — a magic set, a
+// union — rather than by a base-table scan.
+func drivenSelectVectorized(res *Result) bool {
+	ops := res.Plan.Operators
+	for i, op := range ops {
+		if op.Kind == "select" && op.Vectorized && i+1 < len(ops) && ops[i+1].Kind != "scan" {
+			return true
+		}
+	}
+	return false
 }
 
 // groupByVectorized reports whether the run executed a group-by operator on
@@ -344,7 +420,7 @@ func TestVectorizedAggOracle(t *testing.T) {
 	type runner func(query string, opts ...QueryOption) (*Result, error)
 	check := func(label string, run runner) {
 		t.Helper()
-		sawVec := false
+		sawVec, sawMagic := false, false
 		for i, query := range queries {
 			for _, s := range []Strategy{Original, Correlated, EMST} {
 				vec, err := run(query, WithStrategy(s))
@@ -352,6 +428,7 @@ func TestVectorizedAggOracle(t *testing.T) {
 					t.Fatalf("%s query %d %q %v: %v", label, i, query, s, err)
 				}
 				sawVec = sawVec || groupByVectorized(vec)
+				sawMagic = sawMagic || s == EMST && vec.Plan.UsedEMST && drivenSelectVectorized(vec)
 				want := strings.Join(rowsAsStrings(vec), ";")
 
 				db.SetVectorized(false)
@@ -379,6 +456,9 @@ func TestVectorizedAggOracle(t *testing.T) {
 		}
 		if !sawVec {
 			t.Fatalf("%s: no query executed a vectorized group-by", label)
+		}
+		if !sawMagic {
+			t.Fatalf("%s: no EMST execution ran a select driven by its magic set vectorized", label)
 		}
 	}
 

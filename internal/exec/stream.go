@@ -247,26 +247,7 @@ func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
 		}
 		return rows, nil
 	}
-	op := r.build(n)
-	var rows []datum.Row
-	err := func() error {
-		if err := op.open(); err != nil {
-			return err
-		}
-		for {
-			batch, err := op.next()
-			if err != nil {
-				return err
-			}
-			if len(batch) == 0 {
-				return nil
-			}
-			rows = append(rows, batch...)
-		}
-	}()
-	if cerr := op.close(); err == nil {
-		err = cerr
-	}
+	rows, err := r.drain(n)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,14 @@
 // Vectorized execution of select pipelines: when lowering marked a node
-// Vec (driving base-table scan with kernel-compilable filters, hash stages
+// Vec (a driving base-table scan with kernel-compilable filters, or a
+// materialized driver whose next stage hashes a base table; hash stages
 // keyed on plain columns/constants), the executor compiles the filters to
-// typed column kernels over the storage layer's zero-copy columnar
-// snapshot and keys the hash joins on fixed-width normalized words instead
-// of AppendKey byte strings. String columns carry intern ids, so string
+// typed column kernels over the storage layer's zero-copy columnar snapshot
+// and keys the hash joins on fixed-width normalized words instead of
+// AppendKey byte strings. String columns carry intern ids, so string
 // equality, hashing, and join keys are integer compares.
 //
 // The compiled operator is a drop-in replacement for selectPipeOp with
-// identical semantics and counter accounting (BaseRows, BoxEvals,
+// identical semantics, row order and counter accounting (BaseRows, BoxEvals,
 // HashBuilds/HashProbes, OutputRows, MaxRows, cancellation): any
 // expression or type the compiler cannot prove kernel-safe fails the
 // compile and the node silently falls back to the row pipeline. Div/Mod
@@ -22,7 +23,6 @@ import (
 	"starmagic/internal/datum"
 	"starmagic/internal/plan"
 	"starmagic/internal/qgm"
-	"starmagic/internal/storage"
 	"starmagic/internal/vec"
 )
 
@@ -435,8 +435,8 @@ func (p *numCmpPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
 
 // Probe-source kinds for hash-stage key positions.
 const (
-	probeDrive = iota // column of the driving scan, read from the columnar snapshot
-	probeStage        // column of an earlier hash stage's current row
+	probeDrive = iota // column of the driving stage, read from its columnar table
+	probeStage        // column of an earlier hash stage's matched row
 	probeConst        // literal or resolved parameter
 )
 
@@ -444,7 +444,7 @@ const (
 type probeSrc struct {
 	kind  int
 	ord   int
-	stage int // probeStage: index into o.hashStages
+	stage int // probeStage: index into o.stages
 	class int
 
 	d        datum.D // probeConst raw value
@@ -470,41 +470,63 @@ type vecStage struct {
 	tbl   *vec.Table  // columnar build side (base-table child only)
 	jt    *vec.JoinTable
 
-	chain int32 // next candidate build row for the current outer binding; -1 none
-	curID int32
-	cur   datum.Row
-	ids   vec.Sel // nextIDs: matched build-row ids of the current batch
+	// onDriver marks the first stage behind a materialized driver, built
+	// the other way round (see buildOnDriver): grp maps a driving row to
+	// its key group (-1: NULL key), first a group to its first matching
+	// build row, link a build row to the next one of its group (-1 none).
+	onDriver   bool
+	grp, first []int32
+	link       []int32
+
+	// Expansion state: in holds n tuples the stage extends (in[0] driving
+	// row ids, in[t+1] the ids matched at stage t), heads their chain heads;
+	// pos is the next tuple to extend, cur the one being extended and chain
+	// its next candidate build row (-1 none).
+	in     [][]int32
+	heads  []int32
+	n, pos int
+	cur    int
+	chain  int32
+	ids    vec.Sel // nextIDs: matched build-row ids of the current batch
 }
 
 // vecProjSrc is one output column of the gather fast path: a plain column
-// of the driving scan (stage -1) or of a hash stage's current row.
+// of the driving stage (stage -1) or of a hash stage's matched row.
 type vecProjSrc struct {
 	stage int
 	ord   int
 }
 
-// vecSelectOp is the vectorized replacement for selectPipeOp: a chunked
-// kernel-filtered scan drives an odometer over fixed-width-keyed hash
-// stages. Compiled by tryVecSelect; any structural or type obstacle falls
-// back to the row pipeline before the operator is ever constructed.
+// vecSelectOp is the vectorized replacement for selectPipeOp. The driving
+// stage is either a base-table scan, read a chunk at a time through the
+// compiled filter kernels, or a materialized input (a magic set, say)
+// drained once per open; in that case the first hash stage is built over
+// the driver's rows and its base table streams through them. Batches of
+// joined tuples, held column-wise as row ids, extend through the hash stages
+// a batch at a time, probe words read a column at a time. Tuples come out in
+// the row pipeline's order: driving rows in order, each followed by its
+// matches in build-row order. Compiled by tryVecSelect; any structural or
+// type obstacle falls back to the row pipeline before the operator is ever
+// constructed.
 type vecSelectOp struct {
 	r  *planRun
 	n  *plan.Node
 	ev *Evaluator
 
-	q0       *qgm.Quantifier
-	scanNode *plan.Node
-	colTypes []datum.Type // column types of the driving scan's table
+	q0    *qgm.Quantifier
+	drive *plan.Node // the driving stage's child
+	// materialized: drive is not a base-table scan; its rows are drained at
+	// open and stages[0] is built over them.
+	materialized bool
+	// colTypes are the driving columns' types as the kernels may read them
+	// (TNull: not columnar); used marks the ones a materialized driver
+	// transposes.
+	colTypes []datum.Type
+	used     []bool
 	preds    []vecPred
 	stages   []*vecStage
 	projSrcs []vecProjSrc // nil: project through env + projectRow
 
-	// alwaysBind keeps env bindings live on every advance (needed when any
-	// hash stage has residual filters); otherwise bindings happen only at
-	// emit time for env-based projection.
-	alwaysBind bool
-
-	rel  *storage.RelView
 	tbl  vec.Table
 	rows []datum.Row
 	vis  []int32 // visibility selection; nil when every stored version is visible
@@ -514,21 +536,24 @@ type vecSelectOp struct {
 	env        Env
 	chunkStart int
 	visPos     int
-	sel        vec.Sel
-	selPos     int
 	selA, selB vec.Sel
 	tvs        []datum.TV
-	cur        int
-	depth      int
-	done       bool
-	out        []datum.Row
-	ids        vec.Sel // nextIDs: driving-row ids of the current batch
+	src        []int32 // expand: the input tuple of each extension
+	// fin holds the current batch of complete tuples, finPos the next one
+	// to hand out of finN.
+	fin          [][]int32
+	finN, finPos int
+	words        [vec.MaxKeyCols][]uint64
+	nulls        []uint8
+	miss         []bool
+	done         bool
+	out          []datum.Row
 }
 
 // tryVecSelect compiles a Vec-marked select node, returning nil when the
 // node must run on the row pipeline (memory budget, NoVec, or a compile
 // obstacle the lowering's structural check could not see, like unknown
-// column classes or Div/Mod in a filter).
+// column classes, a computed driver column, or Div/Mod in a filter).
 func (r *planRun) tryVecSelect(n *plan.Node) operator {
 	ev := r.ev
 	if !n.Vec || ev.Mem != nil || ev.NoVec {
@@ -538,41 +563,132 @@ func (r *planRun) tryVecSelect(n *plan.Node) operator {
 		return nil
 	}
 	st0 := &n.Stages[0]
-	if st0.Access != plan.AccessStream || st0.Child.Kind != plan.OpScan || st0.Child.Box.Table == nil {
+	if st0.Access != plan.AccessStream {
 		return nil
 	}
-	o := &vecSelectOp{r: r, n: n, ev: ev, q0: st0.Quant, scanNode: st0.Child}
-	colTypes := make([]datum.Type, len(st0.Child.Box.Table.Columns))
-	for i, c := range st0.Child.Box.Table.Columns {
-		colTypes[i] = c.Type
+	o := &vecSelectOp{r: r, n: n, ev: ev, q0: st0.Quant, drive: st0.Child}
+	if t := st0.Child.Box.Table; st0.Child.Kind == plan.OpScan && t != nil {
+		o.colTypes = make([]datum.Type, len(t.Columns))
+		for i, c := range t.Columns {
+			o.colTypes[i] = c.Type
+		}
+	} else {
+		if len(st0.Residual) > 0 || len(n.Stages) < 2 {
+			return nil
+		}
+		b := st0.Quant.Ranges
+		o.materialized = true
+		o.colTypes = make([]datum.Type, len(b.Output))
+		o.used = make([]bool, len(b.Output))
+		for i := range b.Output {
+			o.colTypes[i] = storedType(b, i)
+		}
 	}
-	o.colTypes = colTypes
 	for _, e := range st0.Residual {
-		p, ok := o.compilePred(e, colTypes)
+		p, ok := o.compilePred(e)
 		if !ok {
 			return nil
 		}
 		o.preds = append(o.preds, p)
 	}
 	for i := 1; i < len(n.Stages); i++ {
-		vs, ok := o.compileStage(&n.Stages[i], colTypes)
+		vs, ok := o.compileStage(&n.Stages[i])
 		if !ok {
 			return nil
 		}
-		if len(vs.filters) > 0 {
-			o.alwaysBind = true
-		}
 		o.stages = append(o.stages, vs)
 	}
-	o.compileProj()
-	if o.projSrcs == nil {
-		o.alwaysBind = true
+	if o.materialized {
+		// The stage built over the driver hashes a base table on driving
+		// columns alone.
+		vs := o.stages[0]
+		vs.onDriver = true
+		if vs.st.Child.Kind != plan.OpScan {
+			return nil
+		}
+		for _, ps := range vs.probes {
+			if ps.kind != probeDrive {
+				return nil
+			}
+		}
 	}
+	o.compileProj()
 	o.selA = make(vec.Sel, 0, vecBatch)
 	o.selB = make(vec.Sel, 0, vecBatch)
 	o.tvs = make([]datum.TV, vecBatch)
 	o.out = make([]datum.Row, 0, streamBatch)
+	o.fin = idCols(len(o.stages)+1, len(o.stages) > 0)
+	if len(o.stages) > 0 {
+		o.src = make([]int32, 0, vecBatch)
+		nk := 0
+		for s, vs := range o.stages {
+			vs.in = idCols(s+1, s > 0)
+			vs.heads = make([]int32, vecBatch)
+			nk = max(nk, len(vs.probes))
+		}
+		for p := range nk {
+			o.words[p] = make([]uint64, vecBatch)
+		}
+		o.nulls = make([]uint8, vecBatch)
+		o.miss = make([]bool, vecBatch)
+	}
 	return o
+}
+
+// idCols returns the id columns of a batch of tuples n levels deep, with
+// room for vecBatch tuples when expand fills them (alloc); the source
+// hands out slices of its own.
+func idCols(n int, alloc bool) [][]int32 {
+	cols := make([][]int32, n)
+	for k := range cols {
+		if alloc {
+			cols[k] = make([]int32, 0, vecBatch)
+		}
+	}
+	return cols
+}
+
+// storedType returns the declared type of column ord of box b when every
+// value it can hold is a stored value of a base-table column of that type —
+// b is a base table, or the column reaches such columns through plain column
+// references of select boxes and the branches of a union — and TNull
+// otherwise. Storage widens every value to its column's type, so only such
+// columns transpose into a typed vec.Col faithfully; a computed column may
+// not hold its static type (a CASE with INT and FLOAT branches is FLOAT, yet
+// yields INTs).
+func storedType(b *qgm.Box, ord int) datum.Type {
+	switch {
+	case b.Kind == qgm.KindBaseTable:
+		return b.Table.Columns[ord].Type
+	case b.Recursive:
+	case b.Kind == qgm.KindSelect:
+		if cr, ok := b.Output[ord].Expr.(*qgm.ColRef); ok {
+			return storedType(cr.Q.Ranges, cr.Ord)
+		}
+	case b.Kind == qgm.KindUnion:
+		t := storedType(b.Quantifiers[0].Ranges, ord)
+		for _, q := range b.Quantifiers[1:] {
+			if storedType(q.Ranges, ord) != t {
+				return datum.TNull
+			}
+		}
+		return t
+	}
+	return datum.TNull
+}
+
+// colType returns the type of driving column ord as the kernels may read it,
+// or TNull when it cannot be read columnar. A materialized driver transposes
+// exactly the columns some compile asked for here.
+func (o *vecSelectOp) colType(ord int) datum.Type {
+	if ord >= len(o.colTypes) {
+		return datum.TNull
+	}
+	t := o.colTypes[ord]
+	if o.used != nil && t != datum.TNull {
+		o.used[ord] = true
+	}
+	return t
 }
 
 // compileProj compiles the projection to a plain column gather when every
@@ -608,7 +724,7 @@ func (o *vecSelectOp) compileProj() {
 // (numeric/string/boolean) so normalized words can never collide across
 // classes, and every probe source must be a driving column, an earlier
 // stage's column, or a constant.
-func (o *vecSelectOp) compileStage(st *plan.Stage, colTypes []datum.Type) (*vecStage, bool) {
+func (o *vecSelectOp) compileStage(st *plan.Stage) (*vecStage, bool) {
 	if st.Access != plan.AccessHash || len(st.KeyMine) == 0 || len(st.KeyMine) > vec.MaxKeyCols {
 		return nil, false
 	}
@@ -622,7 +738,7 @@ func (o *vecSelectOp) compileStage(st *plan.Stage, colTypes []datum.Type) (*vecS
 		if mc == 0 {
 			return nil, false
 		}
-		ps, ok := o.compileProbe(st.KeyOther[j], colTypes)
+		ps, ok := o.compileProbe(st.KeyOther[j])
 		if !ok || ps.class != mc {
 			return nil, false
 		}
@@ -632,14 +748,11 @@ func (o *vecSelectOp) compileStage(st *plan.Stage, colTypes []datum.Type) (*vecS
 	return vs, true
 }
 
-func (o *vecSelectOp) compileProbe(e qgm.Expr, colTypes []datum.Type) (probeSrc, bool) {
+func (o *vecSelectOp) compileProbe(e qgm.Expr) (probeSrc, bool) {
 	switch x := e.(type) {
 	case *qgm.ColRef:
 		if x.Q == o.q0 {
-			if x.Ord >= len(colTypes) {
-				return probeSrc{}, false
-			}
-			c := vecClass(colTypes[x.Ord])
+			c := vecClass(o.colType(x.Ord))
 			if c == 0 {
 				return probeSrc{}, false
 			}
@@ -694,13 +807,13 @@ type compiledVal struct {
 	num     *numExpr
 }
 
-func (o *vecSelectOp) compileVal(e qgm.Expr, colTypes []datum.Type) (compiledVal, bool) {
+func (o *vecSelectOp) compileVal(e qgm.Expr) (compiledVal, bool) {
 	switch x := e.(type) {
 	case *qgm.ColRef:
-		if x.Q != o.q0 || x.Ord >= len(colTypes) {
+		if x.Q != o.q0 {
 			return compiledVal{}, false
 		}
-		c := vecClass(colTypes[x.Ord])
+		c := vecClass(o.colType(x.Ord))
 		if c == 0 {
 			return compiledVal{}, false
 		}
@@ -714,7 +827,7 @@ func (o *vecSelectOp) compileVal(e qgm.Expr, colTypes []datum.Type) (compiledVal
 		d := o.ev.Params[x.Ord]
 		return compiledVal{class: vecClass(d.T), col: -1, isConst: true, d: d}, true
 	case *qgm.Arith, *qgm.Neg:
-		num, ok := o.compileNum(e, colTypes)
+		num, ok := o.compileNum(e)
 		if !ok {
 			return compiledVal{}, false
 		}
@@ -726,13 +839,13 @@ func (o *vecSelectOp) compileVal(e qgm.Expr, colTypes []datum.Type) (compiledVal
 // compileNum compiles an arithmetic tree to the numeric VM. Div and Mod
 // are rejected: their divide-by-zero errors are data-dependent and must
 // fire lazily in row order, which the row pipeline provides.
-func (o *vecSelectOp) compileNum(e qgm.Expr, colTypes []datum.Type) (*numExpr, bool) {
+func (o *vecSelectOp) compileNum(e qgm.Expr) (*numExpr, bool) {
 	switch x := e.(type) {
 	case *qgm.ColRef:
-		if x.Q != o.q0 || x.Ord >= len(colTypes) {
+		if x.Q != o.q0 {
 			return nil, false
 		}
-		t := colTypes[x.Ord]
+		t := o.colType(x.Ord)
 		if t != datum.TInt && t != datum.TFloat {
 			return nil, false
 		}
@@ -753,7 +866,7 @@ func (o *vecSelectOp) compileNum(e qgm.Expr, colTypes []datum.Type) (*numExpr, b
 		}
 		return n.withBufs(), true
 	case *qgm.Neg:
-		l, ok := o.compileNum(x.X, colTypes)
+		l, ok := o.compileNum(x.X)
 		if !ok {
 			return nil, false
 		}
@@ -762,11 +875,11 @@ func (o *vecSelectOp) compileNum(e qgm.Expr, colTypes []datum.Type) (*numExpr, b
 		if x.Op != datum.Add && x.Op != datum.Sub && x.Op != datum.Mul {
 			return nil, false
 		}
-		l, ok := o.compileNum(x.L, colTypes)
+		l, ok := o.compileNum(x.L)
 		if !ok {
 			return nil, false
 		}
-		r, ok := o.compileNum(x.R, colTypes)
+		r, ok := o.compileNum(x.R)
 		if !ok {
 			return nil, false
 		}
@@ -789,10 +902,10 @@ func (o *vecSelectOp) compileNumConst(d datum.D) (*numExpr, bool) {
 	return nil, false
 }
 
-func (o *vecSelectOp) compilePred(e qgm.Expr, colTypes []datum.Type) (vecPred, bool) {
+func (o *vecSelectOp) compilePred(e qgm.Expr) (vecPred, bool) {
 	switch x := e.(type) {
 	case *qgm.Cmp:
-		return o.compileCmp(x, colTypes)
+		return o.compileCmp(x)
 	case *qgm.Logic:
 		if len(x.Args) == 0 {
 			return nil, false
@@ -804,7 +917,7 @@ func (o *vecSelectOp) compilePred(e qgm.Expr, colTypes []datum.Type) (vecPred, b
 			subTVs: make([]datum.TV, vecBatch),
 		}
 		for _, a := range x.Args {
-			ap, ok := o.compilePred(a, colTypes)
+			ap, ok := o.compilePred(a)
 			if !ok {
 				return nil, false
 			}
@@ -812,19 +925,19 @@ func (o *vecSelectOp) compilePred(e qgm.Expr, colTypes []datum.Type) (vecPred, b
 		}
 		return p, true
 	case *qgm.Not:
-		xp, ok := o.compilePred(x.X, colTypes)
+		xp, ok := o.compilePred(x.X)
 		if !ok {
 			return nil, false
 		}
 		return &notPred{x: xp}, true
 	case *qgm.IsNull:
 		cr, ok := x.X.(*qgm.ColRef)
-		if !ok || cr.Q != o.q0 || cr.Ord >= len(colTypes) {
+		if !ok || cr.Q != o.q0 || o.colType(cr.Ord) == datum.TNull {
 			return nil, false
 		}
 		return &isNullPred{col: cr.Ord, negate: x.Negate}, true
 	case *qgm.ColRef:
-		if x.Q != o.q0 || x.Ord >= len(colTypes) || colTypes[x.Ord] != datum.TBool {
+		if x.Q != o.q0 || o.colType(x.Ord) != datum.TBool {
 			return nil, false
 		}
 		return &boolColPred{col: x.Ord}, true
@@ -849,12 +962,12 @@ func (o *vecSelectOp) compileConstPred(d datum.D) (vecPred, bool) {
 	return &constTVPred{tv: datum.FromBool(d.B)}, true
 }
 
-func (o *vecSelectOp) compileCmp(x *qgm.Cmp, colTypes []datum.Type) (vecPred, bool) {
-	l, ok := o.compileVal(x.L, colTypes)
+func (o *vecSelectOp) compileCmp(x *qgm.Cmp) (vecPred, bool) {
+	l, ok := o.compileVal(x.L)
 	if !ok {
 		return nil, false
 	}
-	r, ok := o.compileVal(x.R, colTypes)
+	r, ok := o.compileVal(x.R)
 	if !ok {
 		return nil, false
 	}
@@ -875,11 +988,11 @@ func (o *vecSelectOp) compileCmp(x *qgm.Cmp, colTypes []datum.Type) (vecPred, bo
 	// Arithmetic on either side routes through the VM (no flip needed: it
 	// evaluates both sides symmetrically).
 	if l.num != nil || r.num != nil {
-		ln, ok := o.asNum(l, colTypes)
+		ln, ok := o.asNum(l)
 		if !ok {
 			return nil, false
 		}
-		rn, ok := o.asNum(r, colTypes)
+		rn, ok := o.asNum(r)
 		if !ok {
 			return nil, false
 		}
@@ -896,7 +1009,7 @@ func (o *vecSelectOp) compileCmp(x *qgm.Cmp, colTypes []datum.Type) (vecPred, bo
 		if r.isConst {
 			p := &cmpNumColConstPred{col: l.col, op: op}
 			if r.d.T == datum.TInt {
-				if colTypes[l.col] == datum.TInt {
+				if o.colType(l.col) == datum.TInt {
 					p.rhsInt, p.ci = true, r.d.I
 				} else {
 					p.cf = float64(r.d.I)
@@ -923,7 +1036,7 @@ func (o *vecSelectOp) compileCmp(x *qgm.Cmp, colTypes []datum.Type) (vecPred, bo
 
 // asNum lifts a compiled numeric value into the VM (plain columns and
 // constants become leaf nodes with scratch buffers).
-func (o *vecSelectOp) asNum(v compiledVal, colTypes []datum.Type) (*numExpr, bool) {
+func (o *vecSelectOp) asNum(v compiledVal) (*numExpr, bool) {
 	if v.num != nil {
 		return v.num, true
 	}
@@ -935,7 +1048,7 @@ func (o *vecSelectOp) asNum(v compiledVal, colTypes []datum.Type) (*numExpr, boo
 		}
 		n = c
 	} else {
-		n = &numExpr{kind: numCol, col: v.col, isInt: colTypes[v.col] == datum.TInt}
+		n = &numExpr{kind: numCol, col: v.col, isInt: o.colType(v.col) == datum.TInt}
 	}
 	return n.withBufs(), true
 }
@@ -957,11 +1070,23 @@ func (o *vecSelectOp) open() error {
 			return nil
 		}
 	}
-	rel, ok := ev.view.Relation(o.scanNode.Box.Table.Name)
-	if !ok {
-		return fmt.Errorf("exec: no storage for table %q", o.scanNode.Box.Table.Name)
+	o.r.stats[o.n.ID].Vectorized = true
+	o.finN, o.finPos = 0, 0
+	for _, vs := range o.stages {
+		vs.built, vs.n, vs.pos, vs.chain = false, 0, 0, -1
 	}
-	o.rel = rel
+	o.chunkStart = 0
+	o.visPos = 0
+	if o.materialized {
+		rows, err := o.r.drain(o.drive)
+		o.rows, o.vis = rows, nil
+		o.tbl = vec.Table{N: len(rows), Cols: make([]vec.Col, len(o.colTypes))}
+		return err
+	}
+	rel, ok := ev.view.Relation(o.drive.Box.Table.Name)
+	if !ok {
+		return fmt.Errorf("exec: no storage for table %q", o.drive.Box.Table.Name)
+	}
 	// Vec hands back the raw columnar arrays (all versions, zero-copy) plus a
 	// visibility selection; kernels stay oblivious to MVCC and the pred loop
 	// simply starts from o.vis slices instead of Iota ranges.
@@ -970,46 +1095,239 @@ func (o *vecSelectOp) open() error {
 	// every id the columns can hold.
 	o.strs = o.tab.Strs()
 	ev.Counters.BoxEvals++ // driving scan box, same as scanOp.open
-	scanStats := &o.r.stats[o.scanNode.ID]
+	scanStats := &o.r.stats[o.drive.ID]
 	scanStats.Opens++
 	scanStats.Vectorized = true
-	o.r.stats[o.n.ID].Vectorized = true
-	o.chunkStart = 0
-	o.visPos = 0
-	o.sel = nil
-	o.selPos = 0
-	o.depth = 0
 	return nil
 }
 
-// advanceDrive moves the driving scan to its next filter-surviving row,
-// refilling the selection from the next chunk when exhausted.
-func (o *vecSelectOp) advanceDrive() (bool, error) {
-	for o.selPos >= len(o.sel) {
-		ok, err := o.refill()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			if o.alwaysBind {
-				delete(o.env, o.q0)
+// buildOnDriver builds stage vs, the first behind a materialized driver,
+// the other way round: the join table is keyed on the few driving rows, and
+// the stage's base table streams through it a column batch at a time, each
+// matching row appended to the match list of its key. A driving row's
+// matches are its key's list in ascending base-row order — the order the
+// row pipeline's probe of a table built over the base rows lists them in.
+// The driving columns the pipeline reads are transposed here, against the
+// intern table the base columns carry.
+func (o *vecSelectOp) buildOnDriver(vs *vecStage) error {
+	ev := o.ev
+	ev.Counters.HashBuilds++
+	vs.built = true
+	tbl, rows, vis, tab, err := o.r.scanBuild(vs.st.Child)
+	if err != nil {
+		return err
+	}
+	vs.tbl, vs.rows, o.tab = &tbl, rows, tab
+	for j, use := range o.used {
+		if use {
+			o.tbl.Cols[j] = vec.NewCol(o.colTypes[j])
+			for _, row := range o.rows {
+				o.tbl.Cols[j].Append(row[j], tab)
 			}
-			return false, nil
 		}
 	}
-	o.cur = int(o.sel[o.selPos])
-	o.selPos++
-	if o.alwaysBind {
-		o.env[o.q0] = o.rows[o.cur]
+	o.strs = tab.Strs()
+	o.r.stats[vs.st.Child.ID].Vectorized = true
+
+	n := o.tbl.N
+	keys := make([]*vec.Col, len(vs.probes))
+	words := make([][]uint64, len(vs.probes))
+	for p, ps := range vs.probes {
+		keys[p] = &o.tbl.Cols[ps.ord]
+		words[p] = make([]uint64, n)
 	}
-	return true, nil
+	djt := vec.BuildJoinTable(keys, n, nil)
+	// A driving row's group is the lowest driving row with its key.
+	all := vec.Iota(make(vec.Sel, 0, n), 0, int32(n))
+	nulls := make([]uint8, n)
+	for p, c := range keys {
+		vec.NormCol(c, all, words[p], nulls, 1)
+	}
+	vs.grp = make([]int32, n)
+	lookupRun(djt, words, nulls, make([]bool, n), vs.grp)
+
+	vs.first, vs.link = make([]int32, n), make([]int32, tbl.N)
+	last := make([]int32, n)
+	for g := range vs.first {
+		vs.first[g] = -1
+	}
+	count := tbl.N
+	if vis != nil {
+		count = len(vis)
+	}
+	add := func(g, b int32) {
+		vs.link[b] = -1
+		if vs.first[g] < 0 {
+			vs.first[g] = b
+		} else {
+			vs.link[last[g]] = b
+		}
+		last[g] = b
+	}
+	for p := range words {
+		words[p] = o.words[p]
+	}
+	// Without a visibility selection every row is visible: each batch is a
+	// window of the columns, addressed by one identity selection.
+	ident := vec.Iota(make(vec.Sel, 0, vecBatch), 0, vecBatch)
+	win := make([]vec.Col, len(vs.keyOrds))
+	var key vec.Key
+	g, have := int32(-1), false
+	for lo := 0; lo < count; lo += vecBatch {
+		hi := min(lo+vecBatch, count)
+		nulls := o.nulls[:hi-lo]
+		clear(nulls)
+		// Row k of the batch is version ids[k] + off.
+		ids, off := ident[:hi-lo], int32(lo)
+		if vis != nil {
+			ids, off = vis[lo:hi], 0
+		}
+		for p, ord := range vs.keyOrds {
+			c := &tbl.Cols[ord]
+			if vis == nil {
+				win[p] = window(c, lo, hi)
+				c = &win[p]
+			}
+			vec.NormCol(c, ids, words[p], nulls, 1)
+		}
+		if len(words) > 1 {
+			grps, miss := vs.heads[:len(ids)], o.miss[:len(ids)]
+			clear(miss)
+			lookupRun(djt, words, nulls, miss, grps)
+			for k, g := range grps {
+				if g >= 0 {
+					add(g, ids[k]+off)
+				}
+			}
+		} else {
+			// The tight loop: a one-word key, one lookup per run of equal
+			// keys, and a run no driving row matches skipped whole. (A NULL
+			// key's word is 0, so a run may mix NULLs in; add skips them.)
+			w0 := words[0][:len(ids)]
+			for k := 0; k < len(w0); {
+				w, end := w0[k], k+1
+				for end < len(w0) && w0[end] == w {
+					end++
+				}
+				if !have || w != key.V[0] {
+					key.V[0], have = w, true
+					g = djt.Head(&key)
+				}
+				for ; g >= 0 && k < end; k++ {
+					if nulls[k] == 0 {
+						add(g, ids[k]+off)
+					}
+				}
+				k = end
+			}
+		}
+		if err := ev.tickN(len(ids)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// refill loads o.sel with the filter survivors of the next vecBatch chunk of
-// the scan (possibly none); false means the scan is exhausted. Counter
-// accounting per chunk matches scanOp per batch: BaseRows and the scan box's
-// output budget for every row read, stats batches/rows on the scan node.
-func (o *vecSelectOp) refill() (bool, error) {
+// window returns rows [lo, hi) of c as a column of their own.
+func window(c *vec.Col, lo, hi int) vec.Col {
+	w := vec.Col{T: c.T, Nulls: c.Nulls[lo:hi]}
+	switch c.T {
+	case datum.TInt:
+		w.I64 = c.I64[lo:hi]
+	case datum.TFloat:
+		w.F64 = c.F64[lo:hi]
+	case datum.TBool:
+		w.Bs = c.Bs[lo:hi]
+	case datum.TString:
+		w.IDs = c.IDs[lo:hi]
+	}
+	return w
+}
+
+// lookupRun sets heads[k] to the head of the chain in jt of key k — key
+// position p is words[p][k] — or to -1 where nulls[k] != 0 or miss[k], and
+// returns how many keys had no NULL component. A run of equal keys, as a
+// clustered fact table yields, reuses the chain just found; a one-word key,
+// the common case, takes a loop of its own.
+func lookupRun(jt *vec.JoinTable, words [][]uint64, nulls []uint8, miss []bool, heads []int32) int {
+	var key vec.Key
+	head, have, probes := int32(-1), false, 0
+	if len(words) == 1 {
+		w0 := words[0][:len(heads)]
+		for k, w := range w0 {
+			heads[k] = -1
+			if nulls[k] != 0 {
+				continue
+			}
+			probes++
+			if miss[k] {
+				continue
+			}
+			if !have || w != key.V[0] {
+				key.V[0], have = w, true
+				head = jt.Head(&key)
+			}
+			heads[k] = head
+		}
+		return probes
+	}
+	for k := range heads {
+		heads[k] = -1
+		if nulls[k] != 0 {
+			continue
+		}
+		probes++
+		if miss[k] {
+			continue
+		}
+		same := have
+		for p := 0; same && p < len(words); p++ {
+			same = words[p][k] == key.V[p]
+		}
+		if !same {
+			for p, w := range words {
+				key.V[p] = w[k]
+			}
+			have = true
+			head = jt.Head(&key)
+		}
+		heads[k] = head
+	}
+	return probes
+}
+
+// drain runs subtree n to completion through its streamed operator and
+// returns its rows: the row pipeline's streaming stage pulls the same
+// operator, so the counters match.
+func (r *planRun) drain(n *plan.Node) ([]datum.Row, error) {
+	op := r.build(n)
+	var rows []datum.Row
+	err := func() error {
+		if err := op.open(); err != nil {
+			return err
+		}
+		for {
+			batch, err := op.next()
+			if err != nil {
+				return err
+			}
+			if len(batch) == 0 {
+				return nil
+			}
+			rows = append(rows, batch...)
+		}
+	}()
+	if cerr := op.close(); err == nil {
+		err = cerr
+	}
+	return rows, err
+}
+
+// refill returns the filter survivors of the next vecBatch chunk of the scan
+// (possibly none); false means the scan is exhausted. Counter accounting per
+// chunk matches scanOp per batch: BaseRows and the scan box's output budget
+// for every row read, stats batches/rows on the scan node.
+func (o *vecSelectOp) refill() (vec.Sel, bool, error) {
 	ev := o.ev
 	// Chunk either the full table (everything visible) or the snapshot's
 	// visibility selection. Counters charge visible rows only, matching the
@@ -1017,37 +1335,31 @@ func (o *vecSelectOp) refill() (bool, error) {
 	var sel vec.Sel
 	if o.vis != nil {
 		if o.visPos >= len(o.vis) {
-			return false, nil
+			return nil, false, nil
 		}
 		lo := o.visPos
-		hi := lo + vecBatch
-		if hi > len(o.vis) {
-			hi = len(o.vis)
-		}
+		hi := min(lo+vecBatch, len(o.vis))
 		o.visPos = hi
 		sel = o.vis[lo:hi]
 	} else {
 		if o.chunkStart >= o.tbl.N {
-			return false, nil
+			return nil, false, nil
 		}
 		lo := o.chunkStart
-		hi := lo + vecBatch
-		if hi > o.tbl.N {
-			hi = o.tbl.N
-		}
+		hi := min(lo+vecBatch, o.tbl.N)
 		o.chunkStart = hi
 		sel = vec.Iota(o.selA[:0], int32(lo), int32(hi))
 	}
 	n := len(sel)
 	ev.Counters.BaseRows += int64(n)
 	if err := ev.addOutput(n); err != nil {
-		return false, err
+		return nil, false, err
 	}
-	st := &o.r.stats[o.scanNode.ID]
+	st := &o.r.stats[o.drive.ID]
 	st.Batches++
 	st.Rows += int64(n)
 	if err := ev.tickN(n); err != nil {
-		return false, err
+		return nil, false, err
 	}
 	for _, p := range o.preds {
 		if len(sel) == 0 {
@@ -1058,9 +1370,191 @@ func (o *vecSelectOp) refill() (bool, error) {
 		sel = vec.FilterTrue(sel, tvs, o.selB[:0])
 		o.selA, o.selB = o.selB, o.selA
 	}
-	o.sel = sel
-	o.selPos = 0
-	return true, nil
+	return sel, true, nil
+}
+
+// source fills dst with the driving stage's next batch of row ids: the
+// filter survivors of the next scan chunks, or the next rows of a
+// materialized driver. It returns the batch size; 0 means exhausted.
+func (o *vecSelectOp) source(dst [][]int32) (int, error) {
+	if o.materialized {
+		lo := o.chunkStart
+		hi := min(lo+vecBatch, o.tbl.N)
+		o.chunkStart = hi
+		dst[0] = vec.Iota(o.selA[:0], int32(lo), int32(hi))
+		return hi - lo, nil
+	}
+	for {
+		sel, ok, err := o.refill()
+		if err != nil || !ok {
+			return 0, err
+		}
+		if len(sel) > 0 {
+			dst[0] = sel
+			return len(sel), nil
+		}
+	}
+}
+
+// fill fills dst with the next batch of tuples complete through stage s-1;
+// 0 means exhausted.
+func (o *vecSelectOp) fill(s int, dst [][]int32) (int, error) {
+	if s == 0 {
+		return o.source(dst)
+	}
+	return o.expand(s-1, dst)
+}
+
+// expand fills out with up to vecBatch extensions of stage s's input tuples
+// by their matching build rows, refilling the input from the stage below as
+// it runs dry. Each tuple's matches follow it in chain order, so the order
+// of the input carries over. Residual filters run per extended tuple.
+func (o *vecSelectOp) expand(s int, out [][]int32) (int, error) {
+	vs := o.stages[s]
+	ids, src := out[s+1][:0], o.src[:0]
+	for k := 0; k <= s; k++ {
+		out[k] = out[k][:0]
+	}
+	// gather appends the extended tuples' input columns to out.
+	gather := func() {
+		for k, c := range vs.in {
+			col := out[k]
+			for _, i := range src {
+				col = append(col, c[i])
+			}
+			out[k] = col
+		}
+		src = src[:0]
+	}
+	cur, chain, steps := vs.cur, vs.chain, 0
+	for len(ids) < vecBatch {
+		if chain < 0 {
+			if vs.pos == vs.n {
+				gather()
+				n, err := o.fill(s, vs.in)
+				if err != nil {
+					return 0, err
+				}
+				if n == 0 {
+					break
+				}
+				if err := o.probe(vs, n); err != nil {
+					return 0, err
+				}
+				vs.n, vs.pos = n, 0
+			}
+			cur, chain = vs.pos, vs.heads[vs.pos]
+			vs.pos++
+			continue
+		}
+		id := chain
+		if vs.link != nil {
+			chain = vs.link[id]
+		} else {
+			chain = vs.jt.Next(id)
+		}
+		steps++
+		if len(vs.filters) > 0 {
+			ok, err := o.pass(s, vs.in, cur, id)
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		src = append(src, int32(cur))
+		ids = append(ids, id)
+	}
+	gather()
+	vs.cur, vs.chain = cur, chain
+	out[s+1] = ids
+	return len(ids), o.ev.tickN(steps)
+}
+
+// probe sets the chain heads of the n tuples in vs.in, building the stage
+// on first use. Key words are read a column at a time; the accounting is
+// the row pipeline's: a NULL key component skips the probe, and a string
+// that was never interned probes and misses.
+func (o *vecSelectOp) probe(vs *vecStage, n int) error {
+	heads := vs.heads[:n]
+	if vs.onDriver {
+		if !vs.built {
+			if err := o.buildOnDriver(vs); err != nil {
+				return err
+			}
+		}
+		probes := 0
+		for k, d := range vs.in[0][:n] {
+			heads[k] = -1
+			if g := vs.grp[d]; g >= 0 {
+				probes++
+				heads[k] = vs.first[g]
+			}
+		}
+		o.ev.Counters.HashProbes += int64(probes)
+		return nil
+	}
+	if !vs.built {
+		if err := o.buildStage(vs); err != nil {
+			return err
+		}
+	}
+	nulls, miss := o.nulls[:n], o.miss[:n]
+	clear(nulls)
+	clear(miss)
+	for p := range vs.probes {
+		o.probeWords(&vs.probes[p], vs.in, o.words[p][:n], nulls, miss, uint8(1)<<p)
+	}
+	o.ev.Counters.HashProbes += int64(lookupRun(vs.jt, o.words[:len(vs.probes)], nulls, miss, heads))
+	return nil
+}
+
+// probeWords writes key position ps of each tuple in in to words, or's bit
+// into nulls where it is NULL, and sets miss where it is a string no stored
+// value can equal.
+func (o *vecSelectOp) probeWords(ps *probeSrc, in [][]int32, words []uint64, nulls []uint8, miss []bool, bit uint8) {
+	switch ps.kind {
+	case probeDrive:
+		vec.NormCol(&o.tbl.Cols[ps.ord], in[0], words, nulls, bit)
+	case probeStage:
+		src, ids := o.stages[ps.stage], in[ps.stage+1]
+		if src.tbl != nil {
+			vec.NormCol(&src.tbl.Cols[ps.ord], ids, words, nulls, bit)
+			return
+		}
+		for k, id := range ids {
+			d := src.rows[id][ps.ord]
+			switch {
+			case d.IsNull():
+				nulls[k] |= bit
+			case d.T == datum.TString:
+				w, ok := o.tab.Lookup(d.S)
+				words[k], miss[k] = uint64(w), miss[k] || !ok
+			default:
+				words[k] = o.buildWord(d)
+			}
+		}
+	default:
+		if !ps.resolved {
+			// Constants resolve after the stage build, so every interned
+			// build key is visible to the Lookup.
+			if ps.d.T == datum.TString {
+				id, ok := o.tab.Lookup(ps.d.S)
+				ps.word, ps.missing = uint64(id), !ok
+			} else {
+				ps.word = o.buildWord(ps.d)
+			}
+			ps.resolved = true
+		}
+		for k := range words {
+			words[k] = ps.word
+			if ps.null {
+				nulls[k] |= bit
+			}
+			miss[k] = miss[k] || ps.missing
+		}
+	}
 }
 
 // buildStage keys a hash stage's build side into its join table. A
@@ -1118,169 +1612,57 @@ func (o *vecSelectOp) buildWord(d datum.D) uint64 {
 	}
 }
 
-// probeWord produces one key word of a probe. null reports a NULL
-// component (no probe at all); missing reports a string with no interned
-// id (probes, never matches).
-func (o *vecSelectOp) probeWord(ps *probeSrc) (word uint64, null, missing bool) {
-	switch ps.kind {
-	case probeDrive:
-		c := &o.tbl.Cols[ps.ord]
-		i := o.cur
-		if c.Nulls[i] {
-			return 0, true, false
-		}
-		switch c.T {
-		case datum.TInt:
-			return vec.NormNum(float64(c.I64[i])), false, false
-		case datum.TFloat:
-			return vec.NormNum(c.F64[i]), false, false
-		case datum.TBool:
-			return vec.NormBool(c.Bs[i]), false, false
-		default:
-			return uint64(c.IDs[i]), false, false
-		}
-	case probeStage:
-		d := o.stages[ps.stage].cur[ps.ord]
-		if d.IsNull() {
-			return 0, true, false
-		}
-		if d.T == datum.TString {
-			id, ok := o.tab.Lookup(d.S)
-			return uint64(id), false, !ok
-		}
-		return o.buildWord(d), false, false
-	default:
-		if !ps.resolved {
-			// Constants resolve after the stage build, so every interned
-			// build key is visible to the Lookup.
-			if ps.d.T == datum.TString {
-				id, ok := o.tab.Lookup(ps.d.S)
-				ps.word, ps.missing = uint64(id), !ok
-			} else {
-				ps.word = o.buildWord(ps.d)
-			}
-			ps.resolved = true
-		}
-		return ps.word, ps.null, ps.missing
+// bind binds the quantifiers of tuple k of in — the driving row and the
+// rows matched at stages before s — in env.
+func (o *vecSelectOp) bind(s int, in [][]int32, k int) {
+	o.env[o.q0] = o.rows[in[0][k]]
+	for t := 0; t < s; t++ {
+		vs := o.stages[t]
+		o.env[vs.quant] = vs.rows[in[t+1][k]]
 	}
 }
 
-// resetHash positions hash stage si on the chain of build rows matching the
-// current outer binding, with the row pipeline's exact accounting: a NULL
-// key component skips the probe entirely; a missing interned string still
-// probes (and misses).
-func (o *vecSelectOp) resetHash(si int) error {
-	vs := o.stages[si]
-	vs.chain = -1
-	if !vs.built {
-		if err := o.buildStage(vs); err != nil {
-			return err
-		}
-	}
-	var key vec.Key
-	missing := false
-	for p := range vs.probes {
-		w, null, miss := o.probeWord(&vs.probes[p])
-		if null {
-			return nil
-		}
-		if miss {
-			missing = true
-		}
-		key.V[p] = w
-	}
-	o.ev.Counters.HashProbes++
-	if !missing {
-		vs.chain = vs.jt.Head(&key)
-	}
-	return nil
-}
-
-// advanceHash moves hash stage si to its next qualifying build row.
-func (o *vecSelectOp) advanceHash(si int) (bool, error) {
-	ev := o.ev
-	vs := o.stages[si]
-	for vs.chain >= 0 {
-		vs.curID = vs.chain
-		vs.chain = vs.jt.Next(vs.curID)
-		row := vs.rows[vs.curID]
-		if err := ev.tick(); err != nil {
+// pass reports whether tuple k of in, extended by build row id of stage s,
+// satisfies the stage's residual filters.
+func (o *vecSelectOp) pass(s int, in [][]int32, k int, id int32) (bool, error) {
+	vs := o.stages[s]
+	o.bind(s, in, k)
+	o.env[vs.quant] = vs.rows[id]
+	for _, pred := range vs.filters {
+		tv, err := EvalPred(pred, o.env)
+		if err != nil || tv != datum.True {
 			return false, err
 		}
-		vs.cur = row
-		if o.alwaysBind {
-			o.env[vs.quant] = row
-		}
-		pass := true
-		for _, pred := range vs.filters {
-			tv, err := EvalPred(pred, o.env)
-			if err != nil {
-				return false, err
-			}
-			if tv != datum.True {
-				pass = false
-				break
-			}
-		}
-		if pass {
-			return true, nil
-		}
 	}
-	if o.alwaysBind {
-		delete(o.env, vs.quant)
-	}
-	return false, nil
+	return true, nil
 }
 
-// emit projects the current full binding into a fresh row.
-func (o *vecSelectOp) emit() (datum.Row, error) {
-	if o.projSrcs != nil {
-		row := make(datum.Row, len(o.projSrcs))
-		for j, ps := range o.projSrcs {
-			if ps.stage < 0 {
-				row[j] = o.rows[o.cur][ps.ord]
-			} else {
-				row[j] = o.stages[ps.stage].cur[ps.ord]
-			}
-		}
-		return row, nil
+// pull refills o.fin with the next batch of complete tuples; false means the
+// pipeline is exhausted.
+func (o *vecSelectOp) pull() (bool, error) {
+	n, err := o.fill(len(o.stages), o.fin)
+	o.finN, o.finPos = n, 0
+	if n == 0 {
+		o.done = true
 	}
-	// Env-based projection: alwaysBind keeps all bindings live.
-	return o.ev.projectRow(o.n.Box, o.env)
+	return n > 0, err
 }
 
-// advance moves the odometer to the next full binding of the driving scan
-// and every hash stage; false means the pipeline is exhausted.
-func (o *vecSelectOp) advance() (bool, error) {
-	i := o.depth
-	last := len(o.stages)
-	for i >= 0 {
-		var ok bool
-		var err error
-		if i == 0 {
-			ok, err = o.advanceDrive()
+// emit projects tuple k of the current batch into a fresh row.
+func (o *vecSelectOp) emit(k int) (datum.Row, error) {
+	if o.projSrcs == nil {
+		o.bind(len(o.stages), o.fin, k)
+		return o.ev.projectRow(o.n.Box, o.env)
+	}
+	row := make(datum.Row, len(o.projSrcs))
+	for j, ps := range o.projSrcs {
+		if ps.stage < 0 {
+			row[j] = o.rows[o.fin[0][k]][ps.ord]
 		} else {
-			ok, err = o.advanceHash(i - 1)
-		}
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			i--
-			continue
-		}
-		if i == last {
-			o.depth = i
-			return true, nil
-		}
-		i++
-		if err := o.resetHash(i - 1); err != nil {
-			return false, err
+			row[j] = o.stages[ps.stage].rows[o.fin[ps.stage+1][k]][ps.ord]
 		}
 	}
-	o.depth = i
-	o.done = true
-	return false, nil
+	return row, nil
 }
 
 func (o *vecSelectOp) next() ([]datum.Row, error) {
@@ -1289,17 +1671,20 @@ func (o *vecSelectOp) next() ([]datum.Row, error) {
 	}
 	o.out = o.out[:0]
 	for len(o.out) < streamBatch {
-		ok, err := o.advance()
+		if o.finPos == o.finN {
+			ok, err := o.pull()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+		}
+		row, err := o.emit(o.finPos)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
-		}
-		row, err := o.emit()
-		if err != nil {
-			return nil, err
-		}
+		o.finPos++
 		o.out = append(o.out, row)
 	}
 	if o.n.BoxRoot && len(o.out) > 0 {
@@ -1311,62 +1696,38 @@ func (o *vecSelectOp) next() ([]datum.Row, error) {
 }
 
 // nextIDs is next for a columnar consumer (the vectorized group-by): instead
-// of projecting rows it returns the driving-scan row ids of the next batch
-// of joined tuples, with each hash stage's matched build-row ids in its ids
-// slice at the same positions. Without hash stages a filtered scan chunk is
-// handed over as it stands. Accounting matches next.
+// of projecting rows it returns the driving row ids of the next batch of
+// joined tuples, with each hash stage's matched build-row ids in its ids
+// slice at the same positions. Accounting matches next.
 func (o *vecSelectOp) nextIDs() (vec.Sel, error) {
 	if o.done {
 		return nil, nil
 	}
-	var ids vec.Sel
-	if len(o.stages) == 0 {
-		for len(ids) == 0 {
-			ok, err := o.refill()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				o.done = true
-				break
-			}
-			ids = o.sel
-		}
-	} else {
-		o.ids = o.ids[:0]
-		for _, vs := range o.stages {
-			vs.ids = vs.ids[:0]
-		}
-		for len(o.ids) < vecBatch {
-			ok, err := o.advance()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			o.ids = append(o.ids, int32(o.cur))
-			for _, vs := range o.stages {
-				vs.ids = append(vs.ids, vs.curID)
-			}
-		}
-		ids = o.ids
-	}
-	if o.n.BoxRoot && len(ids) > 0 {
-		if err := o.ev.addOutput(len(ids)); err != nil {
+	if o.finPos == o.finN {
+		if ok, err := o.pull(); !ok {
 			return nil, err
 		}
 	}
-	return ids, nil
+	lo, hi := o.finPos, o.finN
+	o.finPos = hi
+	for s, vs := range o.stages {
+		vs.ids = o.fin[s+1][lo:hi]
+	}
+	if o.n.BoxRoot {
+		if err := o.ev.addOutput(hi - lo); err != nil {
+			return nil, err
+		}
+	}
+	return o.fin[0][lo:hi], nil
 }
 
 func (o *vecSelectOp) close() error {
 	o.rows = nil
-	o.sel = nil
 	o.out = nil
 	o.env = nil
 	for _, vs := range o.stages {
-		vs.rows, vs.tbl, vs.jt, vs.cur = nil, nil, nil, nil
+		vs.rows, vs.tbl, vs.jt, vs.ids = nil, nil, nil, nil
+		vs.grp, vs.first, vs.link = nil, nil, nil
 	}
 	return nil
 }

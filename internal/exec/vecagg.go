@@ -1,6 +1,6 @@
 // Vectorized hash aggregation: a group-by whose input is a vectorized select
 // pipeline pulls row-id batches (vecSelectOp.nextIDs) instead of projected
-// rows and folds the referenced columns — driving-scan columns directly,
+// rows and folds the referenced columns — driving columns directly,
 // hash-stage columns through the matched build-row ids — into typed
 // accumulators indexed by dense group ids from a fixed-width key table. No
 // datum.Row is built per input row, nothing is bound in an Env, and no
@@ -26,8 +26,8 @@ import (
 )
 
 // vecSrc is one compiled group key or aggregate argument: a plain column of
-// the driving scan (stage -1) or of a hash stage's columnar build side, or a
-// numeric VM expression over the driving scan.
+// the driving stage (stage -1) or of a hash stage's columnar build side, or a
+// numeric VM expression over the driving stage.
 type vecSrc struct {
 	stage int
 	ord   int
@@ -53,9 +53,6 @@ type vecGroupByOp struct {
 
 	keys []*vecSrc
 	aggs []vecAgg
-	// env is keyRow's own binding environment: the select's env belongs to
-	// the paused odometer, whose residual stage filters read it on resume.
-	env Env
 }
 
 // tryVecGroupBy compiles a Vec-marked group-by over a vectorized select,
@@ -102,20 +99,12 @@ func (r *planRun) tryVecGroupBy(n *plan.Node) operator {
 		va.state = vec.NewAgg(a.Kind, argT)
 		g.aggs = append(g.aggs, va)
 	}
-	// Nothing downstream of the join reads env bindings any more; only
-	// residual stage filters still need them.
-	sel.alwaysBind = false
-	for _, vs := range sel.stages {
-		if len(vs.filters) > 0 {
-			sel.alwaysBind = true
-		}
-	}
 	g.child = &instrumented{op: sel, st: &r.stats[cn.ID]}
 	return g
 }
 
 // compileSrc resolves a group-by expression — a column of the input
-// quantifier — through the select's output list to the scan or stage column
+// quantifier — through the select's output list to the driving or stage column
 // (or numeric expression) that produces it.
 func (g *vecGroupByOp) compileSrc(e qgm.Expr) *vecSrc {
 	o := g.sel
@@ -126,8 +115,8 @@ func (g *vecGroupByOp) compileSrc(e qgm.Expr) *vecSrc {
 	se := o.n.Box.Output[cr.Ord].Expr
 	if x, ok := se.(*qgm.ColRef); ok {
 		switch {
-		case x.Q == o.q0 && x.Ord < len(o.colTypes):
-			if t := o.colTypes[x.Ord]; vecClass(t) != 0 {
+		case x.Q == o.q0:
+			if t := o.colType(x.Ord); vecClass(t) != 0 {
 				return &vecSrc{stage: -1, ord: x.Ord, t: t}
 			}
 		default:
@@ -144,7 +133,7 @@ func (g *vecGroupByOp) compileSrc(e qgm.Expr) *vecSrc {
 		}
 		return nil
 	}
-	num, ok := o.compileNum(se, o.colTypes)
+	num, ok := o.compileNum(se)
 	if !ok {
 		return nil
 	}
@@ -161,7 +150,7 @@ func (g *vecGroupByOp) compileSrc(e qgm.Expr) *vecSrc {
 }
 
 // load returns the column holding the batch's values of s and the row ids
-// addressing it: drive are the batch's driving-scan row ids, ident the
+// addressing it: drive are the batch's driving row ids, ident the
 // identity selection of the same length.
 func (s *vecSrc) load(o *vecSelectOp, drive, ident vec.Sel) (*vec.Col, vec.Sel) {
 	switch {
@@ -191,7 +180,6 @@ func (g *vecGroupByOp) open() error {
 		return err
 	}
 	g.r.stats[g.n.ID].Vectorized = true
-	g.env = ev.rootEnv()
 
 	gt := vec.NewGroupTable()
 	words := make([][]uint64, len(g.keys))
@@ -282,13 +270,13 @@ func (g *vecGroupByOp) open() error {
 // the tuple's rows. It runs once per group, not per input row.
 func (g *vecGroupByOp) keyRow(k int, drive vec.Sel) (datum.Row, error) {
 	o := g.sel
-	g.env[o.q0] = o.rows[drive[k]]
+	o.env[o.q0] = o.rows[drive[k]]
 	for _, vs := range o.stages {
-		g.env[vs.quant] = vs.rows[vs.ids[k]]
+		o.env[vs.quant] = vs.rows[vs.ids[k]]
 	}
 	row := make(datum.Row, len(g.keys))
 	for j, ge := range g.n.Box.GroupBy {
-		v, err := EvalExpr(o.n.Box.Output[ge.(*qgm.ColRef).Ord].Expr, g.env)
+		v, err := EvalExpr(o.n.Box.Output[ge.(*qgm.ColRef).Ord].Expr, o.env)
 		if err != nil {
 			return nil, err
 		}

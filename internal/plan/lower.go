@@ -291,6 +291,7 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 	n.ConstPreds = stagePreds[0]
 
 	var detail []string
+	probes := 1.0 // estimated bindings reaching stage i, as opt.pipelineCost counts them
 	for i, q := range fQ {
 		st := Stage{Quant: q}
 		preds := stagePreds[i+1]
@@ -335,10 +336,18 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 			}
 			// No index on exactly these columns: the stage is a hash join,
 			// planned as one here rather than discovered by the executor.
-			if !indexable || !childBox.Table.HasIndex(st.IndexCols) {
+			// An index costs one lookup per binding: once the stage is
+			// estimated to probe more often than the table has rows, one hash
+			// build over the table is the cheaper plan.
+			if !indexable || !childBox.Table.HasIndex(st.IndexCols) || probes > lw.est.Card(childBox) {
 				indexable, st.IndexCols = false, nil
 			}
 		}
+		probes *= lw.est.Card(childBox)
+		for _, pred := range preds {
+			probes *= lw.est.Selectivity(b, pred)
+		}
+		probes = max(probes, 1)
 
 		switch {
 		case corr:
@@ -418,13 +427,17 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 }
 
 // vectorizableSelect is the lowering-time vectorizability decision for a
-// select pipeline: the driving stage streams a base-table scan whose
-// residual filters are kernel-compilable, every later stage is a hash join
-// keyed on at most vec.MaxKeyCols plain column/constant expressions, and
-// nothing forces row-at-a-time finishing (scalar subqueries, semi/anti
-// checks, post-predicates). The executor re-verifies at build time against
-// runtime types and the memory mode; this flag is the shared structural
-// judgment surfaced in EXPLAIN.
+// select pipeline. The driving stage is either a base-table scan whose
+// residual filters are kernel-compilable, or any other input without
+// residual filters — a magic or supplementary-magic box, say — provided the
+// next stage hashes a base table on the driver's columns alone: the executor
+// then builds the join table over the driver's few rows and streams the base
+// table through it, instead of building over the whole table. Every later
+// stage is a hash join keyed on at most vec.MaxKeyCols plain
+// column/constant expressions, and nothing forces row-at-a-time finishing
+// (scalar subqueries, semi/anti checks, post-predicates). The executor
+// re-verifies at build time against runtime types and the memory mode; this
+// flag is the shared structural judgment surfaced in EXPLAIN.
 func vectorizableSelect(n *Node) bool {
 	if len(n.Scalars) > 0 || len(n.Subqs) > 0 || len(n.PostPreds) > 0 || len(n.Stages) == 0 {
 		return false
@@ -432,8 +445,14 @@ func vectorizableSelect(n *Node) bool {
 	for i := range n.Stages {
 		st := &n.Stages[i]
 		if i == 0 {
-			if st.Access != AccessStream || st.Child.Kind != OpScan {
+			if st.Access != AccessStream {
 				return false
+			}
+			if st.Child.Kind != OpScan {
+				if len(st.Residual) > 0 || len(n.Stages) < 2 || !drivesBaseBuild(&n.Stages[1], st.Quant) {
+					return false
+				}
+				continue
 			}
 			for _, e := range st.Residual {
 				if !vecFilterable(e, st.Quant) {
@@ -461,13 +480,29 @@ func vectorizableSelect(n *Node) bool {
 	return true
 }
 
+// drivesBaseBuild reports whether stage st hashes a base table on columns of
+// the driving quantifier q alone, so its join table can be built over q's
+// rows instead.
+func drivesBaseBuild(st *Stage, q *qgm.Quantifier) bool {
+	if st.Access != AccessHash || st.Child.Kind != OpScan {
+		return false
+	}
+	for _, e := range st.KeyOther {
+		if cr, ok := e.(*qgm.ColRef); !ok || cr.Q != q {
+			return false
+		}
+	}
+	return true
+}
+
 // vectorizableGroupBy is the lowering-time decision for vectorized hash
 // aggregation: the input is a vectorizable select pipeline, there are at
 // most vec.MaxKeyCols group keys, no aggregate is DISTINCT, and every key
 // and aggregate argument is an input column the select produces as a plain
-// column of its driving scan or of a base-table hash stage, or as
-// kernel-compilable arithmetic over the driving scan. The executor
-// re-verifies against runtime types and the memory mode.
+// column of its driving stage or of a base-table hash stage, or as
+// kernel-compilable arithmetic over the driving stage (a scan, or a
+// materialized driver). The executor re-verifies against runtime types and
+// the memory mode.
 func vectorizableGroupBy(n *Node) bool {
 	b, sel := n.Box, n.Children[0]
 	if sel.Kind != OpSelect || !sel.Vec || len(b.GroupBy) > maxVecKeys {
@@ -485,7 +520,7 @@ func vectorizableGroupBy(n *Node) bool {
 		}
 		for i := range sel.Stages {
 			if st := &sel.Stages[i]; st.Quant == x.Q {
-				return st.Child.Kind == OpScan
+				return i == 0 || st.Child.Kind == OpScan
 			}
 		}
 		return false

@@ -38,6 +38,7 @@ func (k *RowKey) equal(o *RowKey) bool {
 // typed loop per key column instead of a type switch per datum. The columns
 // of one key position are statically of one class, so no tags are kept.
 func NormCol(c *Col, ids Sel, words []uint64, nulls []uint8, bit uint8) {
+	words, nulls = words[:len(ids)], nulls[:len(ids)]
 	isNull := c.Nulls
 	switch c.T {
 	case datum.TInt:

@@ -15,11 +15,12 @@
 # SEED the first seed (default: the clock). TRACE=1 runs the traced pass
 # (--trace 1) on the same seeds and alternation, and reports per side how
 # many runs printed a FAILED line (the Table-1 regime checks) and which,
-# in place of the metric table.
+# and the median and maximum of each table1.<X>.emst_pct the workload
+# times, in place of the metric table.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,19p' "$0" >&2
+	sed -n '2,20p' "$0" >&2
 	exit 2
 fi
 trace=${TRACE:-0}
@@ -42,35 +43,50 @@ if [ -z "$ref_dir" ]; then
 	git -C "$root" worktree add --detach "$ref_dir" "$ref" >&2
 fi
 
-# run <checkout> <seed>: the run's result line (the last line of stdout), or
-# under TRACE=1 its FAILED lines, each prefixed with the seed.
+# run <checkout> <seed> <side>: appends the run's result line (the last line
+# of stdout) to $tmp/<side>.jsonl; under TRACE=1 the traced run's result line
+# goes to $tmp/<side>.trace and its FAILED lines, each prefixed with the
+# seed, to $tmp/<side>.jsonl.
 run() {
 	if [ "$trace" = 1 ]; then
-		(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$2" --seconds "$secs" --trace 1 2>&1 >/dev/null |
-			grep FAILED | sed "s/^/seed $2: /" || true)
+		(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$2" --seconds "$secs" --trace 1 \
+			2>"$tmp/stderr" | tail -n 1 >>"$tmp/$3.trace") || true
+		(grep FAILED "$tmp/stderr" || true) | sed "s/^/seed $2: /" >>"$tmp/$3.jsonl"
 		return
 	fi
-	(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$2" --seconds "$secs" --trace 0 2>/dev/null | tail -n 1)
+	(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$2" --seconds "$secs" --trace 0 2>/dev/null |
+		tail -n 1 >>"$tmp/$3.jsonl")
 }
 
 echo "workload $workload, $pairs pairs of $secs s: change = $root, reference = $ref ($ref_dir)" >&2
 for i in $(seq 1 "$pairs"); do
 	seed=$((seed0 + i))
 	if [ $((i % 2)) -eq 1 ]; then
-		run "$ref_dir" "$seed" >>"$tmp/ref.jsonl"
-		run "$root" "$seed" >>"$tmp/new.jsonl"
+		run "$ref_dir" "$seed" ref
+		run "$root" "$seed" new
 	else
-		run "$root" "$seed" >>"$tmp/new.jsonl"
-		run "$ref_dir" "$seed" >>"$tmp/ref.jsonl"
+		run "$root" "$seed" new
+		run "$ref_dir" "$seed" ref
 	fi
 	echo "pair $i (seed $seed) done" >&2
 done
 
 if [ "$trace" = 1 ]; then
+	touch "$tmp/ref.jsonl" "$tmp/new.jsonl"
 	for side in ref new; do
 		k=$(cut -d: -f1 "$tmp/$side.jsonl" | sort -u | wc -l)
 		echo "$side: $k of $pairs runs printed FAILED"
 		cat "$tmp/$side.jsonl"
+		# The regime margin: each experiment's EMST share of Original.
+		grep -oE '"table1\.[A-Z]\.emst_pct":\{"value":[0-9.eE+-]+' "$tmp/$side.trace" |
+			sed -E 's/"table1\.([A-Z])\.emst_pct":\{"value":/\1 /' | sort -k1,1 -k2,2g |
+			awk '{ v[$1, ++n[$1]] = $2 }
+			END {
+				for (x in n) {
+					m = n[x]; med = m % 2 ? v[x, (m + 1) / 2] : (v[x, m / 2] + v[x, m / 2 + 1]) / 2
+					if (v[x, m] > 0) printf "  table1.%s.emst_pct median %.1f max %.1f over %d runs\n", x, med, v[x, m], m
+				}
+			}' | sort
 	done
 	exit 0
 fi
