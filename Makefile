@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover check fmt-check bench bench-pair table1 sweep ablation fuzz examples clean
+.PHONY: all build test test-short race cover check answers fmt-check bench bench-pair table1 sweep ablation fuzz examples clean
 
 all: build test
 
@@ -28,11 +28,23 @@ cover:
 	$(GO) test -cover ./...
 
 # Full verification gate: formatting, build, vet, tests, the race detector
-# (engine includes the crash-recovery suite in durable_test.go), and the
-# benchmark's self-agreement check: every workload's timed pass twice,
-# answers against the frozen digests, metrics within BENCHMARK.json's bounds.
-check: fmt-check build test race
+# (engine includes the crash-recovery suite in durable_test.go), the fast
+# answer gate, and the benchmark's self-agreement check: every workload's
+# timed pass twice, answers against the frozen digests, metrics within
+# BENCHMARK.json's bounds.
+check: fmt-check build test race answers
 	bash benchmark/run.sh --agree
+
+# The fast answer gate: a 3 s run of each gated workload (BENCHMARK.json)
+# must answer every read as benchmark/expected/ says and fail no operation.
+GATED = t1_small_adhoc t1_small_prepared t1_large wire_read
+answers:
+	@for w in $(GATED); do \
+		line=$$(bash benchmark/run.sh --workload $$w --seconds 3 --trace 0 2>/dev/null | tail -n 1); \
+		echo "$$w $$line"; \
+		case "$$line" in *'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "answers: $$w answered wrong or failed operations" >&2; exit 1 ;; esac; \
+	done
 
 # gofmt as a gate: print offending files and fail if any exist.
 fmt-check:

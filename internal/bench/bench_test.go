@@ -256,6 +256,184 @@ func TestMagicPipelinesColumnar(t *testing.T) {
 	}
 }
 
+// TestIndexStagesColumnar: prepared B and E — an aggregate view driving 150
+// index lookups into employee — run their index stage on the columnar path:
+// each department's bucket is looked up once and filtered by column kernels.
+// The counters are exactly the row pipeline's, and so are the rows, in order.
+// The literal texts keep their counters too; literal E's magic-driven index
+// stage, estimated to emit ~1 400 rows, goes columnar, literal B's (150)
+// stays on the row path.
+func TestIndexStagesColumnar(t *testing.T) {
+	db, err := NewDB(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := map[string]Experiment{}
+	for _, e := range Experiments() {
+		exps[e.ID] = e
+	}
+	cases := []struct {
+		id, query string
+		args      []any
+		vec       map[string]bool // select operators and whether they must run vectorized
+		want      exec.Counters   // the row pipeline's
+	}{
+		{"B", `SELECT e.empname, v.total FROM employee e, deptSales v
+		        WHERE e.workdept = v.deptno AND e.empno < ?`, []any{int64(1030)},
+			map[string]bool{"select SEL1": true},
+			exec.Counters{BaseRows: 22500, BoxEvals: 4, IndexLookups: 150, OutputRows: 45179}},
+		{"E", `SELECT e.empname, v.total FROM employee e, deptSales v
+		        WHERE e.workdept = v.deptno AND (e.empno < ? OR e.empno > ?)`, []any{int64(1013), int64(149000)},
+			map[string]bool{"select SEL1": true},
+			exec.Counters{BaseRows: 22500, BoxEvals: 4, IndexLookups: 150, OutputRows: 45242}},
+		{"B", exps["B"].Query, nil,
+			map[string]bool{"select T3": false},
+			exec.Counters{BaseRows: 6000, BoxEvals: 6, HashBuilds: 1, HashProbes: 29, IndexLookups: 1, OutputRows: 6210}},
+		{"E", exps["E"].Query, nil,
+			map[string]bool{"select T3": true},
+			exec.Counters{BaseRows: 6000, BoxEvals: 6, HashBuilds: 1, HashProbes: 92, IndexLookups: 3, OutputRows: 6640}},
+	}
+	for _, tc := range cases {
+		name := fmt.Sprintf("%s%v", tc.id, tc.args)
+		p, err := db.Prepare(tc.query, engine.EMST)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := p.Execute(tc.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		vectorized := map[string]bool{}
+		for _, op := range res.Plan.Operators {
+			vectorized[op.Label] = vectorized[op.Label] || op.Vectorized
+		}
+		for label, want := range tc.vec {
+			if vectorized[label] != want {
+				t.Errorf("%s: %s vectorized = %v, want %v\n%s", name, label, vectorized[label], want, res.Plan.Physical)
+			}
+		}
+		if res.Plan.Counters != tc.want {
+			t.Errorf("%s: counters %+v, want %+v", name, res.Plan.Counters, tc.want)
+		}
+		db.SetVectorized(false)
+		row, err := p.Execute(tc.args...)
+		db.SetVectorized(true)
+		if err != nil {
+			t.Fatalf("%s (row path): %v", name, err)
+		}
+		if row.Plan.Counters != tc.want {
+			t.Errorf("%s: row path counters %+v, want %+v", name, row.Plan.Counters, tc.want)
+		}
+		if got, want := strings.Join(formatRows(row.Rows), ";"), strings.Join(formatRows(res.Rows), ";"); got != want {
+			t.Errorf("%s: row path disagrees\nvec %s\nrow %s", name, want, got)
+		}
+	}
+}
+
+// TestPreparedShapesAgree prepares the benchmark's eight Table-1 shape texts
+// once per strategy and executes each over its whole binding domain — every
+// department and region for A, F, G and H, and the workload's ranges for B,
+// C, D and E — under Original and EMST, vectorized and on the row path. All
+// four must return the same bag of rows for every binding.
+func TestPreparedShapesAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark scale")
+	}
+	db, err := NewDB(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	depts, err := db.Query(`SELECT deptno, deptname, region FROM department`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names, nos, regions []any
+	seen := map[string]bool{}
+	for _, r := range depts.Rows {
+		nos = append(nos, r[0].I)
+		names = append(names, r[1].S)
+		if !seen[r[2].S] {
+			seen[r[2].S] = true
+			regions = append(regions, r[2].S)
+		}
+	}
+	span := func(lo, hi int64) []any {
+		var out []any
+		for k := lo; k <= hi; k++ {
+			out = append(out, k)
+		}
+		return out
+	}
+	bind := func(vals []any, rest ...any) [][]any {
+		var out [][]any
+		for _, v := range vals {
+			out = append(out, append([]any{v}, rest...))
+		}
+		return out
+	}
+	var eArgs [][]any
+	for lo := int64(1005); lo <= 1025; lo++ {
+		for hi := int64(148990); hi <= 149010; hi++ {
+			eArgs = append(eArgs, []any{lo, hi})
+		}
+	}
+	shapes := []struct {
+		id, query string
+		args      [][]any
+	}{
+		{"A", `SELECT d.deptname, v.avgsal FROM department d, avgSalary v
+		        WHERE d.deptno = v.workdept AND d.deptname = ? AND d.mgrno > ?`, bind(names, int64(0))},
+		{"F", `SELECT d.deptname, v.headcount FROM department d, avgSalary v
+		        WHERE d.deptno = v.workdept AND d.deptno = ? AND d.mgrno > ?`, bind(nos, int64(0))},
+		{"G", `SELECT d.deptname, v.deptno, v.avgamount FROM department d, deptAvgSales v
+		        WHERE d.deptno = v.deptno AND d.deptname = ? AND d.mgrno > ?`, bind(names, int64(0))},
+		{"H", `SELECT v.region, v.totalsal FROM regionPay v
+		        WHERE v.region = ? AND v.totalsal > ?`, bind(regions, int64(-1))},
+		{"B", `SELECT e.empname, v.total FROM employee e, deptSales v
+		        WHERE e.workdept = v.deptno AND e.empno < ?`, bind(span(1010, 1040))},
+		{"C", `SELECT d.deptname, v.total FROM department d, deptOrders v
+		        WHERE d.deptno = v.deptno AND d.deptno < ?`, bind(span(4, 10))},
+		{"D", `SELECT d.deptname, v.total FROM department d, deptOrdersJ v
+		        WHERE d.deptno = v.deptno AND d.deptno <= ?`, bind(span(100, 140))},
+		{"E", `SELECT e.empname, v.total FROM employee e, deptSales v
+		        WHERE e.workdept = v.deptno AND (e.empno < ? OR e.empno > ?)`, eArgs},
+	}
+	for _, sh := range shapes {
+		var prepared []*engine.Prepared
+		for _, s := range []engine.Strategy{engine.Original, engine.EMST} {
+			p, err := db.Prepare(sh.query, s)
+			if err != nil {
+				t.Fatalf("%s %v: %v", sh.id, s, err)
+			}
+			prepared = append(prepared, p)
+		}
+		for _, args := range sh.args {
+			var want string
+			for i, p := range prepared {
+				for _, vec := range []bool{true, false} {
+					db.SetVectorized(vec)
+					res, err := p.Execute(args...)
+					db.SetVectorized(true)
+					if err != nil {
+						t.Fatalf("%s%v: %v", sh.id, args, err)
+					}
+					got := strings.Join(sortedRows(res.Rows), ";")
+					if i == 0 && vec {
+						want = got
+						if len(res.Rows) == 0 && sh.id != "E" {
+							t.Errorf("%s%v: no rows", sh.id, args)
+						}
+						continue
+					}
+					if got != want {
+						t.Fatalf("%s%v strategy %d vectorized=%v: rows differ\ngot  %s\nwant %s", sh.id, args, i, vec, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTable1Shapes validates the paper's qualitative shape for every row
 // using the deterministic work metric.
 func TestTable1Shapes(t *testing.T) {

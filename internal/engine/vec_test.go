@@ -225,7 +225,18 @@ func aggOracleDB(t *testing.T) *Database {
 	CREATE VIEW factK2 (k2, total, n, k3sum) AS
 	  SELECT k2, SUM(amt), COUNT(*), SUM(k3) FROM fact GROUPBY k2;
 	CREATE VIEW dimBoth (k1, w) AS
-	  SELECT k1, w FROM dim UNION ALL SELECT k1, w FROM dimdup;`); err != nil {
+	  SELECT k1, w FROM dim UNION ALL SELECT k1, w FROM dimdup;
+	CREATE TABLE line (id INT, k1 INT, k2 VARCHAR, amt FLOAT, qty INT, tag VARCHAR, PRIMARY KEY (id));
+	CREATE INDEX line_k1 ON line (k1);
+	CREATE INDEX line_k2 ON line (k2);
+	CREATE VIEW lineTot (k1, total, n, top) AS
+	  SELECT k1, SUM(amt), COUNT(*), MAX(tag) FROM line GROUPBY k1;
+	CREATE VIEW lineK2 (k2, total, lo) AS
+	  SELECT k2, SUM(amt), MIN(qty) FROM line GROUPBY k2;
+	CREATE VIEW dimTot (k1, w, n) AS
+	  SELECT k1, SUM(w), COUNT(*) FROM dimdup GROUPBY k1;
+	CREATE VIEW strTot (k2, w) AS
+	  SELECT k2, SUM(w) FROM strdim GROUPBY k2;`); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -279,6 +290,20 @@ func aggOracleDB(t *testing.T) *Database {
 		t.Fatal(err)
 	}
 	if err := db.InsertRows("strdim", strs); err != nil {
+		t.Fatal(err)
+	}
+	var lines []datum.Row
+	for i := 0; i < 2400; i++ {
+		lines = append(lines, datum.Row{
+			datum.Int(int64(i)),
+			null(datum.Int(int64(i%6)), datum.TInt, 12),
+			null(datum.String(k2s[rng.Intn(len(k2s))]), datum.TString, 9),
+			null(datum.Float(float64(rng.Intn(1000))*0.1+0.01), datum.TFloat, 7),
+			null(datum.Int(int64(rng.Intn(20))), datum.TInt, 8),
+			null(datum.String(fmt.Sprintf("t%03d", rng.Intn(300))), datum.TString, 6),
+		})
+	}
+	if err := db.InsertRows("line", lines); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -375,7 +400,79 @@ func magicOracleQueries(rng *rand.Rand, n int) []string {
 		v := strings.Split(vs[rng.Intn(len(vs))], "|")
 		qs = append(qs, fmt.Sprintf("SELECT %s, %s FROM %s, %s WHERE %s = %s AND %s", sm.cols, v[2], sm.from, v[0], sm.key, v[1], filter))
 	}
+	return append(qs, indexOracleQueries(rng, n)...)
+}
+
+// indexOracleQueries are n random joins in which a small side, a magic set
+// or an aggregate view over a small side drives an index stage into line,
+// whose indexes on k1 and k2 return a few hundred rows a key. The drivers carry duplicate and
+// NULL keys; the index stage keeps residuals over its own columns (which
+// filter each bucket), over both sides, and ones that stop the bucket
+// filter (LIKE, division) ahead of one that would not; the outputs mix
+// strings and FLOAT sums.
+func indexOracleQueries(rng *rand.Rand, n int) []string {
+	// filter restricts the driver; an aggregate view driver, like prepared
+	// Table-1 B's, leaves the restriction to the index stage.
+	drivers := []struct{ from, key, lkey, cols, w, filter string }{
+		{"dim d", "d.k1", "l.k1", "d.label", "d.w", "d.w > %d.5"},
+		{"dimdup d", "d.k1", "l.k1", "d.label, d.w", "d.w", "d.w > %d.5"},
+		{"strdim d", "d.k2", "l.k2", "d.k2, d.w", "d.w", "d.w > %d.5"},
+		{"dimBoth d", "d.k1", "l.k1", "d.k1, d.w", "d.w", "d.w > %d.5"},
+		{"dimTot d", "d.k1", "l.k1", "d.k1, d.w, d.n", "d.w", "l.id > %d00"},
+		{"strTot d", "d.k2", "l.k2", "d.k2, d.w", "d.w", "l.id < %d00"},
+	}
+	residuals := []string{"", " AND l.qty > %d", " AND l.qty < %d AND l.amt > 20.5",
+		" AND (l.tag < 't1%d' OR l.qty IS NULL)", " AND l.amt > %d.5 * 10",
+		" AND l.tag LIKE 't1%%' AND l.qty > %d", " AND l.qty / 2 < %d AND l.tag > 't1'", " AND l.amt > DW * %d"}
+	aggs := []string{"SUM(l.amt)", "COUNT(*)", "MAX(l.tag)", "MIN(l.qty)", "AVG(l.amt)", "COUNT(l.k2)"}
+	views := map[string][]string{
+		"l.k1": {"lineTot v|v.k1|v.total, v.n, v.top"},
+		"l.k2": {"lineK2 v|v.k2|v.total, v.lo"},
+	}
+	qs := []string{
+		// A division stops the bucket filter: the kernel ahead of it filters
+		// the bucket, it and the rest run per tuple.
+		"SELECT d.k1, l.tag, l.amt FROM dimTot d, line l WHERE d.k1 = l.k1 AND l.id >= 0 AND l.qty / 2 < 9 AND l.amt > 5.5",
+		"SELECT d.k1, SUM(l.amt), MAX(l.tag) FROM dimTot d, line l WHERE d.k1 = l.k1 AND l.qty / 2 < 9 GROUP BY d.k1",
+	}
+	for i := 0; i < n; i++ {
+		d := drivers[rng.Intn(len(drivers))]
+		res := residuals[rng.Intn(len(residuals))]
+		if strings.Contains(res, "%d") {
+			res = fmt.Sprintf(strings.Replace(res, "DW", d.w, 1), rng.Intn(12))
+		}
+		filter := fmt.Sprintf(d.filter, rng.Intn(20))
+		if i%3 == 2 {
+			// Magic sets restrict the views over line from a filtered small side.
+			filter = fmt.Sprintf("%s > %d.5", d.w, rng.Intn(6))
+		}
+		switch i % 3 {
+		case 0:
+			qs = append(qs, fmt.Sprintf("SELECT %s, l.tag, l.amt, l.k2 FROM %s, line l WHERE %s = %s AND %s%s",
+				d.cols, d.from, d.key, d.lkey, filter, res))
+		case 1:
+			g := strings.SplitN(d.cols, ",", 2)[0]
+			qs = append(qs, fmt.Sprintf("SELECT %s, %s, %s FROM %s, line l WHERE %s = %s AND %s%s GROUP BY %s",
+				g, aggs[rng.Intn(len(aggs))], aggs[rng.Intn(len(aggs))], d.from, d.key, d.lkey, filter, res, g))
+		default:
+			vs := views[d.lkey]
+			v := strings.Split(vs[rng.Intn(len(vs))], "|")
+			qs = append(qs, fmt.Sprintf("SELECT %s, %s FROM %s, %s WHERE %s = %s AND %s",
+				d.cols, v[2], d.from, v[0], d.key, v[1], filter))
+		}
+	}
 	return qs
+}
+
+// indexStageVectorized reports whether the run executed a select pipeline
+// with an index stage on the columnar path.
+func indexStageVectorized(res *Result) bool {
+	for _, op := range res.Plan.Operators {
+		if op.Kind == "select" && op.Vectorized && strings.Contains(op.Detail, ":index") {
+			return true
+		}
+	}
+	return false
 }
 
 // drivenSelectVectorized reports whether the run executed a select pipeline
@@ -420,7 +517,7 @@ func TestVectorizedAggOracle(t *testing.T) {
 	type runner func(query string, opts ...QueryOption) (*Result, error)
 	check := func(label string, run runner) {
 		t.Helper()
-		sawVec, sawMagic := false, false
+		sawVec, sawMagic, sawIndex := false, false, false
 		for i, query := range queries {
 			for _, s := range []Strategy{Original, Correlated, EMST} {
 				vec, err := run(query, WithStrategy(s))
@@ -429,6 +526,7 @@ func TestVectorizedAggOracle(t *testing.T) {
 				}
 				sawVec = sawVec || groupByVectorized(vec)
 				sawMagic = sawMagic || s == EMST && vec.Plan.UsedEMST && drivenSelectVectorized(vec)
+				sawIndex = sawIndex || indexStageVectorized(vec)
 				want := strings.Join(rowsAsStrings(vec), ";")
 
 				db.SetVectorized(false)
@@ -459,6 +557,9 @@ func TestVectorizedAggOracle(t *testing.T) {
 		}
 		if !sawMagic {
 			t.Fatalf("%s: no EMST execution ran a select driven by its magic set vectorized", label)
+		}
+		if !sawIndex {
+			t.Fatalf("%s: no execution ran an index stage vectorized", label)
 		}
 	}
 
@@ -495,17 +596,171 @@ func TestVectorizedAggOracle(t *testing.T) {
 	}
 
 	// Uncommitted inserts, deletes and updates: every scan of fact and dim
-	// now carries a non-nil visibility selection.
+	// now carries a non-nil visibility selection, and line's index buckets
+	// hold versions the transaction no longer sees.
 	txn := db.Begin()
 	defer txn.Rollback()
 	if _, err := txn.Exec(`
 		INSERT INTO fact VALUES (1000, 2, 'zz', 1.5, TRUE, 7, 0.3, 't999'), (1001, NULL, NULL, NULL, NULL, NULL, NULL, NULL);
 		DELETE FROM fact WHERE id < 40;
 		UPDATE fact SET amt = amt + 0.1 WHERE k1 = 5;
-		DELETE FROM dim WHERE k1 = 1;`); err != nil {
+		DELETE FROM dim WHERE k1 = 1;
+		DELETE FROM line WHERE qty = 3;
+		UPDATE line SET amt = amt + 0.1 WHERE k1 = 2;
+		INSERT INTO line VALUES (5000, 1, 'b', 1.5, 4, 't100'), (5001, NULL, NULL, NULL, NULL, NULL);`); err != nil {
 		t.Fatal(err)
 	}
 	check("in-transaction", func(query string, opts ...QueryOption) (*Result, error) {
 		return txn.QueryContext(ctx, query, opts...)
+	})
+}
+
+// indexSnapDB loads the fixture of TestIndexStageSnapshots: 3 000 items in
+// ten groups behind an index on grp, and an unindexed ten-row driver, so a
+// join of the two runs a columnar index stage of ~300 rows a key. Deleting
+// the items with val > 90 (~200) stays under the background vacuum's
+// threshold.
+func indexSnapDB(t *testing.T) *Database {
+	t.Helper()
+	db := New()
+	if _, err := db.Exec(`
+	CREATE TABLE item (id INT, grp INT, val FLOAT, name VARCHAR, PRIMARY KEY (id));
+	CREATE INDEX item_grp ON item (grp);
+	CREATE TABLE g (grp INT, label VARCHAR);`); err != nil {
+		t.Fatal(err)
+	}
+	var items, gs []datum.Row
+	for i := 0; i < 3000; i++ {
+		items = append(items, datum.Row{datum.Int(int64(i)), datum.Int(int64(i % 10)),
+			datum.Float(float64(i%97) + 0.25), datum.String(fmt.Sprintf("n%04d", i))})
+	}
+	for k := 0; k < 10; k++ {
+		gs = append(gs, datum.Row{datum.Int(int64(k)), datum.String(fmt.Sprintf("G%d", k))})
+	}
+	if err := db.InsertRows("item", items); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("g", gs); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestIndexStageSnapshots: a columnar index stage reads the versions its
+// snapshot sees, exactly as the row pipeline's index lookup does, whatever
+// the buckets hold — versions deleted before the snapshot, deleted or
+// inserted after it, a transaction's own uncommitted writes — and whatever
+// vacuum does to the relation between the statement's capture and its
+// probes, including while a writer and vacuum run concurrently.
+func TestIndexStageSnapshots(t *testing.T) {
+	const query = `SELECT g.label, i.id, i.val, i.name FROM g, item i WHERE g.grp = i.grp AND i.val > 10.5`
+	// agree runs query vectorized, on the row path and materialized through
+	// run, which must all see one snapshot, and requires one answer.
+	agree := func(t *testing.T, db *Database, label string, run func(opts ...QueryOption) (*Result, error)) {
+		t.Helper()
+		vec, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !indexStageVectorized(vec) {
+			t.Fatalf("%s: the index stage did not run vectorized\n%s", label, vec.Plan.Physical)
+		}
+		want := strings.Join(rowsAsStrings(vec), ";")
+		db.SetVectorized(false)
+		row, err := run()
+		db.SetVectorized(true)
+		if err != nil {
+			t.Fatalf("%s (row path): %v", label, err)
+		}
+		if got := strings.Join(rowsAsStrings(row), ";"); got != want {
+			t.Fatalf("%s: row path disagrees with vectorized\nvec %s\nrow %s", label, want, got)
+		}
+		mat, err := run(WithMaterialized())
+		if err != nil {
+			t.Fatalf("%s (materialized): %v", label, err)
+		}
+		if got := strings.Join(rowsAsStrings(mat), ";"); got != want {
+			t.Fatalf("%s: materialized disagrees with vectorized\nvec %s\nmat %s", label, want, got)
+		}
+	}
+	inTxn := func(tx *Txn) func(opts ...QueryOption) (*Result, error) {
+		return func(opts ...QueryOption) (*Result, error) { return tx.Query(query, opts...) }
+	}
+
+	t.Run("deleted before the snapshot", func(t *testing.T) {
+		db := indexSnapDB(t)
+		if _, err := db.Exec(`DELETE FROM item WHERE val > 90.0`); err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		defer tx.Rollback()
+		agree(t, db, "dead versions in the buckets", inTxn(tx))
+	})
+	t.Run("deleted and inserted after the snapshot", func(t *testing.T) {
+		db := indexSnapDB(t)
+		tx := db.Begin()
+		defer tx.Rollback()
+		if _, err := db.Exec(`DELETE FROM item WHERE val > 90.0;
+			INSERT INTO item VALUES (5000, 3, 50.5, 'late'), (5001, 4, 60.5, 'later')`); err != nil {
+			t.Fatal(err)
+		}
+		agree(t, db, "writes committed after the snapshot", inTxn(tx))
+	})
+	t.Run("own uncommitted writes", func(t *testing.T) {
+		db := indexSnapDB(t)
+		tx := db.Begin()
+		defer tx.Rollback()
+		if _, err := tx.Exec(`DELETE FROM item WHERE val > 90.0;
+			INSERT INTO item VALUES (5000, 3, 50.5, 'mine'), (5001, NULL, 60.5, 'nokey')`); err != nil {
+			t.Fatal(err)
+		}
+		agree(t, db, "the transaction's own insert and delete", inTxn(tx))
+	})
+	t.Run("vacuum between capture and probe", func(t *testing.T) {
+		db := indexSnapDB(t)
+		if _, err := db.Exec(`DELETE FROM item WHERE val > 90.0`); err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin() // captures the relation with its dead versions
+		defer tx.Rollback()
+		// Too few deletes for a background vacuum: this one runs after the
+		// capture, and renumbers the versions and the index the capture saw.
+		if got := db.Vacuum(); got == 0 {
+			t.Fatal("vacuum reclaimed nothing")
+		}
+		agree(t, db, "a capture older than the vacuum", inTxn(tx))
+		agree(t, db, "a capture after the vacuum", func(opts ...QueryOption) (*Result, error) {
+			return db.QueryContext(context.Background(), query, opts...)
+		})
+	})
+	t.Run("concurrent writer and vacuum", func(t *testing.T) {
+		db := indexSnapDB(t)
+		stop := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					done <- nil
+					return
+				default:
+				}
+				if _, err := db.Exec(fmt.Sprintf(`DELETE FROM item WHERE id = %d;
+					INSERT INTO item VALUES (%d, %d, %d.5, 'w');`, i*7%3000, 10000+i, i%10, 11+i%80)); err != nil {
+					done <- err
+					return
+				}
+				db.Vacuum()
+			}
+		}()
+		for i := 0; i < 20; i++ {
+			tx := db.Begin()
+			agree(t, db, fmt.Sprintf("round %d", i), inTxn(tx))
+			tx.Rollback()
+		}
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	})
 }

@@ -320,9 +320,10 @@ func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Semi-naive delta: only rows not yet in the accumulated set extend
-		// the next round. The delta membership test is allocation-free; a
-		// key string materializes only for genuinely new rows.
+		// Only rows not yet in the accumulated set join it; the next round
+		// still re-evaluates the whole body (naive iteration). The
+		// membership test is allocation-free; a key string materializes
+		// only for genuinely new rows.
 		grew := false
 		for _, r := range rows {
 			ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], r)

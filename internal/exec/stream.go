@@ -396,7 +396,7 @@ func (s *scanOp) close() error {
 // boxEvalOp materializes a box and streams the result out in batches:
 // OpBoxEval (correlated, shared, extension) and OpFixpoint (recursive) nodes
 // go through evalBridge — the classic evaluator's EvalBox, which handles
-// memoization and semi-naive fixpoint iteration, or for a shared box its own
+// memoization and naive fixpoint iteration, or for a shared box its own
 // streamed plan. All Counters accounting happens inside those.
 type boxEvalOp struct {
 	r    *planRun

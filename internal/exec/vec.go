@@ -20,16 +20,18 @@ package exec
 import (
 	"fmt"
 
+	"starmagic/internal/catalog"
 	"starmagic/internal/datum"
 	"starmagic/internal/plan"
 	"starmagic/internal/qgm"
+	"starmagic/internal/storage"
 	"starmagic/internal/vec"
 )
 
 // vecBatch is the vectorized chunk size: large enough to amortize kernel
 // dispatch, small enough that a LIMIT consumer over-reads at most one
 // chunk beyond the row pipeline's 64-row batches.
-const vecBatch = 512
+const vecBatch = plan.VecBatch
 
 // tickN is the bulk form of tick for chunked loops: it advances the
 // amortized cancellation counter by n rows and polls if a poll boundary
@@ -68,13 +70,13 @@ func vecClass(t datum.Type) int {
 // fail at runtime — anything that could (unbound params, type errors,
 // Div/Mod) fails the compile instead.
 type vecPred interface {
-	eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV)
+	eval(o *vecCols, sel vec.Sel, tvs []datum.TV)
 }
 
 // constTVPred is a predicate folded to a constant at compile time.
 type constTVPred struct{ tv datum.TV }
 
-func (p *constTVPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *constTVPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	for k := range sel {
 		tvs[k] = p.tv
 	}
@@ -86,14 +88,14 @@ type isNullPred struct {
 	negate bool
 }
 
-func (p *isNullPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *isNullPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	vec.IsNullTV(o.tbl.Cols[p.col].Nulls, p.negate, sel, tvs)
 }
 
 // notPred is NOT over a compiled predicate.
 type notPred struct{ x vecPred }
 
-func (p *notPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *notPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	p.x.eval(o, sel, tvs)
 	vec.NotTV(tvs[:len(sel)])
 }
@@ -101,7 +103,7 @@ func (p *notPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
 // boolColPred treats a BOOLEAN column as a predicate (WHERE flag).
 type boolColPred struct{ col int }
 
-func (p *boolColPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *boolColPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	c := &o.tbl.Cols[p.col]
 	vec.CmpBoolConst(c.Bs, c.Nulls, datum.EQ, true, sel, tvs)
 }
@@ -119,7 +121,7 @@ type logicPred struct {
 	subTVs []datum.TV
 }
 
-func (p *logicPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *logicPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	p.args[0].eval(o, sel, tvs)
 	decisive := datum.True
 	if p.and {
@@ -164,7 +166,7 @@ type cmpNumColConstPred struct {
 	rhsInt bool
 }
 
-func (p *cmpNumColConstPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *cmpNumColConstPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	c := &o.tbl.Cols[p.col]
 	switch {
 	case p.rhsInt:
@@ -181,7 +183,7 @@ type cmpNumColColPred struct {
 	op   datum.CmpOp
 }
 
-func (p *cmpNumColColPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *cmpNumColColPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	ca, cb := &o.tbl.Cols[p.a], &o.tbl.Cols[p.b]
 	vec.CmpNumNum(ca.I64, ca.F64, ca.Nulls, p.op, cb.I64, cb.F64, cb.Nulls, sel, tvs)
 }
@@ -199,7 +201,7 @@ type cmpStrColConstPred struct {
 	present  bool
 }
 
-func (p *cmpStrColConstPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *cmpStrColConstPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	if !p.resolved {
 		p.rhsID, p.present = o.tab.Lookup(p.rhs)
 		p.resolved = true
@@ -218,7 +220,7 @@ type cmpStrColColPred struct {
 	op   datum.CmpOp
 }
 
-func (p *cmpStrColColPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *cmpStrColColPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	ca, cb := &o.tbl.Cols[p.a], &o.tbl.Cols[p.b]
 	switch p.op {
 	case datum.EQ, datum.NE:
@@ -234,7 +236,7 @@ type cmpBoolColConstPred struct {
 	rhs bool
 }
 
-func (p *cmpBoolColConstPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *cmpBoolColConstPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	c := &o.tbl.Cols[p.col]
 	vec.CmpBoolConst(c.Bs, c.Nulls, p.op, p.rhs, sel, tvs)
 }
@@ -244,7 +246,7 @@ type cmpBoolColColPred struct {
 	op   datum.CmpOp
 }
 
-func (p *cmpBoolColColPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *cmpBoolColColPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	ca, cb := &o.tbl.Cols[p.a], &o.tbl.Cols[p.b]
 	vec.CmpBoolBool(ca.Bs, ca.Nulls, cb.Bs, cb.Nulls, p.op, sel, tvs)
 }
@@ -283,7 +285,7 @@ const (
 	numNeg
 )
 
-func (n *numExpr) evalI(o *vecSelectOp, sel vec.Sel, out []int64, nulls []bool) {
+func (n *numExpr) evalI(o *vecCols, sel vec.Sel, out []int64, nulls []bool) {
 	switch n.kind {
 	case numCol:
 		c := &o.tbl.Cols[n.col]
@@ -326,7 +328,7 @@ func (n *numExpr) evalI(o *vecSelectOp, sel vec.Sel, out []int64, nulls []bool) 
 	}
 }
 
-func (n *numExpr) evalF(o *vecSelectOp, sel vec.Sel, out []float64, nulls []bool) {
+func (n *numExpr) evalF(o *vecCols, sel vec.Sel, out []float64, nulls []bool) {
 	switch n.kind {
 	case numCol:
 		c := &o.tbl.Cols[n.col]
@@ -393,7 +395,7 @@ type numCmpPred struct {
 	op   datum.CmpOp
 }
 
-func (p *numCmpPred) eval(o *vecSelectOp, sel vec.Sel, tvs []datum.TV) {
+func (p *numCmpPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
 	ltv, eqv, gtv := vec.SignTVs(p.op)
 	n := len(sel)
 	if p.l.isInt && p.r.isInt {
@@ -454,16 +456,19 @@ type probeSrc struct {
 	missing  bool // string constant not interned: probes, never matches
 }
 
-// vecStage is one compiled hash-join stage: build rows keyed by normalized
-// fixed-width words in a flat vec.JoinTable. A base-table build side is
-// keyed straight from its columnar snapshot (tbl is set, row ids are version
-// positions); any other child is materialized and keyed row by row.
+// vecStage is one compiled hash-join or index stage. A hash stage keys its
+// build rows by normalized fixed-width words in a flat vec.JoinTable. A
+// base-table build side is keyed straight from its columnar snapshot (tbl is
+// set, row ids are version positions); any other child is materialized and
+// keyed row by row. An index stage builds nothing: it probes its relation's
+// captured index once per distinct key (rel is set, row ids are version
+// positions).
 type vecStage struct {
 	st      *plan.Stage
 	quant   *qgm.Quantifier
 	keyOrds []int
 	probes  []probeSrc
-	filters []qgm.Expr
+	filters []qgm.Expr // residuals run per extended tuple
 
 	built bool
 	rows  []datum.Row // build rows, indexed by the join table's row ids
@@ -477,6 +482,17 @@ type vecStage struct {
 	onDriver   bool
 	grp, first []int32
 	link       []int32
+
+	// Index stage (see lookupKey): cols are the stage table's columns, preds
+	// the leading residuals compiled against them, which filter each bucket
+	// (filters keeps the rest); seen maps each key probed this open to the
+	// head of its surviving rows, chained through link in bucket order.
+	rel    *storage.RelView
+	cols   vecCols
+	preds  []vecPred
+	seen   map[vec.Key]int32
+	key    datum.Row
+	bucket []int32
 
 	// Expansion state: in holds n tuples the stage extends (in[0] driving
 	// row ids, in[t+1] the ids matched at stage t), heads their chain heads;
@@ -497,41 +513,53 @@ type vecProjSrc struct {
 	ord   int
 }
 
+// vecCols is what compiled predicates and numeric expressions read: the
+// columns of quantifier q's input and the strings their ids resolve to. The
+// driving stage's filters compile against the driving columns, an index
+// stage's bucket filters against its base table's.
+type vecCols struct {
+	q *qgm.Quantifier
+	// colTypes are the columns' types as the kernels may read them (TNull:
+	// not columnar); used, when set, marks the ones some compile asked for.
+	colTypes []datum.Type
+	used     []bool
+	params   []datum.D
+
+	tbl  vec.Table
+	tab  *vec.Intern
+	strs []string
+}
+
 // vecSelectOp is the vectorized replacement for selectPipeOp. The driving
 // stage is either a base-table scan, read a chunk at a time through the
 // compiled filter kernels, or a materialized input (a magic set, say)
 // drained once per open; in that case the first hash stage is built over
 // the driver's rows and its base table streams through them. Batches of
-// joined tuples, held column-wise as row ids, extend through the hash stages
-// a batch at a time, probe words read a column at a time. Tuples come out in
-// the row pipeline's order: driving rows in order, each followed by its
-// matches in build-row order. Compiled by tryVecSelect; any structural or
-// type obstacle falls back to the row pipeline before the operator is ever
-// constructed.
+// joined tuples, held column-wise as row ids, extend through the hash and
+// index stages a batch at a time, probe words read a column at a time. An
+// index stage looks each distinct key up once per open and filters its
+// bucket with column kernels. Tuples come out in the row pipeline's order:
+// driving rows in order, each followed by its matches in build-row (or
+// bucket) order. Compiled by tryVecSelect; any structural or type obstacle
+// falls back to the row pipeline before the operator is ever constructed.
 type vecSelectOp struct {
 	r  *planRun
 	n  *plan.Node
 	ev *Evaluator
 
-	q0    *qgm.Quantifier
+	// vecCols are the driving stage's columns; used marks the ones a
+	// materialized driver transposes.
+	vecCols
 	drive *plan.Node // the driving stage's child
 	// materialized: drive is not a base-table scan; its rows are drained at
-	// open and stages[0] is built over them.
+	// open.
 	materialized bool
-	// colTypes are the driving columns' types as the kernels may read them
-	// (TNull: not columnar); used marks the ones a materialized driver
-	// transposes.
-	colTypes []datum.Type
-	used     []bool
-	preds    []vecPred
-	stages   []*vecStage
-	projSrcs []vecProjSrc // nil: project through env + projectRow
+	preds        []vecPred
+	stages       []*vecStage
+	projSrcs     []vecProjSrc // nil: project through env + projectRow
 
-	tbl  vec.Table
 	rows []datum.Row
 	vis  []int32 // visibility selection; nil when every stored version is visible
-	tab  *vec.Intern
-	strs []string
 
 	env        Env
 	chunkStart int
@@ -566,12 +594,10 @@ func (r *planRun) tryVecSelect(n *plan.Node) operator {
 	if st0.Access != plan.AccessStream {
 		return nil
 	}
-	o := &vecSelectOp{r: r, n: n, ev: ev, q0: st0.Quant, drive: st0.Child}
+	o := &vecSelectOp{r: r, n: n, ev: ev, drive: st0.Child}
+	o.q, o.params = st0.Quant, ev.Params
 	if t := st0.Child.Box.Table; st0.Child.Kind == plan.OpScan && t != nil {
-		o.colTypes = make([]datum.Type, len(t.Columns))
-		for i, c := range t.Columns {
-			o.colTypes[i] = c.Type
-		}
+		o.colTypes = columnTypes(t)
 	} else {
 		if len(st0.Residual) > 0 || len(n.Stages) < 2 {
 			return nil
@@ -598,9 +624,9 @@ func (r *planRun) tryVecSelect(n *plan.Node) operator {
 		}
 		o.stages = append(o.stages, vs)
 	}
-	if o.materialized {
-		// The stage built over the driver hashes a base table on driving
-		// columns alone.
+	if o.materialized && o.stages[0].rel == nil {
+		// A hash stage behind a materialized driver hashes a base table on
+		// driving columns alone, and is built over the driver.
 		vs := o.stages[0]
 		vs.onDriver = true
 		if vs.st.Child.Kind != plan.OpScan {
@@ -648,14 +674,24 @@ func idCols(n int, alloc bool) [][]int32 {
 	return cols
 }
 
+// columnTypes returns the declared types of t's columns.
+func columnTypes(t *catalog.Table) []datum.Type {
+	types := make([]datum.Type, len(t.Columns))
+	for i, c := range t.Columns {
+		types[i] = c.Type
+	}
+	return types
+}
+
 // storedType returns the declared type of column ord of box b when every
 // value it can hold is a stored value of a base-table column of that type —
 // b is a base table, or the column reaches such columns through plain column
-// references of select boxes and the branches of a union — and TNull
-// otherwise. Storage widens every value to its column's type, so only such
-// columns transpose into a typed vec.Col faithfully; a computed column may
-// not hold its static type (a CASE with INT and FLOAT branches is FLOAT, yet
-// yields INTs).
+// references of select boxes, plain column grouping keys of group-by boxes
+// (a group's key is its first row's value) and the branches of a union —
+// and TNull otherwise. Storage widens every value to its column's type, so
+// only such columns transpose into a typed vec.Col faithfully; a computed
+// column may not hold its static type (a CASE with INT and FLOAT branches is
+// FLOAT, yet yields INTs).
 func storedType(b *qgm.Box, ord int) datum.Type {
 	switch {
 	case b.Kind == qgm.KindBaseTable:
@@ -664,6 +700,12 @@ func storedType(b *qgm.Box, ord int) datum.Type {
 	case b.Kind == qgm.KindSelect:
 		if cr, ok := b.Output[ord].Expr.(*qgm.ColRef); ok {
 			return storedType(cr.Q.Ranges, cr.Ord)
+		}
+	case b.Kind == qgm.KindGroupBy:
+		if ord < len(b.GroupBy) {
+			if cr, ok := b.GroupBy[ord].(*qgm.ColRef); ok {
+				return storedType(cr.Q.Ranges, cr.Ord)
+			}
 		}
 	case b.Kind == qgm.KindUnion:
 		t := storedType(b.Quantifiers[0].Ranges, ord)
@@ -677,10 +719,10 @@ func storedType(b *qgm.Box, ord int) datum.Type {
 	return datum.TNull
 }
 
-// colType returns the type of driving column ord as the kernels may read it,
-// or TNull when it cannot be read columnar. A materialized driver transposes
+// colType returns the type of column ord as the kernels may read it, or
+// TNull when it cannot be read columnar. A materialized driver transposes
 // exactly the columns some compile asked for here.
-func (o *vecSelectOp) colType(ord int) datum.Type {
+func (o *vecCols) colType(ord int) datum.Type {
 	if ord >= len(o.colTypes) {
 		return datum.TNull
 	}
@@ -701,7 +743,7 @@ func (o *vecSelectOp) compileProj() {
 		if !ok {
 			return
 		}
-		if cr.Q == o.q0 {
+		if cr.Q == o.q {
 			srcs[i] = vecProjSrc{stage: -1, ord: cr.Ord}
 			continue
 		}
@@ -720,12 +762,13 @@ func (o *vecSelectOp) compileProj() {
 	o.projSrcs = srcs
 }
 
-// compileStage compiles one hash stage: key classes must pair up statically
-// (numeric/string/boolean) so normalized words can never collide across
-// classes, and every probe source must be a driving column, an earlier
-// stage's column, or a constant.
+// compileStage compiles one hash or index stage: key classes must pair up
+// statically (numeric/string/boolean) so normalized words can never collide
+// across classes, and every probe source must be a driving column, an
+// earlier stage's column, or a constant.
 func (o *vecSelectOp) compileStage(st *plan.Stage) (*vecStage, bool) {
-	if st.Access != plan.AccessHash || len(st.KeyMine) == 0 || len(st.KeyMine) > vec.MaxKeyCols {
+	index := st.Access == plan.AccessIndex
+	if !index && st.Access != plan.AccessHash || len(st.KeyMine) == 0 || len(st.KeyMine) > vec.MaxKeyCols {
 		return nil, false
 	}
 	vs := &vecStage{st: st, quant: st.Quant, filters: st.Residual}
@@ -745,13 +788,39 @@ func (o *vecSelectOp) compileStage(st *plan.Stage) (*vecStage, bool) {
 		vs.keyOrds = append(vs.keyOrds, cr.Ord)
 		vs.probes = append(vs.probes, ps)
 	}
-	return vs, true
+	return vs, !index || o.compileIndex(vs)
+}
+
+// compileIndex prepares index stage vs. The view's capture of the stage's
+// relation must hold the index (the row pipeline handles a missing one).
+// The stage's leading residuals that compile to kernels over its own
+// columns filter each bucket; the first that does not, and every residual
+// after it, runs per extended tuple, so no residual is evaluated for a row
+// the row pipeline would not evaluate it for.
+func (o *vecSelectOp) compileIndex(vs *vecStage) bool {
+	t := vs.quant.Ranges.Table
+	rel, ok := o.ev.view.Relation(t.Name)
+	if !ok || !rel.HasIndex(vs.st.IndexCols) {
+		return false
+	}
+	vs.rel = rel
+	vs.cols = vecCols{q: vs.quant, colTypes: columnTypes(t), params: o.params}
+	for len(vs.filters) > 0 {
+		p, ok := vs.cols.compilePred(vs.filters[0])
+		if !ok {
+			break
+		}
+		vs.preds = append(vs.preds, p)
+		vs.filters = vs.filters[1:]
+	}
+	vs.key = make(datum.Row, len(vs.probes))
+	return true
 }
 
 func (o *vecSelectOp) compileProbe(e qgm.Expr) (probeSrc, bool) {
 	switch x := e.(type) {
 	case *qgm.ColRef:
-		if x.Q == o.q0 {
+		if x.Q == o.q {
 			c := vecClass(o.colType(x.Ord))
 			if c == 0 {
 				return probeSrc{}, false
@@ -771,10 +840,10 @@ func (o *vecSelectOp) compileProbe(e qgm.Expr) (probeSrc, bool) {
 	case *qgm.Const:
 		return o.compileConstProbe(x.Val)
 	case *qgm.Param:
-		if x.Ord >= len(o.ev.Params) {
+		if x.Ord >= len(o.params) {
 			return probeSrc{}, false
 		}
-		return o.compileConstProbe(o.ev.Params[x.Ord])
+		return o.compileConstProbe(o.params[x.Ord])
 	}
 	return probeSrc{}, false
 }
@@ -807,10 +876,10 @@ type compiledVal struct {
 	num     *numExpr
 }
 
-func (o *vecSelectOp) compileVal(e qgm.Expr) (compiledVal, bool) {
+func (o *vecCols) compileVal(e qgm.Expr) (compiledVal, bool) {
 	switch x := e.(type) {
 	case *qgm.ColRef:
-		if x.Q != o.q0 {
+		if x.Q != o.q {
 			return compiledVal{}, false
 		}
 		c := vecClass(o.colType(x.Ord))
@@ -821,10 +890,10 @@ func (o *vecSelectOp) compileVal(e qgm.Expr) (compiledVal, bool) {
 	case *qgm.Const:
 		return compiledVal{class: vecClass(x.Val.T), col: -1, isConst: true, d: x.Val}, true
 	case *qgm.Param:
-		if x.Ord >= len(o.ev.Params) {
+		if x.Ord >= len(o.params) {
 			return compiledVal{}, false
 		}
-		d := o.ev.Params[x.Ord]
+		d := o.params[x.Ord]
 		return compiledVal{class: vecClass(d.T), col: -1, isConst: true, d: d}, true
 	case *qgm.Arith, *qgm.Neg:
 		num, ok := o.compileNum(e)
@@ -839,10 +908,10 @@ func (o *vecSelectOp) compileVal(e qgm.Expr) (compiledVal, bool) {
 // compileNum compiles an arithmetic tree to the numeric VM. Div and Mod
 // are rejected: their divide-by-zero errors are data-dependent and must
 // fire lazily in row order, which the row pipeline provides.
-func (o *vecSelectOp) compileNum(e qgm.Expr) (*numExpr, bool) {
+func (o *vecCols) compileNum(e qgm.Expr) (*numExpr, bool) {
 	switch x := e.(type) {
 	case *qgm.ColRef:
-		if x.Q != o.q0 {
+		if x.Q != o.q {
 			return nil, false
 		}
 		t := o.colType(x.Ord)
@@ -857,10 +926,10 @@ func (o *vecSelectOp) compileNum(e qgm.Expr) (*numExpr, bool) {
 		}
 		return n.withBufs(), true
 	case *qgm.Param:
-		if x.Ord >= len(o.ev.Params) {
+		if x.Ord >= len(o.params) {
 			return nil, false
 		}
-		n, ok := o.compileNumConst(o.ev.Params[x.Ord])
+		n, ok := o.compileNumConst(o.params[x.Ord])
 		if !ok {
 			return nil, false
 		}
@@ -888,7 +957,7 @@ func (o *vecSelectOp) compileNum(e qgm.Expr) (*numExpr, bool) {
 	return nil, false
 }
 
-func (o *vecSelectOp) compileNumConst(d datum.D) (*numExpr, bool) {
+func (o *vecCols) compileNumConst(d datum.D) (*numExpr, bool) {
 	switch {
 	case d.IsNull():
 		// NULL arithmetic propagates NULL whatever the other side; the
@@ -902,7 +971,7 @@ func (o *vecSelectOp) compileNumConst(d datum.D) (*numExpr, bool) {
 	return nil, false
 }
 
-func (o *vecSelectOp) compilePred(e qgm.Expr) (vecPred, bool) {
+func (o *vecCols) compilePred(e qgm.Expr) (vecPred, bool) {
 	switch x := e.(type) {
 	case *qgm.Cmp:
 		return o.compileCmp(x)
@@ -932,27 +1001,27 @@ func (o *vecSelectOp) compilePred(e qgm.Expr) (vecPred, bool) {
 		return &notPred{x: xp}, true
 	case *qgm.IsNull:
 		cr, ok := x.X.(*qgm.ColRef)
-		if !ok || cr.Q != o.q0 || o.colType(cr.Ord) == datum.TNull {
+		if !ok || cr.Q != o.q || o.colType(cr.Ord) == datum.TNull {
 			return nil, false
 		}
 		return &isNullPred{col: cr.Ord, negate: x.Negate}, true
 	case *qgm.ColRef:
-		if x.Q != o.q0 || o.colType(x.Ord) != datum.TBool {
+		if x.Q != o.q || o.colType(x.Ord) != datum.TBool {
 			return nil, false
 		}
 		return &boolColPred{col: x.Ord}, true
 	case *qgm.Const:
 		return o.compileConstPred(x.Val)
 	case *qgm.Param:
-		if x.Ord >= len(o.ev.Params) {
+		if x.Ord >= len(o.params) {
 			return nil, false
 		}
-		return o.compileConstPred(o.ev.Params[x.Ord])
+		return o.compileConstPred(o.params[x.Ord])
 	}
 	return nil, false
 }
 
-func (o *vecSelectOp) compileConstPred(d datum.D) (vecPred, bool) {
+func (o *vecCols) compileConstPred(d datum.D) (vecPred, bool) {
 	if d.IsNull() {
 		return &constTVPred{tv: datum.Unknown}, true
 	}
@@ -962,7 +1031,7 @@ func (o *vecSelectOp) compileConstPred(d datum.D) (vecPred, bool) {
 	return &constTVPred{tv: datum.FromBool(d.B)}, true
 }
 
-func (o *vecSelectOp) compileCmp(x *qgm.Cmp) (vecPred, bool) {
+func (o *vecCols) compileCmp(x *qgm.Cmp) (vecPred, bool) {
 	l, ok := o.compileVal(x.L)
 	if !ok {
 		return nil, false
@@ -1036,7 +1105,7 @@ func (o *vecSelectOp) compileCmp(x *qgm.Cmp) (vecPred, bool) {
 
 // asNum lifts a compiled numeric value into the VM (plain columns and
 // constants become leaf nodes with scratch buffers).
-func (o *vecSelectOp) asNum(v compiledVal) (*numExpr, bool) {
+func (o *vecCols) asNum(v compiledVal) (*numExpr, bool) {
 	if v.num != nil {
 		return v.num, true
 	}
@@ -1081,7 +1150,16 @@ func (o *vecSelectOp) open() error {
 		rows, err := o.r.drain(o.drive)
 		o.rows, o.vis = rows, nil
 		o.tbl = vec.Table{N: len(rows), Cols: make([]vec.Col, len(o.colTypes))}
-		return err
+		if err != nil {
+			return err
+		}
+		o.openIndexes()
+		if vs := o.stages[0]; !vs.onDriver {
+			// buildOnDriver transposes at the first probe; an index stage
+			// probes with the driving columns right away.
+			o.transpose(vs.cols.tab)
+		}
+		return nil
 	}
 	rel, ok := ev.view.Relation(o.drive.Box.Table.Name)
 	if !ok {
@@ -1091,7 +1169,8 @@ func (o *vecSelectOp) open() error {
 	// visibility selection; kernels stay oblivious to MVCC and the pred loop
 	// simply starts from o.vis slices instead of Iota ranges.
 	o.tbl, o.rows, o.vis, o.tab = rel.Vec()
-	// The string snapshot is taken after the table snapshot, so it resolves
+	o.openIndexes()
+	// The string snapshot is taken after the table snapshots, so it resolves
 	// every id the columns can hold.
 	o.strs = o.tab.Strs()
 	ev.Counters.BoxEvals++ // driving scan box, same as scanOp.open
@@ -1117,16 +1196,8 @@ func (o *vecSelectOp) buildOnDriver(vs *vecStage) error {
 	if err != nil {
 		return err
 	}
-	vs.tbl, vs.rows, o.tab = &tbl, rows, tab
-	for j, use := range o.used {
-		if use {
-			o.tbl.Cols[j] = vec.NewCol(o.colTypes[j])
-			for _, row := range o.rows {
-				o.tbl.Cols[j].Append(row[j], tab)
-			}
-		}
-	}
-	o.strs = tab.Strs()
+	vs.tbl, vs.rows = &tbl, rows
+	o.transpose(tab)
 	o.r.stats[vs.st.Child.ID].Vectorized = true
 
 	n := o.tbl.N
@@ -1226,6 +1297,38 @@ func (o *vecSelectOp) buildOnDriver(vs *vecStage) error {
 		}
 	}
 	return nil
+}
+
+// transpose copies the driving columns some compile asked for out of a
+// materialized driver's rows into typed columns, interning strings through
+// tab, the intern table of the base columns they meet.
+func (o *vecSelectOp) transpose(tab *vec.Intern) {
+	o.tab = tab
+	for j, use := range o.used {
+		if use {
+			o.tbl.Cols[j] = vec.NewCol(o.colTypes[j])
+			for _, row := range o.rows {
+				o.tbl.Cols[j].Append(row[j], tab)
+			}
+		}
+	}
+	o.strs = tab.Strs()
+}
+
+// openIndexes captures each index stage's relation for this open: its
+// columns (the bucket kernels', the projection's and the group-by's), its
+// rows, and an empty set of probed keys.
+func (o *vecSelectOp) openIndexes() {
+	for _, vs := range o.stages {
+		if vs.rel == nil {
+			continue
+		}
+		tbl, rows, _, tab := vs.rel.Vec()
+		vs.cols.tbl, vs.cols.tab, vs.cols.strs = tbl, tab, tab.Strs()
+		vs.tbl, vs.rows = &vs.cols.tbl, rows
+		vs.seen = make(map[vec.Key]int32)
+		vs.link = make([]int32, tbl.N)
+	}
 }
 
 // window returns rows [lo, hi) of c as a column of their own.
@@ -1366,7 +1469,7 @@ func (o *vecSelectOp) refill() (vec.Sel, bool, error) {
 			break
 		}
 		tvs := o.tvs[:len(sel)]
-		p.eval(o, sel, tvs)
+		p.eval(&o.vecCols, sel, tvs)
 		sel = vec.FilterTrue(sel, tvs, o.selB[:0])
 		o.selA, o.selB = o.selB, o.selA
 	}
@@ -1478,6 +1581,9 @@ func (o *vecSelectOp) expand(s int, out [][]int32) (int, error) {
 // that was never interned probes and misses.
 func (o *vecSelectOp) probe(vs *vecStage, n int) error {
 	heads := vs.heads[:n]
+	if vs.rel != nil {
+		return o.probeIndex(vs, n)
+	}
 	if vs.onDriver {
 		if !vs.built {
 			if err := o.buildOnDriver(vs); err != nil {
@@ -1508,6 +1614,96 @@ func (o *vecSelectOp) probe(vs *vecStage, n int) error {
 	}
 	o.ev.Counters.HashProbes += int64(lookupRun(vs.jt, o.words[:len(vs.probes)], nulls, miss, heads))
 	return nil
+}
+
+// probeIndex sets the chain heads of the n tuples in vs.in from the stage's
+// index: a key already probed this open takes its chain again, a new one is
+// looked up once (lookupKey). The accounting is the row pipeline's, which
+// probes once per binding: every tuple counts one index lookup, a NULL key
+// component included, and no looked-up row counts as a base row.
+func (o *vecSelectOp) probeIndex(vs *vecStage, n int) error {
+	heads, nulls, miss := vs.heads[:n], o.nulls[:n], o.miss[:n]
+	clear(nulls)
+	clear(miss)
+	words := o.words[:len(vs.probes)]
+	for p := range vs.probes {
+		o.probeWords(&vs.probes[p], vs.in, words[p][:n], nulls, miss, uint8(1)<<p)
+	}
+	o.ev.Counters.IndexLookups += int64(n)
+	var key vec.Key
+	for k := range heads {
+		heads[k] = -1
+		if nulls[k] != 0 || miss[k] {
+			continue // a NULL, or a string no stored value can equal
+		}
+		for p, w := range words {
+			key.V[p] = w[k]
+		}
+		head, ok := vs.seen[key]
+		if !ok {
+			var err error
+			if head, err = o.lookupKey(vs, k); err != nil {
+				return err
+			}
+			vs.seen[key] = head
+		}
+		heads[k] = head
+	}
+	return nil
+}
+
+// lookupKey looks the key of tuple k of vs.in up in the stage's index —
+// the datums the row pipeline would probe with, so the encoding is the
+// index's own — runs the bucket through the stage's compiled residuals
+// vecBatch row ids at a time, and chains the survivors through vs.link in
+// bucket order, the order the row pipeline's lookup returns them in. It
+// returns the chain head, -1 when no row survives. Equal normalized words
+// mean equal index keys, so the first tuple of a key speaks for all.
+func (o *vecSelectOp) lookupKey(vs *vecStage, k int) (int32, error) {
+	for p := range vs.probes {
+		vs.key[p] = o.probeDatum(&vs.probes[p], vs.in, k)
+	}
+	ids, _ := vs.rel.LookupIDs(vs.st.IndexCols, vs.key, vs.bucket[:0])
+	vs.bucket = ids
+	if err := o.ev.tickN(len(ids)); err != nil {
+		return -1, err
+	}
+	head, last := int32(-1), int32(-1)
+	for lo := 0; lo < len(ids); lo += vecBatch {
+		sel := ids[lo:min(lo+vecBatch, len(ids))]
+		for _, p := range vs.preds {
+			if len(sel) == 0 {
+				break
+			}
+			tvs := o.tvs[:len(sel)]
+			p.eval(&vs.cols, sel, tvs)
+			sel = vec.FilterTrue(sel, tvs, sel[:0])
+		}
+		for _, id := range sel {
+			if last < 0 {
+				head = id
+			} else {
+				vs.link[last] = id
+			}
+			last = id
+		}
+	}
+	if last >= 0 {
+		vs.link[last] = -1
+	}
+	return head, nil
+}
+
+// probeDatum returns key position ps of tuple k of in as the row pipeline
+// evaluates it.
+func (o *vecSelectOp) probeDatum(ps *probeSrc, in [][]int32, k int) datum.D {
+	switch ps.kind {
+	case probeDrive:
+		return o.rows[in[0][k]][ps.ord]
+	case probeStage:
+		return o.stages[ps.stage].rows[in[ps.stage+1][k]][ps.ord]
+	}
+	return ps.d
 }
 
 // probeWords writes key position ps of each tuple in in to words, or's bit
@@ -1615,7 +1811,7 @@ func (o *vecSelectOp) buildWord(d datum.D) uint64 {
 // bind binds the quantifiers of tuple k of in — the driving row and the
 // rows matched at stages before s — in env.
 func (o *vecSelectOp) bind(s int, in [][]int32, k int) {
-	o.env[o.q0] = o.rows[in[0][k]]
+	o.env[o.q] = o.rows[in[0][k]]
 	for t := 0; t < s; t++ {
 		vs := o.stages[t]
 		o.env[vs.quant] = vs.rows[in[t+1][k]]
@@ -1728,6 +1924,7 @@ func (o *vecSelectOp) close() error {
 	for _, vs := range o.stages {
 		vs.rows, vs.tbl, vs.jt, vs.ids = nil, nil, nil, nil
 		vs.grp, vs.first, vs.link = nil, nil, nil
+		vs.cols.tbl, vs.cols.strs, vs.seen = vec.Table{}, nil, nil
 	}
 	return nil
 }

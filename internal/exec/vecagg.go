@@ -115,7 +115,7 @@ func (g *vecGroupByOp) compileSrc(e qgm.Expr) *vecSrc {
 	se := o.n.Box.Output[cr.Ord].Expr
 	if x, ok := se.(*qgm.ColRef); ok {
 		switch {
-		case x.Q == o.q0:
+		case x.Q == o.q:
 			if t := o.colType(x.Ord); vecClass(t) != 0 {
 				return &vecSrc{stage: -1, ord: x.Ord, t: t}
 			}
@@ -156,9 +156,9 @@ func (s *vecSrc) load(o *vecSelectOp, drive, ident vec.Sel) (*vec.Col, vec.Sel) 
 	switch {
 	case s.num != nil:
 		if s.num.isInt {
-			s.num.evalI(o, drive, s.buf.I64, s.buf.Nulls)
+			s.num.evalI(&o.vecCols, drive, s.buf.I64, s.buf.Nulls)
 		} else {
-			s.num.evalF(o, drive, s.buf.F64, s.buf.Nulls)
+			s.num.evalF(&o.vecCols, drive, s.buf.F64, s.buf.Nulls)
 		}
 		return &s.buf, ident
 	case s.stage < 0:
@@ -270,7 +270,7 @@ func (g *vecGroupByOp) open() error {
 // the tuple's rows. It runs once per group, not per input row.
 func (g *vecGroupByOp) keyRow(k int, drive vec.Sel) (datum.Row, error) {
 	o := g.sel
-	o.env[o.q0] = o.rows[drive[k]]
+	o.env[o.q] = o.rows[drive[k]]
 	for _, vs := range o.stages {
 		o.env[vs.quant] = vs.rows[vs.ids[k]]
 	}

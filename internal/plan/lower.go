@@ -155,7 +155,7 @@ func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
 		return lw.bridge(b, "cyclic")
 	case b.Recursive:
 		n := lw.p.newNode(OpFixpoint, b, "fixpoint "+boxName(b))
-		n.Detail = "semi-naive iteration"
+		n.Detail = "naive iteration"
 		n.EstRows = lw.est.Card(b)
 		n.EstMem = n.EstRows * estWidth(b)
 		return n
@@ -348,6 +348,7 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 			probes *= lw.est.Selectivity(b, pred)
 		}
 		probes = max(probes, 1)
+		st.EstRows = probes
 
 		switch {
 		case corr:
@@ -430,14 +431,18 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 // select pipeline. The driving stage is either a base-table scan whose
 // residual filters are kernel-compilable, or any other input without
 // residual filters — a magic or supplementary-magic box, say — provided the
-// next stage hashes a base table on the driver's columns alone: the executor
+// next stage hashes a base table on the driver's columns alone (the executor
 // then builds the join table over the driver's few rows and streams the base
-// table through it, instead of building over the whole table. Every later
-// stage is a hash join keyed on at most vec.MaxKeyCols plain
-// column/constant expressions, and nothing forces row-at-a-time finishing
-// (scalar subqueries, semi/anti checks, post-predicates). The executor
-// re-verifies at build time against runtime types and the memory mode; this
-// flag is the shared structural judgment surfaced in EXPLAIN.
+// table through it, instead of building over the whole table) or is a
+// columnar index stage. Every later stage is a hash join or a columnar index
+// stage, keyed on at most vec.MaxKeyCols plain column/constant expressions,
+// and nothing forces row-at-a-time finishing (scalar subqueries, semi/anti
+// checks, post-predicates). An index stage is columnar only when it is
+// estimated to emit at least VecBatch tuples: the executor probes each
+// distinct key once and filters the bucket with column kernels, which pays
+// for its setup only over full batches. The executor re-verifies at build
+// time against runtime types and the memory mode; this flag is the shared
+// structural judgment surfaced in EXPLAIN.
 func vectorizableSelect(n *Node) bool {
 	if len(n.Scalars) > 0 || len(n.Subqs) > 0 || len(n.PostPreds) > 0 || len(n.Stages) == 0 {
 		return false
@@ -449,7 +454,10 @@ func vectorizableSelect(n *Node) bool {
 				return false
 			}
 			if st.Child.Kind != OpScan {
-				if len(st.Residual) > 0 || len(n.Stages) < 2 || !drivesBaseBuild(&n.Stages[1], st.Quant) {
+				if len(st.Residual) > 0 || len(n.Stages) < 2 {
+					return false
+				}
+				if next := &n.Stages[1]; next.Access != AccessIndex && !drivesBaseBuild(next, st.Quant) {
 					return false
 				}
 				continue
@@ -461,7 +469,8 @@ func vectorizableSelect(n *Node) bool {
 			}
 			continue
 		}
-		if st.Access != AccessHash || len(st.KeyMine) == 0 || len(st.KeyMine) > maxVecKeys {
+		columnarIndex := st.Access == AccessIndex && st.EstRows >= VecBatch
+		if st.Access != AccessHash && !columnarIndex || len(st.KeyMine) == 0 || len(st.KeyMine) > maxVecKeys {
 			return false
 		}
 		for _, e := range st.KeyMine {
@@ -499,7 +508,7 @@ func drivesBaseBuild(st *Stage, q *qgm.Quantifier) bool {
 // aggregation: the input is a vectorizable select pipeline, there are at
 // most vec.MaxKeyCols group keys, no aggregate is DISTINCT, and every key
 // and aggregate argument is an input column the select produces as a plain
-// column of its driving stage or of a base-table hash stage, or as
+// column of its driving stage or of a base-table hash or index stage, or as
 // kernel-compilable arithmetic over the driving stage (a scan, or a
 // materialized driver). The executor re-verifies against runtime types and
 // the memory mode.

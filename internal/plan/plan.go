@@ -51,8 +51,9 @@ const (
 	OpLimit
 	// OpTrim drops trailing hidden ORDER BY support columns.
 	OpTrim
-	// OpFixpoint evaluates a recursive view by semi-naive iteration (a
-	// pipeline breaker) and streams the fixpoint out.
+	// OpFixpoint evaluates a recursive view by naive iteration (a pipeline
+	// breaker: each round re-evaluates the whole body against the
+	// accumulated set) and streams the fixpoint out.
 	OpFixpoint
 	// OpBoxEval bridges to the classic evaluator: the box is materialized
 	// (and memoized when closed) rather than streamed. Used for correlated
@@ -141,7 +142,16 @@ type Stage struct {
 	Residual []qgm.Expr
 	// Child is the operator producing the stage's input rows.
 	Child *Node
+	// EstRows is the estimated number of tuples the pipeline holds after
+	// this stage: the bindings reaching it times its child's rows times the
+	// selectivity of its predicates, as opt.pipelineCost counts them.
+	EstRows float64
 }
+
+// VecBatch is the vectorized executor's chunk size in rows. Lowering sends
+// an index stage to the columnar path only when the stage is estimated to
+// emit at least one chunk.
+const VecBatch = 512
 
 // SubqMode selects how an Exists/ForAll quantifier check executes.
 type SubqMode uint8
@@ -217,14 +227,12 @@ type Node struct {
 	// evaluator's accounting.
 	BoxRoot bool
 
-	// Vec marks an operator the lowering judged vectorizable: a select
-	// pipeline whose driving stage streams a base-table scan, whose later
-	// stages are all hash joins on at most vec.MaxKeyCols column/constant
-	// keys, and whose driving-stage filters compile to column kernels. The
-	// executor makes the final call at build time (it re-verifies against
-	// runtime types and the memory mode) and records the outcome in
-	// OpStats.Vectorized; a planned-but-not-executed vectorization falls
-	// back to the row pipeline with identical semantics.
+	// Vec marks an operator the lowering judged vectorizable (see
+	// vectorizableSelect and vectorizableGroupBy). The executor makes the
+	// final call at build time (it re-verifies against runtime types and
+	// the memory mode) and records the outcome in OpStats.Vectorized; a
+	// planned-but-not-executed vectorization falls back to the row pipeline
+	// with identical semantics.
 	Vec bool
 }
 

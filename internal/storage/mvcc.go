@@ -190,15 +190,18 @@ func (r *Relation) AbortDelete(pos int) {
 // relCapture is one relation's state captured under the read lock: the
 // append-only backing arrays plus the version count. Entries [0, n) of the
 // captured arrays never change except for stamp resolution, which is
-// benign (see the package comment on stale captures).
+// benign (see the package comment on stale captures). indexes is the index
+// generation the arrays belong to: positions it holds address these arrays
+// even after a vacuum or rebuild has swapped in new ones.
 type relCapture struct {
-	n      int
-	rows   []datum.Row
-	begins []uint64
-	ends   []uint64
-	cols   []vec.Col
-	tab    *vec.Intern
-	all    bool // every version in [0, n) is visible to the capturing snapshot
+	n       int
+	rows    []datum.Row
+	begins  []uint64
+	ends    []uint64
+	cols    []vec.Col
+	indexes []*HashIndex
+	tab     *vec.Intern
+	all     bool // every version in [0, n) is visible to the capturing snapshot
 }
 
 // capture snapshots the relation's backing arrays for snapshot s. The
@@ -207,7 +210,7 @@ type relCapture struct {
 // guarantees every committed begin stamp is already reflected in maxBegin.
 func (r *Relation) capture(s Snap, withCols bool) relCapture {
 	r.mu.RLock()
-	c := relCapture{n: len(r.rows), rows: r.rows, begins: r.begins, ends: r.ends, tab: r.tab}
+	c := relCapture{n: len(r.rows), rows: r.rows, begins: r.begins, ends: r.ends, indexes: r.indexes, tab: r.tab}
 	if withCols {
 		c.cols = make([]vec.Col, len(r.cols))
 		copy(c.cols, r.cols)
@@ -329,7 +332,7 @@ func (r *Relation) Vacuum(horizon uint64) int {
 	cols := newCols(r.Meta)
 	indexes := newIndexes(r.Meta)
 	for _, idx := range r.indexes { // preserve indexes added after create
-		if r.findIndexIn(indexes, idx.Cols) == nil {
+		if findIndexIn(indexes, idx.Cols) == nil {
 			indexes = append(indexes, &HashIndex{
 				Cols:    append([]int(nil), idx.Cols...),
 				buckets: make(map[string][]int),
@@ -365,34 +368,6 @@ func (r *Relation) Vacuum(horizon uint64) int {
 	r.dirty.Store(dirty)
 	r.maxBegin.Store(maxBegin)
 	return dead
-}
-
-// findIndexIn matches cols against idxs as a set (AddIndex may have added
-// an index whose column set duplicates a declared one).
-func (r *Relation) findIndexIn(idxs []*HashIndex, cols []int) *HashIndex {
-	for _, idx := range idxs {
-		if len(idx.Cols) != len(cols) {
-			continue
-		}
-		match := true
-		for _, c := range cols {
-			found := false
-			for _, ic := range idx.Cols {
-				if ic == c {
-					found = true
-					break
-				}
-			}
-			if !found {
-				match = false
-				break
-			}
-		}
-		if match {
-			return idx
-		}
-	}
-	return nil
 }
 
 // Garbage estimates the number of reclaimable versions (dead or aborted,
@@ -573,4 +548,39 @@ func (rv *RelView) Lookup(cols []int, key datum.Row) ([]datum.Row, bool) {
 // buffer has grown to the largest bucket.
 func (rv *RelView) LookupInto(cols []int, key datum.Row, dst []datum.Row) ([]datum.Row, bool) {
 	return rv.rel.lookupInto(cols, key, rv.snap, dst)
+}
+
+// HasIndex reports whether the captured index generation has an index over
+// exactly cols, so LookupIDs can serve it.
+func (rv *RelView) HasIndex(cols []int) bool {
+	return findIndexIn(rv.cap.indexes, cols) != nil
+}
+
+// LookupIDs is Lookup returning positions instead of rows: it appends to dst
+// the positions, into the arrays Vec returns, of the captured versions whose
+// indexed columns equal key and that the view's snapshot sees, in ascending
+// order — the order Lookup returns their rows in. It probes the index
+// generation captured with the arrays, never the live one: after a vacuum
+// the live index holds positions into the new arrays. Versions appended
+// after the capture are skipped. The boolean reports whether the captured
+// generation has an index over exactly cols.
+func (rv *RelView) LookupIDs(cols []int, key datum.Row, dst []int32) ([]int32, bool) {
+	c := &rv.cap
+	idx := findIndexIn(c.indexes, cols)
+	if idx == nil {
+		return dst, false
+	}
+	r := rv.rel
+	r.mu.RLock() // appends still write into a generation that is live
+	defer r.mu.RUnlock()
+	positions, ok := idx.probe(cols, key)
+	for _, pos := range positions {
+		if pos >= c.n {
+			break // bucket positions ascend; the rest came after the capture
+		}
+		if c.all || rv.snap.Visible(atomic.LoadUint64(&c.begins[pos]), atomic.LoadUint64(&c.ends[pos])) {
+			dst = append(dst, int32(pos))
+		}
+	}
+	return dst, ok
 }

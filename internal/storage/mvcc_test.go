@@ -323,3 +323,63 @@ func TestConcurrentAppendScan(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupIDsFollowTheCapture: LookupIDs returns positions into the
+// arrays its view captured, cut to the view's snapshot, in the order Lookup
+// returns rows — also after a vacuum has compacted the relation and rebuilt
+// its indexes, and with a version appended after the capture in the bucket.
+func TestLookupIDsFollowTheCapture(t *testing.T) {
+	r := NewRelation(empMeta())
+	for i := 0; i < 12; i++ {
+		if err := r.Insert(datum.Row{datum.Int(int64(i)), datum.Int(int64(i % 3)), datum.Float(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := txnID(1)
+	var marks []int
+	if _, err := r.DeleteWhere(Snap{TS: 4, Self: id}, id,
+		func(row datum.Row) (bool, error) { return row[0].I == 1 || row[0].I == 4, nil },
+		func(pos int, _ datum.Row) { marks = append(marks, pos) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, pos := range marks {
+		r.FinishDelete(pos, 5)
+	}
+	rv := newRelView(r, Snap{TS: 6})
+	pos, err := r.Append(datum.Row{datum.Int(100), datum.Int(1), datum.Float(1)}, txnID(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.FinishAppend(pos, 7)
+	if n := r.Vacuum(6); n != 2 {
+		t.Fatalf("vacuum reclaimed %d, want 2", n)
+	}
+
+	_, rows, _, _ := rv.Vec()
+	key := datum.Row{datum.Int(1)}
+	ids, ok := rv.LookupIDs([]int{1}, key, nil)
+	if !ok {
+		t.Fatal("LookupIDs found no index on workdept")
+	}
+	var got []string
+	for _, id := range ids {
+		got = append(got, fmt.Sprint(rows[id][0].I))
+	}
+	want, _ := rv.LookupInto([]int{1}, key, nil)
+	var wantS []string
+	for _, row := range want {
+		wantS = append(wantS, fmt.Sprint(row[0].I))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(wantS) || fmt.Sprint(got) != "[7 10]" {
+		t.Fatalf("LookupIDs rows %v, Lookup rows %v, want [7 10]", got, wantS)
+	}
+	if ids, ok := rv.LookupIDs([]int{1}, datum.Row{datum.NullOf(datum.TInt)}, nil); !ok || len(ids) != 0 {
+		t.Fatalf("NULL key: %v %v", ids, ok)
+	}
+	if !rv.HasIndex([]int{1}) || rv.HasIndex([]int{2}) {
+		t.Fatal("HasIndex disagrees with the declared indexes")
+	}
+	if _, ok := rv.LookupIDs([]int{2}, key, nil); ok {
+		t.Fatal("LookupIDs served an index that does not exist")
+	}
+}

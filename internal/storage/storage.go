@@ -230,10 +230,18 @@ func (r *Relation) Lookup(cols []int, key datum.Row) ([]datum.Row, bool) {
 // (false) from an empty probe result (true, nil). Caller holds the read
 // lock.
 func (r *Relation) probeLocked(cols []int, key datum.Row) ([]int, bool) {
-	idx := r.findIndexLocked(cols)
+	idx := findIndexIn(r.indexes, cols)
 	if idx == nil {
 		return nil, false
 	}
+	return idx.probe(cols, key)
+}
+
+// probe returns the positions whose indexed columns equal key, given in the
+// order of cols; false when cols does not cover idx.Cols. The probe itself
+// is allocation-free (pooled scratch plus the string(buf) map index).
+// Caller holds the relation's read lock.
+func (idx *HashIndex) probe(cols []int, key datum.Row) ([]int, bool) {
 	pb := probePool.Get().(*probeBuf)
 	defer probePool.Put(pb)
 	// The index stores keys in idx.Cols order; reorder the probe key to
@@ -262,10 +270,11 @@ func (r *Relation) probeLocked(cols []int, key datum.Row) ([]int, bool) {
 	return idx.buckets[string(pb.key)], true
 }
 
-// findIndexLocked matches cols against an index as a set, without
-// allocating (Lookup is the executor's per-outer-row hot path).
-func (r *Relation) findIndexLocked(cols []int) *HashIndex {
-	for _, idx := range r.indexes {
+// findIndexIn matches cols against idxs as a set (AddIndex may have added
+// an index whose column set duplicates a declared one), without allocating
+// (Lookup is the executor's per-outer-row hot path).
+func findIndexIn(idxs []*HashIndex, cols []int) *HashIndex {
+	for _, idx := range idxs {
 		if len(idx.Cols) != len(cols) {
 			continue
 		}
