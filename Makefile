@@ -29,10 +29,12 @@ cover:
 
 # Full verification gate: formatting, build, vet, tests, the race detector
 # (engine includes the crash-recovery suite in durable_test.go), the fast
-# answer gate, and the benchmark's self-agreement check: every workload's
-# timed pass twice, answers against the frozen digests, metrics within
-# BENCHMARK.json's bounds.
+# answer gate, vet and tests of the benchmark module (its own go.mod, so the
+# root build never compiles it), and the benchmark's self-agreement check:
+# every workload's timed pass twice, answers against the frozen digests,
+# metrics within BENCHMARK.json's bounds.
 check: fmt-check build test race answers
+	cd benchmark && $(GO) vet ./... && $(GO) test .
 	bash benchmark/run.sh --agree
 
 # The fast answer gate: a 3 s run of each gated workload (BENCHMARK.json)

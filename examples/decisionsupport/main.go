@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -89,7 +90,7 @@ func main() {
 
 // run prepares once and returns the fastest of three executions.
 func run(db *starmagic.DB, query string, s starmagic.Strategy) time.Duration {
-	p, err := db.Prepare(query, s)
+	p, err := db.PrepareContext(context.Background(), query, starmagic.WithStrategy(s))
 	if err != nil {
 		log.Fatal(err)
 	}

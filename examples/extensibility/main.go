@@ -216,7 +216,7 @@ func main() {
 	fmt.Printf("rows: %d (reference %d)\n", len(rows), len(refRows))
 	fmt.Printf("EMST plan used: %v, cost %.0f -> %.0f\n", res.UsedEMST, res.CostBefore, res.CostAfter)
 
-	for _, s := range res.Snapshots {
+	for _, s := range res.Phases {
 		if s.Name == "phase2" {
 			fmt.Println("\n--- phase 2 graph (magic descended into the outer-join's outer side) ---")
 			fmt.Print(s.Dump)

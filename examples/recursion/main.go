@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -30,6 +31,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	db := starmagic.Open()
 	db.MustExec(`
 	CREATE TABLE part (partno INT, pname VARCHAR(30), factory INT, unitcost FLOAT, PRIMARY KEY (partno));
@@ -145,7 +147,7 @@ func main() {
 	for _, s := range []starmagic.Strategy{
 		starmagic.StrategyOriginal, starmagic.StrategyCorrelated, starmagic.StrategyEMST,
 	} {
-		res, err := db.QueryWith(query, s)
+		res, err := db.QueryContext(ctx, query, starmagic.WithStrategy(s))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -172,11 +174,11 @@ func main() {
 	// 3. Recursion: transitive containment of assembly 1 (assemblies are
 	// numbered 1..120; sub-assembly links arise where a component's partno
 	// collides with an assembly number).
-	res, err := db.Query("SELECT COUNT(*) FROM contains WHERE asmno = 1")
+	res, err := db.QueryContext(ctx, "SELECT COUNT(*) FROM contains WHERE asmno = 1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	direct, err := db.Query("SELECT COUNT(*) FROM component WHERE asmno = 1")
+	direct, err := db.QueryContext(ctx, "SELECT COUNT(*) FROM component WHERE asmno = 1")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func main() {
 	if res.Rows[0][0].I < direct.Rows[0][0].I {
 		log.Fatal("fixpoint lost rows")
 	}
-	agg, err := db.Query("SELECT nparts FROM partCount WHERE asmno = 1")
+	agg, err := db.QueryContext(ctx, "SELECT nparts FROM partCount WHERE asmno = 1")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -89,7 +90,7 @@ func main() {
 		for i, s := range []starmagic.Strategy{
 			starmagic.StrategyOriginal, starmagic.StrategyCorrelated, starmagic.StrategyEMST,
 		} {
-			p, err := db.Prepare(q.sql, s)
+			p, err := db.PrepareContext(context.Background(), q.sql, starmagic.WithStrategy(s))
 			if err != nil {
 				log.Fatalf("%s: %v", q.name, err)
 			}

@@ -98,26 +98,18 @@ func RunAblations(db *engine.Database, experimentIDs []string, reps int) ([]Abla
 }
 
 func runAblation(db *engine.Database, e Experiment, v AblationVariant, reps int) (AblationRow, error) {
-	q, err := sql.ParseQuery(e.Query)
+	g, err := buildFor(db, e.Query)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	g, err := semant.NewBuilder(db.Catalog()).Build(q)
+	res, err := optimizeWith(g, v)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	res, err := core.Optimize(g, core.Options{Ablations: v.Ablations})
-	if err != nil {
+	if err := res.Graph.Check(); err != nil {
 		return AblationRow{}, err
 	}
-	// Execute the transformed graph itself (g), not the fallback, so the
-	// ablated transformation is what is measured.
-	plan := g
-	if err := plan.Check(); err != nil {
-		return AblationRow{}, err
-	}
-	_ = res
-	stats := plan.Stats()
+	stats := res.Graph.Stats()
 	row := AblationRow{
 		Experiment: e.ID,
 		Variant:    v.Name,
@@ -131,7 +123,7 @@ func runAblation(db *engine.Database, e Experiment, v AblationVariant, reps int)
 	for i := 0; i < reps; i++ {
 		ev := exec.New(db.Store())
 		start := time.Now()
-		if _, err := ev.EvalGraph(plan); err != nil {
+		if _, _, err := ev.EvalPlan(res.Physical); err != nil {
 			return AblationRow{}, err
 		}
 		if d := time.Since(start); d < row.Elapsed {
@@ -164,8 +156,6 @@ func FormatAblations(rows []AblationRow) string {
 	return s
 }
 
-// Helpers for ablation tests.
-
 func buildFor(db *engine.Database, query string) (*qgm.Graph, error) {
 	q, err := sql.ParseQuery(query)
 	if err != nil {
@@ -174,8 +164,11 @@ func buildFor(db *engine.Database, query string) (*qgm.Graph, error) {
 	return semant.NewBuilder(db.Catalog()).Build(q)
 }
 
+// optimizeWith runs the EMST pipeline under one variant's ablations. The
+// cost comparison is skipped, so the ablated transformation itself is what
+// executes and what is measured.
 func optimizeWith(g *qgm.Graph, v AblationVariant) (*core.Result, error) {
-	return core.Optimize(g, core.Options{Ablations: v.Ablations})
+	return core.Optimize(g, core.Options{Strategy: core.EMST, ForceEMST: true, Ablations: v.Ablations})
 }
 
 func newEval(db *engine.Database) *exec.Evaluator { return exec.New(db.Store()) }

@@ -38,8 +38,8 @@ func TestCorrelatedEligibility(t *testing.T) {
 
 	// The phase-2 graph must contain a magic box whose output is a
 	// correlated reference to the outer employee quantifier.
-	var p2 Snapshot
-	for _, s := range res.Snapshots {
+	var p2 Phase
+	for _, s := range res.Phases {
 		if s.Name == "phase2" {
 			p2 = s
 		}
@@ -88,7 +88,7 @@ func TestCorrelatedMagicRestrictsSubqueryWork(t *testing.T) {
 		  SELECT 1 FROM avgSal v
 		  WHERE v.workdept = e.workdept AND v.avgsalary > 0)`
 
-	orig := optimizeQuery(t, db, query, Options{SkipEMST: true})
+	orig := optimizeQuery(t, db, query, Options{Strategy: Original})
 	_, evOrig, err := db.Eval(orig.Graph)
 	if err != nil {
 		t.Fatal(err)

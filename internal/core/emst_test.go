@@ -125,23 +125,23 @@ func TestQueryDUsesEMST(t *testing.T) {
 func TestFigure4Shape(t *testing.T) {
 	db := paperDB(t, 40, 25)
 	res := optimizeQuery(t, db, testutil.QueryD, Options{Snapshots: true})
-	byName := map[string]Snapshot{}
-	for _, s := range res.Snapshots {
+	byName := map[string]Phase{}
+	for _, s := range res.Phases {
 		byName[s.Name] = s
 	}
 	p1, ok1 := byName["phase1"]
 	p2, ok2 := byName["phase2"]
 	p3, ok3 := byName["phase3"]
 	if !ok1 || !ok2 || !ok3 {
-		t.Fatalf("missing snapshots: %v", res.Snapshots)
+		t.Fatalf("missing snapshots: %v", res.Phases)
 	}
 	// Phase 1 (upper right of Figure 4): select box QUERY, group-by box,
 	// T1 select box, two base tables.
-	if p1.Stats.SelectBoxes != 2 || p1.Stats.GroupBys != 1 {
-		t.Errorf("phase1 shape: %s\n%s", p1.Stats, p1.Dump)
+	if p1.Boxes.SelectBoxes != 2 || p1.Boxes.GroupBys != 1 {
+		t.Errorf("phase1 shape: %s\n%s", p1.Boxes, p1.Dump)
 	}
 	// Phase 2 (lower left): magic machinery present.
-	if p2.Stats.MagicBoxes == 0 {
+	if p2.Boxes.MagicBoxes == 0 {
 		t.Errorf("phase2 has no magic boxes:\n%s", p2.Dump)
 	}
 	if !strings.Contains(p2.Dump, "supp-magic") {
@@ -152,11 +152,11 @@ func TestFigure4Shape(t *testing.T) {
 	}
 	// Phase 3 (lower right): exactly one extra box and one extra join
 	// compared to phase 1.
-	if got, want := p3.Stats.Boxes-p1.Stats.Boxes, 1; got != want {
+	if got, want := p3.Boxes.Boxes-p1.Boxes.Boxes, 1; got != want {
 		t.Errorf("phase3 extra boxes = %d; want %d\nphase1:\n%s\nphase3:\n%s",
 			got, want, p1.Dump, p3.Dump)
 	}
-	if got, want := p3.Stats.Joins-p1.Stats.Joins, 1; got != want {
+	if got, want := p3.Boxes.Joins-p1.Boxes.Joins, 1; got != want {
 		t.Errorf("phase3 extra joins = %d; want %d\nphase3:\n%s", got, want, p3.Dump)
 	}
 }
@@ -166,8 +166,8 @@ func TestFigure4Shape(t *testing.T) {
 func TestQueryDAdornments(t *testing.T) {
 	db := paperDB(t, 40, 25)
 	res := optimizeQuery(t, db, testutil.QueryD, Options{Snapshots: true})
-	var p2 Snapshot
-	for _, s := range res.Snapshots {
+	var p2 Phase
+	for _, s := range res.Phases {
 		if s.Name == "phase2" {
 			p2 = s
 		}
@@ -227,7 +227,7 @@ func TestMagicRestrictsComputation(t *testing.T) {
 	// department, which is exactly what magic exploits.
 	query := "SELECT d.deptname, s.avgsalary FROM department d, avgSal s " +
 		"WHERE d.deptno = s.workdept AND d.deptname = 'Planning'"
-	orig := optimizeQuery(t, db, query, Options{SkipEMST: true})
+	orig := optimizeQuery(t, db, query, Options{Strategy: Original})
 	wantRows, evOrig, err := db.Eval(orig.Graph)
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +280,8 @@ func TestSharedViewSameAdornmentUnionsMagic(t *testing.T) {
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("results differ:\ngot  %v\nwant %v\n%s", got, want, res.Graph.Dump())
 	}
-	var p2 Snapshot
-	for _, s := range res.Snapshots {
+	var p2 Phase
+	for _, s := range res.Phases {
 		if s.Name == "phase2" {
 			p2 = s
 		}
@@ -316,8 +316,8 @@ func TestConditionAdornment(t *testing.T) {
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("results differ:\ngot  %v\nwant %v", got, want)
 	}
-	var p2 Snapshot
-	for _, s := range res.Snapshots {
+	var p2 Phase
+	for _, s := range res.Phases {
 		if s.Name == "phase2" {
 			p2 = s
 		}
@@ -385,8 +385,8 @@ func TestNMQDescentThroughUnion(t *testing.T) {
 		t.Errorf("results differ:\ngot  %v\nwant %v\n%s", got, want, res.Graph.Dump())
 	}
 	// Phase-2 graph: both union branches restricted by magic quantifiers.
-	var p2 Snapshot
-	for _, s := range res.Snapshots {
+	var p2 Phase
+	for _, s := range res.Phases {
 		if s.Name == "phase2" {
 			p2 = s
 		}
@@ -398,9 +398,9 @@ func TestNMQDescentThroughUnion(t *testing.T) {
 
 func TestOriginalModeSkipsEMST(t *testing.T) {
 	db := paperDB(t, 12, 6)
-	res := optimizeQuery(t, db, testutil.QueryD, Options{SkipEMST: true})
+	res := optimizeQuery(t, db, testutil.QueryD, Options{Strategy: Original})
 	if res.UsedEMST {
-		t.Error("SkipEMST must not use EMST")
+		t.Error("Original must not use EMST")
 	}
 	for _, b := range res.Graph.Reachable() {
 		if b.IsMagic() {
@@ -463,8 +463,8 @@ func TestNestedSupplementaryChain(t *testing.T) {
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Fatalf("results differ:\ngot  %v\nwant %v", got, want)
 	}
-	var p2 Snapshot
-	for _, s := range res.Snapshots {
+	var p2 Phase
+	for _, s := range res.Phases {
 		if s.Name == "phase2" {
 			p2 = s
 		}

@@ -80,8 +80,8 @@ func TestExceptViewMagicDescent(t *testing.T) {
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Fatalf("results differ:\ngot  %v\nwant %v\n%s", got, want, res.Graph.Dump())
 	}
-	var p2 Snapshot
-	for _, s := range res.Snapshots {
+	var p2 Phase
+	for _, s := range res.Phases {
 		if s.Name == "phase2" {
 			p2 = s
 		}

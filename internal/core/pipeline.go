@@ -12,13 +12,40 @@ import (
 	"starmagic/internal/rewrite"
 )
 
+// Strategy selects which boxes of the Figure 2/3 pipeline run: the three
+// columns of the paper's Table 1.
+type Strategy int
+
+const (
+	// EMST runs the full three-phase pipeline; the cheaper of the pre- and
+	// post-transformation plans executes (§3.2). This is the default.
+	EMST Strategy = iota
+	// Original runs only phase-1 rewrite: views materialize in full.
+	Original
+	// Correlated pushes join predicates into private view copies as
+	// correlation and re-evaluates them per outer row without caching.
+	Correlated
+)
+
+func (s Strategy) String() string {
+	switch s {
+	case EMST:
+		return "emst"
+	case Original:
+		return "original"
+	case Correlated:
+		return "correlated"
+	}
+	return "?"
+}
+
 // Options configures the optimization pipeline.
 type Options struct {
-	// SkipEMST runs only phase-1 rewrite plus plan optimization (the
-	// "Original" strategy of Table 1).
-	SkipEMST bool
-	// Snapshots records a dump of the graph after each phase (qgmviz and
-	// the Figure 1/4 tests read them).
+	// Strategy selects the pipeline branch after the first plan
+	// optimization (default EMST).
+	Strategy Strategy
+	// Snapshots records a dump of the graph after each rewrite phase (qgmviz,
+	// EXPLAIN and the Figure 1/4 tests read them).
 	Snapshots bool
 	// Validate runs Graph.Check after every rule application.
 	Validate bool
@@ -28,8 +55,8 @@ type Options struct {
 	// timed-out query stops optimizing early.
 	Ctx context.Context
 	// Tracer, when non-nil, receives one span per pipeline stage (the
-	// boxes of Figures 2 and 3): phase1, plan-opt1, phase2, phase3,
-	// plan-opt2.
+	// boxes of Figures 2 and 3): phase1, plan-opt1, then phase2, phase3
+	// (EMST) or correlate (Correlated), plan-opt2, lower.
 	Tracer obs.Tracer
 
 	// NoHist makes the estimators of both plan-optimization passes and of
@@ -38,8 +65,9 @@ type Options struct {
 	// rewrites.
 	NoHist bool
 	// ForceEMST executes the post-EMST plan even when the cost comparison
-	// favors the pre-EMST one. A/B benchmarks and the skewed-plan oracle use
-	// it to measure the runtime of the strategy the optimizer rejected.
+	// favors the pre-EMST one. A/B benchmarks, the ablation study and the
+	// skewed-plan oracle use it to measure the runtime of the strategy the
+	// optimizer rejected. Other strategies ignore it.
 	ForceEMST bool
 
 	// Ablations disable individual design choices for the ablation study
@@ -66,11 +94,17 @@ type Ablations struct {
 	DeclarationOrderSIPS bool
 }
 
-// Snapshot is the state of the graph after one pipeline stage.
-type Snapshot struct {
-	Name  string
-	Stats qgm.Stats
-	Dump  string
+// Phase is one pipeline stage: its wall-clock and, when snapshots are
+// recorded, the QGM graph as it stood after the stage. A snapshot taken
+// where no stage ran (the initial graph, the correlated graph) is a phase of
+// its own with no duration.
+type Phase struct {
+	Name     string
+	Duration time.Duration
+	// HasSnapshot marks phases whose Boxes/Dump/DOT fields are populated.
+	HasSnapshot bool
+	Boxes       qgm.Stats
+	Dump        string
 	// DOT is the Graphviz rendering of the same graph (cmd/qgmviz -dot).
 	DOT string
 }
@@ -87,25 +121,19 @@ type Result struct {
 	// one.
 	UsedEMST bool
 	// CostBefore/CostAfter are the optimizer's estimates for the pre- and
-	// post-EMST plans (§3.2 step 5).
+	// post-EMST plans (§3.2 step 5). Strategies without the comparison
+	// report the cost of their only plan as both.
 	CostBefore, CostAfter float64
-	// PlansConsidered sums join orders examined across both plan-
+	// PlansConsidered sums join orders examined across the plan-
 	// optimization invocations.
 	PlansConsidered int
-	// Snapshots, when requested, holds the graph after each phase.
-	Snapshots []Snapshot
-	// Phases records wall-clock per pipeline stage in execution order
-	// (phase1, plan-opt1, phase2, phase3, plan-opt2, lower).
-	Phases []PhaseTiming
+	// Phases records each pipeline stage in execution order (phase1,
+	// plan-opt1, the strategy's stages, lower), with the graph snapshots
+	// when requested.
+	Phases []Phase
 	// RuleStats tallies rewrite-rule attempts and fires across all rewrite
 	// phases of this optimization.
 	RuleStats []rewrite.RuleStat
-}
-
-// PhaseTiming is the wall-clock of one pipeline stage.
-type PhaseTiming struct {
-	Name     string
-	Duration time.Duration
 }
 
 // Optimize runs the paper's optimization architecture (Figures 2 and 3):
@@ -116,70 +144,134 @@ type PhaseTiming struct {
 //	phase-3 query rewrite        → simplify the magic graph (EMST disabled)
 //	plan optimization            → cost of the EMST plan
 //	cost comparison              → execute the cheaper plan
+//	lowering                     → the physical operator tree
 //
 // The back edge from plan optimization to query rewrite in Figure 2 is the
 // call sequence here. The guarantee (§3.2): usage of the EMST rule cannot
-// degrade the query plan produced without it.
+// degrade the query plan produced without it. Table 1's other strategies
+// are branches of the same pipeline: Original lowers the phase-1 plan, and
+// Correlated replaces phases 2 and 3 with view correlation.
 func Optimize(g *qgm.Graph, o Options) (*Result, error) {
-	res := &Result{}
-	stats := &rewrite.Stats{}
-	defer func() { res.RuleStats = stats.Snapshot() }()
-	snap := func(name string) {
-		if o.Snapshots {
-			res.Snapshots = append(res.Snapshots, Snapshot{
-				Name:  name,
-				Stats: g.Stats(),
-				Dump:  g.Dump(),
-				DOT:   g.DumpDOT(name),
-			})
-		}
-	}
-	// stage wraps one pipeline box of Figure 2/3 in a span and a timing
-	// entry, checking for cancellation before starting the work.
-	stage := func(name string, f func() error) error {
-		if o.Ctx != nil {
-			if err := o.Ctx.Err(); err != nil {
-				return err
-			}
-		}
-		sp := obs.Start(o.Tracer, name)
-		start := time.Now()
-		err := f()
-		sp.End()
-		res.Phases = append(res.Phases, PhaseTiming{Name: name, Duration: time.Since(start)})
-		return err
-	}
-	snap("initial")
+	p := &pipeline{o: o, g: g, res: &Result{}, stats: &rewrite.Stats{}}
+	res := p.res
+	defer func() { res.RuleStats = p.stats.Snapshot() }()
+	p.snap("initial")
 
 	// Phase 1: rewrite rules that do not depend on join orders.
-	if err := stage("phase1", func() error {
-		return runPhase(g, o, stats, Phase1Rules()...)
+	if err := p.stage("phase1", func() error {
+		return runPhase(p.g, p.o, p.stats, Phase1Rules()...)
 	}); err != nil {
 		return res, fmt.Errorf("phase 1: %w", err)
 	}
-	snap("phase1")
+	p.snap("phase1")
 
 	// Plan optimization #1: join orders for EMST, and the no-EMST cost.
-	var r1 opt.Result
-	if err := stage("plan-opt1", func() error {
-		r1 = opt.OptimizeEst(g, opt.NewEstimatorWith(nil, o.NoHist))
+	r1, err := p.planOpt("plan-opt1")
+	if err != nil {
+		return res, err
+	}
+	res.Graph = g
+	res.CostBefore, res.CostAfter = r1.Cost, r1.Cost
+	res.PlansConsidered = r1.PlansConsidered
+
+	switch o.Strategy {
+	case Original:
+	case Correlated:
+		err = p.correlate()
+	case EMST:
+		err = p.emst(r1)
+	default:
+		err = fmt.Errorf("unknown strategy %v", o.Strategy)
+	}
+	if err != nil {
+		return res, err
+	}
+
+	// Lowering: the winning graph plus its chosen join orders become the
+	// physical operator tree the streaming executor runs.
+	err = p.stage("lower", func() error {
+		res.Physical = plan.LowerWith(res.Graph, opt.NewEstimatorWith(nil, o.NoHist))
+		return nil
+	})
+	return res, err
+}
+
+// pipeline is one Optimize call's state: the graph being rewritten and the
+// result its stages record into.
+type pipeline struct {
+	o     Options
+	g     *qgm.Graph
+	res   *Result
+	stats *rewrite.Stats
+}
+
+// stage wraps one pipeline box of Figure 2/3 in a span and a phase entry,
+// checking for cancellation before starting the work.
+func (p *pipeline) stage(name string, f func() error) error {
+	if p.o.Ctx != nil {
+		if err := p.o.Ctx.Err(); err != nil {
+			return err
+		}
+	}
+	sp := obs.Start(p.o.Tracer, name)
+	start := time.Now()
+	err := f()
+	sp.End()
+	p.res.Phases = append(p.res.Phases, Phase{Name: name, Duration: time.Since(start)})
+	return err
+}
+
+// snap records the graph when snapshots are on: on the phase just run when
+// it has this name, else as a phase of its own.
+func (p *pipeline) snap(name string) {
+	if !p.o.Snapshots {
+		return
+	}
+	ph := Phase{Name: name, HasSnapshot: true, Boxes: p.g.Stats(), Dump: p.g.Dump(), DOT: p.g.DumpDOT(name)}
+	if n := len(p.res.Phases); n > 0 && p.res.Phases[n-1].Name == name {
+		ph.Duration = p.res.Phases[n-1].Duration
+		p.res.Phases[n-1] = ph
+		return
+	}
+	p.res.Phases = append(p.res.Phases, ph)
+}
+
+// planOpt runs one plan optimization over the current graph with a fresh
+// estimator.
+func (p *pipeline) planOpt(name string) (opt.Result, error) {
+	var r opt.Result
+	err := p.stage(name, func() error {
+		r = opt.OptimizeEst(p.g, opt.NewEstimatorWith(nil, p.o.NoHist))
+		return nil
+	})
+	return r, err
+}
+
+// correlate is the Correlated strategy's branch: join predicates move into
+// private view copies, and the correlated graph is costed once more. Its
+// only plan is the one executed.
+func (p *pipeline) correlate() error {
+	if err := p.stage("correlate", func() error {
+		rewrite.CorrelateViews(p.g)
 		return nil
 	}); err != nil {
-		return res, err
+		return err
 	}
-	res.CostBefore = r1.Cost
-	res.PlansConsidered += r1.PlansConsidered
-
-	if o.SkipEMST {
-		res.Graph = g
-		res.CostAfter = r1.Cost
-		err := stage("lower", func() error {
-			res.Physical = plan.LowerWith(res.Graph, opt.NewEstimatorWith(nil, o.NoHist))
-			return nil
-		})
-		return res, err
+	r2, err := p.planOpt("plan-opt2")
+	p.snap("correlated")
+	if err != nil {
+		return err
 	}
+	p.res.CostBefore, p.res.CostAfter = r2.Cost, r2.Cost
+	p.res.PlansConsidered += r2.PlansConsidered
+	return nil
+}
 
+// emst is the EMST strategy's branch: phase 2 applies the transformation
+// along plan-opt1's join orders, phase 3 simplifies the magic graph, and
+// the §3.2 cost comparison against r1 picks the graph to execute.
+func (p *pipeline) emst(r1 opt.Result) error {
+	o, g, res := p.o, p.g, p.res
 	// Keep the pre-EMST plan for the cost comparison.
 	fallback := g.CloneGraph()
 
@@ -191,22 +283,22 @@ func Optimize(g *qgm.Graph, o Options) (*Result, error) {
 
 	// Phase 2: EMST plus the join-order-independent rules (the paper keeps
 	// graph-simplifying merges for phase 3).
-	if err := stage("phase2", func() error {
+	if err := p.stage("phase2", func() error {
 		emst := NewEMSTRule()
 		emst.NoSupplementary = o.Ablations.NoSupplementary
 		phase2 := []rewrite.Rule{emst, rewrite.LocalPushdownRule{}}
 		if !o.Ablations.NoDistinctPullup {
 			phase2 = append(phase2, rewrite.DistinctPullupRule{})
 		}
-		return runPhase(g, o, stats, phase2...)
+		return runPhase(g, o, p.stats, phase2...)
 	}); err != nil {
-		return res, fmt.Errorf("phase 2: %w", err)
+		return fmt.Errorf("phase 2: %w", err)
 	}
 	clearMagicLinks(g)
-	snap("phase2")
+	p.snap("phase2")
 
 	// Phase 3: simplify the magic graph; EMST disabled.
-	if err := stage("phase3", func() error {
+	if err := p.stage("phase3", func() error {
 		if o.Ablations.NoPhase3 {
 			return nil
 		}
@@ -214,38 +306,25 @@ func Optimize(g *qgm.Graph, o Options) (*Result, error) {
 		if o.Ablations.NoDistinctPullup {
 			phase3 = withoutRule(phase3, rewrite.DistinctPullupRule{}.Name())
 		}
-		return runPhase(g, o, stats, phase3...)
+		return runPhase(g, o, p.stats, phase3...)
 	}); err != nil {
-		return res, fmt.Errorf("phase 3: %w", err)
+		return fmt.Errorf("phase 3: %w", err)
 	}
-	snap("phase3")
+	p.snap("phase3")
 
 	// Plan optimization #2 and the cost comparison.
-	var r2 opt.Result
-	if err := stage("plan-opt2", func() error {
-		r2 = opt.OptimizeEst(g, opt.NewEstimatorWith(nil, o.NoHist))
-		return nil
-	}); err != nil {
-		return res, err
+	r2, err := p.planOpt("plan-opt2")
+	if err != nil {
+		return err
 	}
 	res.CostAfter = r2.Cost
 	res.PlansConsidered += r2.PlansConsidered
 	if o.ForceEMST || r2.Cost <= r1.Cost {
-		res.Graph = g
 		res.UsedEMST = true
 	} else {
 		res.Graph = fallback
 	}
-
-	// Lowering: the winning graph plus its chosen join orders become the
-	// physical operator tree the streaming executor runs.
-	if err := stage("lower", func() error {
-		res.Physical = plan.LowerWith(res.Graph, opt.NewEstimatorWith(nil, o.NoHist))
-		return nil
-	}); err != nil {
-		return res, err
-	}
-	return res, nil
+	return nil
 }
 
 // Phase1Rules are the join-order-independent rewrite rules (§3.3): local

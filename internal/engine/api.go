@@ -15,10 +15,8 @@ import (
 	"starmagic/internal/datum"
 	"starmagic/internal/exec"
 	"starmagic/internal/obs"
-	"starmagic/internal/opt"
 	"starmagic/internal/plan"
 	"starmagic/internal/qgm"
-	"starmagic/internal/rewrite"
 	"starmagic/internal/semant"
 	"starmagic/internal/sql"
 )
@@ -114,12 +112,6 @@ func WithRowLimit(n int64) QueryOption {
 	return func(c *queryConfig) { c.rowLimit = n }
 }
 
-// WithSnapshots captures QGM graph dumps after each rewrite phase into the
-// plan's ExplainInfo (ExplainContext always captures them).
-func WithSnapshots() QueryOption {
-	return func(c *queryConfig) { c.snapshots = true }
-}
-
 // WithMemoryLimit caps this call's resident operator state at n bytes,
 // overriding the database-wide SetMemoryLimit per-query default (0 removes
 // the cap for this call even if a default is set). Under the cap,
@@ -181,7 +173,7 @@ func (db *Database) QueryContext(ctx context.Context, query string, opts ...Quer
 // returns the structured account: per-phase timings and QGM snapshots,
 // rule-fire counts, the cost comparison, and the chosen plan's join orders.
 func (db *Database) ExplainContext(ctx context.Context, query string, opts ...QueryOption) (*ExplainInfo, error) {
-	opts = append(opts[:len(opts):len(opts)], WithSnapshots())
+	opts = append(opts[:len(opts):len(opts)], func(c *queryConfig) { c.snapshots = true })
 	p, err := db.PrepareContext(ctx, query, opts...)
 	if err != nil {
 		return nil, err
@@ -289,7 +281,7 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 		start := time.Now()
 		err := f()
 		sp.End()
-		explain.Phases = append(explain.Phases, PhaseInfo{Name: name, Duration: time.Since(start)})
+		explain.Phases = append(explain.Phases, core.Phase{Name: name, Duration: time.Since(start)})
 		return err
 	}
 
@@ -317,58 +309,37 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 	explain.Params = numParams
 
 	start := time.Now()
-	info := PlanInfo{Strategy: cfg.strategy}
-	var phys *plan.Plan
-	switch cfg.strategy {
-	case Original, EMST:
-		res, err := core.Optimize(g, core.Options{
-			SkipEMST:  cfg.strategy == Original,
-			Snapshots: cfg.snapshots,
-			Ctx:       ctx,
-			Tracer:    cfg.tracer,
-			NoHist:    db.noHist.Load(),
-			ForceEMST: cfg.forceEMST,
-		})
-		if res != nil {
-			explain.addPipelinePhases(res)
-		}
-		if err != nil {
-			return nil, err
-		}
-		g = res.Graph
-		phys = res.Physical
-		info.UsedEMST = res.UsedEMST
-		info.CostBefore, info.CostAfter = res.CostBefore, res.CostAfter
-		info.PlansConsidered = res.PlansConsidered
-	case Correlated:
-		res, err := db.prepareCorrelated(ctx, g, cfg, explain)
-		if err != nil {
-			return nil, err
-		}
-		info.CostAfter = res.Cost
-		info.PlansConsidered = res.PlansConsidered
-		if err := timed("lower", func() error {
-			phys = plan.LowerWith(g, db.newEstimator())
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown strategy %v", cfg.strategy)
+	res, err := core.Optimize(g, core.Options{
+		Strategy:  cfg.strategy,
+		Snapshots: cfg.snapshots,
+		Ctx:       ctx,
+		Tracer:    cfg.tracer,
+		NoHist:    db.noHist.Load(),
+		ForceEMST: cfg.forceEMST,
+	})
+	if err != nil {
+		return nil, err
 	}
-	info.OptimizeTime = time.Since(start)
+	info := PlanInfo{
+		Strategy:        cfg.strategy,
+		UsedEMST:        res.UsedEMST,
+		CostBefore:      res.CostBefore,
+		CostAfter:       res.CostAfter,
+		PlansConsidered: res.PlansConsidered,
+		OptimizeTime:    time.Since(start),
+	}
+	g = res.Graph
 	if err := g.Check(); err != nil {
 		return nil, fmt.Errorf("engine: optimized graph invalid: %w", err)
 	}
-
-	explain.CostBefore, explain.CostAfter = info.CostBefore, info.CostAfter
-	explain.UsedEMST = info.UsedEMST
-	explain.PlansConsidered = info.PlansConsidered
+	explain.Phases = append(explain.Phases, res.Phases...)
+	explain.Rules = res.RuleStats
+	explain.CostBefore, explain.CostAfter = res.CostBefore, res.CostAfter
+	explain.UsedEMST = res.UsedEMST
+	explain.PlansConsidered = res.PlansConsidered
 	explain.JoinOrders = joinOrders(g)
-	if phys != nil {
-		explain.Physical = phys.String()
-		explain.Operators = phys.Report(nil)
-	}
+	explain.Physical = res.Physical.String()
+	explain.Operators = res.Physical.Report(nil)
 	if cfg.snapshots {
 		explain.PlanDOT = g.DumpDOT("executed plan")
 	}
@@ -381,7 +352,7 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 	return &Prepared{
 		db:        db,
 		graph:     g,
-		phys:      phys,
+		phys:      res.Physical,
 		columns:   cols,
 		numParams: numParams,
 		strategy:  cfg.strategy,
@@ -392,75 +363,14 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 	}, nil
 }
 
-// newEstimator builds an estimator under the database's histogram mode.
-func (db *Database) newEstimator() *opt.Estimator {
-	return opt.NewEstimatorWith(nil, db.noHist.Load())
-}
-
-// prepareCorrelated runs the Correlated strategy's pipeline (phase-1
-// rewrite, plan optimization, view correlation, plan optimization) with the
-// same span/timing instrumentation as the core pipeline.
-func (db *Database) prepareCorrelated(ctx context.Context, g *qgm.Graph, cfg queryConfig, explain *ExplainInfo) (opt.Result, error) {
-	var res opt.Result
-	stats := &rewrite.Stats{}
-	snap := func(name string) {
-		if cfg.snapshots {
-			explain.Phases = append(explain.Phases, PhaseInfo{
-				Name:        name,
-				HasSnapshot: true,
-				Boxes:       g.Stats(),
-				Dump:        g.Dump(),
-				DOT:         g.DumpDOT(name),
-			})
-		}
-	}
-	stage := func(name string, f func() error) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sp := obs.Start(cfg.tracer, name)
-		start := time.Now()
-		err := f()
-		sp.End()
-		explain.Phases = append(explain.Phases, PhaseInfo{Name: name, Duration: time.Since(start)})
-		return err
-	}
-	snap("initial")
-	if err := stage("phase1", func() error {
-		engine := rewrite.NewEngine(core.Phase1Rules()...)
-		return engine.Run(&rewrite.Context{G: g, Stats: stats})
-	}); err != nil {
-		return res, err
-	}
-	if err := stage("plan-opt1", func() error {
-		opt.OptimizeEst(g, db.newEstimator())
-		return nil
-	}); err != nil {
-		return res, err
-	}
-	if err := stage("correlate", func() error {
-		rewrite.CorrelateViews(g)
-		return nil
-	}); err != nil {
-		return res, err
-	}
-	err := stage("plan-opt2", func() error {
-		res = opt.OptimizeEst(g, db.newEstimator())
-		return nil
-	})
-	snap("correlated")
-	explain.Rules = stats.Snapshot()
-	return res, err
-}
-
 // ExecuteContext runs the prepared plan with a fresh evaluator under ctx.
 // Counters in the returned Result are this run's alone (they reset between
-// executions), so repeated runs are directly comparable. When the plan was
-// lowered to a physical operator tree (the default) the streaming executor
-// runs it and the result carries per-operator counters; WithMaterialized
-// falls back to box-at-a-time evaluation. Optional args bind the query's
-// `?` placeholders for this run only, overriding WithArgs values captured
-// at prepare time; the cached plan itself is binding-invariant.
+// executions), so repeated runs are directly comparable. The streaming
+// executor runs the lowered physical plan and the result carries
+// per-operator counters; WithMaterialized falls back to box-at-a-time
+// evaluation. Optional args bind the query's `?` placeholders for this run
+// only, overriding WithArgs values captured at prepare time; the cached plan
+// itself is binding-invariant.
 func (p *Prepared) ExecuteContext(ctx context.Context, args ...any) (*Result, error) {
 	r, err := p.ExecuteRows(ctx, args...)
 	if err != nil {
@@ -498,7 +408,7 @@ func opSamples(reports []plan.OpReport) []obs.OpSample {
 
 // Explain returns the structured optimization account captured when the
 // plan was prepared (QGM snapshots included only when the plan was prepared
-// with WithSnapshots or through ExplainContext).
+// through ExplainContext).
 func (p *Prepared) Explain() *ExplainInfo { return p.explain }
 
 // Metrics returns a snapshot of database-wide activity: plan and query

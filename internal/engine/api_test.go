@@ -10,9 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"starmagic/internal/core"
 	"starmagic/internal/datum"
 	"starmagic/internal/exec"
 	"starmagic/internal/obs"
+	"starmagic/internal/opt"
+	"starmagic/internal/plan"
+	"starmagic/internal/rewrite"
+	"starmagic/internal/semant"
+	"starmagic/internal/sql"
 )
 
 // denseGraphDB builds a strongly connected graph whose transitive closure
@@ -200,6 +206,54 @@ func TestExplainContextStructured(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("String() missing %q", want)
 		}
+	}
+}
+
+// TestCorrelatedPlanAccounting stages the Correlated strategy by hand —
+// phase-1 rewrite, plan optimization, view correlation, plan optimization,
+// lowering — and checks ExplainContext against it: PlansConsidered sums both
+// plan optimizations, and both costs are the cost of the only plan produced,
+// which is the one lowered.
+func TestCorrelatedPlanAccounting(t *testing.T) {
+	db := newDB(t)
+	db.Analyze() // the statistics ExplainContext would freshen first
+	query := `SELECT d.deptname, s.avgsalary FROM department d, avgMgrSal s
+		WHERE d.deptno = s.workdept AND d.deptname = 'Planning'`
+	q, err := sql.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := semant.NewBuilder(db.Catalog()).Build(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rewrite.NewEngine(core.Phase1Rules()...).Run(&rewrite.Context{G: g}); err != nil {
+		t.Fatal(err)
+	}
+	noHist := !db.HistogramsEnabled()
+	r1 := opt.OptimizeEst(g, opt.NewEstimatorWith(nil, noHist))
+	rewrite.CorrelateViews(g)
+	r2 := opt.OptimizeEst(g, opt.NewEstimatorWith(nil, noHist))
+	phys := plan.LowerWith(g, opt.NewEstimatorWith(nil, noHist))
+
+	info, err := db.ExplainContext(context.Background(), query, WithStrategy(Correlated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.PlansConsidered == 0 || r2.PlansConsidered == 0 {
+		t.Fatalf("staged plan optimizations examined %d and %d plans", r1.PlansConsidered, r2.PlansConsidered)
+	}
+	if got, want := info.PlansConsidered, r1.PlansConsidered+r2.PlansConsidered; got != want {
+		t.Errorf("PlansConsidered = %d; want plan-opt1 %d + plan-opt2 %d", got, r1.PlansConsidered, r2.PlansConsidered)
+	}
+	if info.CostBefore != r2.Cost || info.CostAfter != r2.Cost {
+		t.Errorf("costs %v/%v; want plan-opt2's %v for both", info.CostBefore, info.CostAfter, r2.Cost)
+	}
+	if info.UsedEMST {
+		t.Error("Correlated reports the EMST plan")
+	}
+	if info.Physical != phys.String() {
+		t.Errorf("physical plan:\ngot  %s\nwant %s", info.Physical, phys.String())
 	}
 }
 

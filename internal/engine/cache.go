@@ -223,9 +223,6 @@ func (db *Database) SetPlanCache(enabled bool) {
 	}
 }
 
-// PlanCacheEnabled reports whether the plan cache is active.
-func (db *Database) PlanCacheEnabled() bool { return db.plans.enabled() }
-
 // PlanCacheStats is a point-in-time view of the plan cache for tooling
 // (magicsql's `.cache stats`). Counters come from the metrics sink, so
 // ResetMetrics zeroes them.

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"starmagic/internal/catalog"
+	"starmagic/internal/core"
 	"starmagic/internal/datum"
 	"starmagic/internal/exec"
 	"starmagic/internal/obs"
@@ -29,32 +30,16 @@ import (
 	"starmagic/internal/wal"
 )
 
-// Strategy selects how a query is optimized and executed.
-type Strategy int
+// Strategy selects how a query is optimized and executed: which branch of
+// core.Optimize runs.
+type Strategy = core.Strategy
 
 // Strategies (the three columns of the paper's Table 1).
 const (
-	// EMST runs the full three-phase pipeline; the cheaper of the pre- and
-	// post-transformation plans executes (§3.2). This is the default.
-	EMST Strategy = iota
-	// Original runs only phase-1 rewrite: views materialize in full.
-	Original
-	// Correlated pushes join predicates into private view copies as
-	// correlation and re-evaluates them per outer row without caching.
-	Correlated
+	EMST       = core.EMST
+	Original   = core.Original
+	Correlated = core.Correlated
 )
-
-func (s Strategy) String() string {
-	switch s {
-	case EMST:
-		return "emst"
-	case Original:
-		return "original"
-	case Correlated:
-		return "correlated"
-	}
-	return "?"
-}
 
 // ParseStrategy resolves a strategy name.
 func ParseStrategy(name string) (Strategy, error) {
@@ -151,9 +136,6 @@ func New() *Database {
 		gov:   resource.NewGovernor(),
 	}
 }
-
-// Epoch returns the current catalog epoch (see ExplainInfo.CacheEpoch).
-func (db *Database) Epoch() uint64 { return db.epoch.Load() }
 
 // Catalog exposes the schema directory (read-mostly; use Exec for DDL).
 func (db *Database) Catalog() *catalog.Catalog { return db.cat }

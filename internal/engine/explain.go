@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"starmagic/internal/core"
 	"starmagic/internal/plan"
@@ -17,14 +16,15 @@ import (
 // execution — the run itself), per-rule attempt/fire counts, the §3.2 cost
 // comparison and its winner, and the plan optimizer's join orders. QGM
 // snapshots (the Figure 4 panels) are attached to the rewrite phases when
-// captured (ExplainContext always captures them; WithSnapshots opts a
-// QueryContext call in). String renders the whole thing as text.
+// captured (ExplainContext always captures them). String renders the whole
+// thing as text.
 type ExplainInfo struct {
 	Query    string
 	Strategy Strategy
-	// Phases in pipeline order. Entries with HasSnapshot carry the QGM
-	// graph as it stood after that phase.
-	Phases []PhaseInfo
+	// Phases in pipeline order: parse and bind, then core.Optimize's.
+	// Entries with HasSnapshot carry the QGM graph as it stood after that
+	// phase.
+	Phases []core.Phase
 	// Rules tallies rewrite-rule activity across all rewrite phases.
 	Rules []rewrite.RuleStat
 	// CostBefore/CostAfter are the §3.2 plan-cost estimates around EMST,
@@ -57,18 +57,6 @@ type ExplainInfo struct {
 	CacheEpoch  uint64
 }
 
-// PhaseInfo is one pipeline phase: its wall-clock and, for rewrite phases
-// with snapshots captured, the QGM graph after it.
-type PhaseInfo struct {
-	Name     string
-	Duration time.Duration
-	// HasSnapshot marks phases whose Boxes/Dump/DOT fields are populated.
-	HasSnapshot bool
-	Boxes       qgm.Stats
-	Dump        string
-	DOT         string
-}
-
 // JoinOrder is the plan optimizer's chosen quantifier order in one box.
 type JoinOrder struct {
 	Box   string
@@ -76,13 +64,13 @@ type JoinOrder struct {
 }
 
 // Phase returns the first phase with the given name, if any.
-func (e *ExplainInfo) Phase(name string) (PhaseInfo, bool) {
+func (e *ExplainInfo) Phase(name string) (core.Phase, bool) {
 	for _, p := range e.Phases {
 		if p.Name == name {
 			return p, true
 		}
 	}
-	return PhaseInfo{}, false
+	return core.Phase{}, false
 }
 
 // RuleFires returns the fire count of one rewrite rule (0 if it never ran).
@@ -149,31 +137,6 @@ func (e *ExplainInfo) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// addPipelinePhases merges a pipeline result's stage timings and snapshots
-// into phase entries, appended after any already present (parse, bind).
-func (e *ExplainInfo) addPipelinePhases(res *core.Result) {
-	snaps := map[string]core.Snapshot{}
-	for _, s := range res.Snapshots {
-		snaps[s.Name] = s
-	}
-	attach := func(p PhaseInfo) PhaseInfo {
-		if s, ok := snaps[p.Name]; ok {
-			p.HasSnapshot = true
-			p.Boxes = s.Stats
-			p.Dump = s.Dump
-			p.DOT = s.DOT
-		}
-		return p
-	}
-	if _, ok := snaps["initial"]; ok {
-		e.Phases = append(e.Phases, attach(PhaseInfo{Name: "initial"}))
-	}
-	for _, t := range res.Phases {
-		e.Phases = append(e.Phases, attach(PhaseInfo{Name: t.Name, Duration: t.Duration}))
-	}
-	e.Rules = res.RuleStats
 }
 
 // joinOrders extracts the plan optimizer's chosen quantifier order per

@@ -151,7 +151,14 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 	r.sp = obs.Start(p.cfg.tracer, "execute")
 	r.start = time.Now()
 
-	if p.phys != nil && !p.cfg.materialized {
+	if p.cfg.materialized {
+		rows, err := ev.EvalGraph(p.graph)
+		if err != nil {
+			r.fail(err)
+			return nil, err
+		}
+		r.mat = rows
+	} else {
 		it, err := ev.OpenPlan(p.phys)
 		if err != nil {
 			r.iter = it // may carry partial stats
@@ -159,13 +166,6 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 			return nil, err
 		}
 		r.iter = it
-	} else {
-		rows, err := ev.EvalGraph(p.graph)
-		if err != nil {
-			r.fail(err)
-			return nil, err
-		}
-		r.mat = rows
 	}
 	return r, nil
 }
@@ -341,7 +341,7 @@ func (r *Rows) finish(execErr error) {
 	if r.iter != nil {
 		opStats = r.iter.Stats()
 	}
-	if opStats != nil && r.p.phys != nil {
+	if opStats != nil {
 		reports = r.p.phys.Report(opStats)
 	}
 	mem := MemInfo{
@@ -369,7 +369,7 @@ func (r *Rows) finish(execErr error) {
 	r.info.Counters = ev.Counters
 	r.info.Mem = mem
 	r.info.AdmissionWait = r.admissionWait
-	if opStats != nil && r.p.phys != nil {
+	if opStats != nil {
 		r.info.Physical = r.p.phys.Format(opStats)
 		r.info.Operators = reports
 		r.info.MaxQError = r.p.phys.MaxQError(opStats)

@@ -349,9 +349,10 @@ func (t *Txn) stageInsert(s *sql.Insert) (int64, error) {
 }
 
 // stageInsertSelect executes INSERT INTO t SELECT ... — the source query
-// runs under the full EMST pipeline against the transaction's view (it
-// sees the transaction's earlier statements, and never its own output:
-// the scan is captured before any append, so self-insertion cannot loop).
+// runs under the full EMST pipeline, and its lowered plan runs against the
+// transaction's view (it sees the transaction's earlier statements, and
+// never its own output: the plan is drained before the first append, so
+// self-insertion cannot loop).
 func (t *Txn) stageInsertSelect(rel *storage.Relation, s *sql.Insert) (int64, error) {
 	db := t.db
 	g, err := semant.NewBuilder(db.cat).Build(s.Query)
@@ -362,13 +363,14 @@ func (t *Txn) stageInsertSelect(rel *storage.Relation, s *sql.Insert) (int64, er
 	if got, want := len(g.Top.Output)-g.HiddenCols, len(tbl.Columns); got != want {
 		return 0, fmt.Errorf("INSERT INTO %s: query yields %d columns, table has %d", s.Table, got, want)
 	}
-	res, err := core.Optimize(g, core.Options{})
+	res, err := core.Optimize(g, core.Options{NoHist: db.noHist.Load()})
 	if err != nil {
 		return 0, err
 	}
 	ev := exec.New(db.store)
 	ev.SetView(t.view)
-	rows, err := ev.EvalGraph(res.Graph)
+	ev.NoVec = db.noVec.Load()
+	rows, _, err := ev.EvalPlan(res.Physical)
 	if err != nil {
 		return 0, err
 	}

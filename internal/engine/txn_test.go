@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"starmagic/internal/datum"
 )
 
 func txnTestDB(t *testing.T) *Database {
@@ -435,4 +437,93 @@ func TestTxnMixedConcurrent(t *testing.T) {
 	if out[1] != int64(100-total) || out[2] != int64(200+total) {
 		t.Fatalf("final balances: %v", out)
 	}
+}
+
+// TestInsertSelectSelfInsertion pins INSERT INTO t SELECT * FROM t: the
+// source query's plan is drained before the first row is appended, so the
+// statement doubles t exactly once — under autocommit, and inside a
+// transaction that has already inserted into t itself. The table spans
+// several executor batches, so a plan that interleaved reading with
+// appending would see its own output.
+func TestInsertSelectSelfInsertion(t *testing.T) {
+	const n = 1500
+	db := New()
+	if _, err := db.Exec(`CREATE TABLE t (a INT, b VARCHAR)`); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]datum.Row, 0, n)
+	for i := 0; i < n; i++ {
+		b := datum.String(fmt.Sprintf("r%d", i))
+		if i%7 == 0 {
+			b = datum.Null()
+		}
+		rows = append(rows, datum.Row{datum.Int(int64(i)), b})
+	}
+	if err := db.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	// counts returns each row's multiplicity in t as q sees it.
+	counts := func(q interface {
+		Query(string, ...QueryOption) (*Result, error)
+	}) map[string]int {
+		t.Helper()
+		res, err := q.Query(`SELECT a, b FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int{}
+		for _, row := range res.Rows {
+			out[row.Key()]++
+		}
+		return out
+	}
+	want := func(rows []datum.Row, times int) map[string]int {
+		out := map[string]int{}
+		for _, row := range rows {
+			out[row.Key()] += times
+		}
+		return out
+	}
+	check := func(what string, got, want map[string]int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d distinct rows; want %d", what, len(got), len(want))
+		}
+		for k, w := range want {
+			if got[k] != w {
+				t.Fatalf("%s: row %q appears %d times; want %d", what, k, got[k], w)
+			}
+		}
+	}
+
+	got, err := db.Exec(`INSERT INTO t SELECT * FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != n {
+		t.Fatalf("autocommit INSERT … SELECT inserted %d rows; want %d", got, n)
+	}
+	check("after autocommit", counts(dbQuerier{db}), want(rows, 2))
+
+	tx := db.Begin()
+	own := datum.Row{datum.Int(n), datum.String("own")}
+	if _, err := tx.Exec(`INSERT INTO t VALUES (1500, 'own')`); err != nil {
+		t.Fatal(err)
+	}
+	got, err = tx.Exec(`INSERT INTO t SELECT * FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 2*n+1 {
+		t.Fatalf("in-transaction INSERT … SELECT inserted %d rows; want %d", got, 2*n+1)
+	}
+	all := append(rows[:n:n], own)
+	wantOwn := want(all, 4)
+	wantOwn[own.Key()] = 2
+	check("inside the transaction", counts(tx), wantOwn)
+	check("outside before commit", counts(dbQuerier{db}), want(rows, 2))
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check("after commit", counts(dbQuerier{db}), wantOwn)
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"sort"
 
 	"starmagic/internal/datum"
 	"starmagic/internal/qgm"
@@ -447,15 +446,3 @@ func EligibleBefore(b *qgm.Box, q *qgm.Quantifier) []*qgm.Quantifier {
 	}
 	return out
 }
-
-// QuantifierOrder returns the ForEach quantifiers of b in join order; used
-// by EMST and by EXPLAIN output.
-func QuantifierOrder(b *qgm.Box) []*qgm.Quantifier { return fQuantsOf(b) }
-
-// SortBoxesByID orders boxes deterministically for display.
-func SortBoxesByID(boxes []*qgm.Box) {
-	sort.Slice(boxes, func(i, j int) bool { return boxes[i].ID < boxes[j].ID })
-}
-
-// BoxCostForDebug exposes per-box cost estimation for debugging tools.
-func BoxCostForDebug(b *qgm.Box) float64 { return NewEstimator().boxCost(b) }

@@ -250,16 +250,6 @@ type MagicCol struct {
 // types.
 func (b *Box) IsMagic() bool { return b.Role != RoleNone }
 
-// QuantifierByName finds a quantifier by display name.
-func (b *Box) QuantifierByName(name string) *Quantifier {
-	for _, q := range b.Quantifiers {
-		if q.Name == name {
-			return q
-		}
-	}
-	return nil
-}
-
 // OutputIndex returns the ordinal of the named output column, or -1.
 func (b *Box) OutputIndex(name string) int {
 	for i, c := range b.Output {
@@ -366,17 +356,6 @@ func (g *Graph) GC() {
 		}
 	}
 	g.Boxes = kept
-}
-
-// Uses returns, for every box, the list of quantifiers ranging over it.
-func (g *Graph) Uses() map[*Box][]*Quantifier {
-	uses := make(map[*Box][]*Quantifier)
-	for _, b := range g.Boxes {
-		for _, q := range b.Quantifiers {
-			uses[q.Ranges] = append(uses[q.Ranges], q)
-		}
-	}
-	return uses
 }
 
 // UseCount returns the number of quantifiers ranging over box b, plus one

@@ -54,18 +54,3 @@ func (s *Stats) Fires(rule string) int64 {
 	}
 	return 0
 }
-
-// FireMap returns rule → fire count for every rule that fired at least once
-// (the engine's metrics sink accumulates these across queries).
-func (s *Stats) FireMap() map[string]int64 {
-	var out map[string]int64
-	for _, name := range s.order {
-		if st := s.byName[name]; st.Fires > 0 {
-			if out == nil {
-				out = map[string]int64{}
-			}
-			out[name] = st.Fires
-		}
-	}
-	return out
-}

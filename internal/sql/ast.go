@@ -246,9 +246,6 @@ func (k BinKind) String() string {
 	return "?"
 }
 
-// IsCmp reports whether the operator is a comparison.
-func (k BinKind) IsCmp() bool { return k >= OpEQ && k <= OpGE }
-
 // CmpOp converts a comparison BinKind to the datum operator.
 func (k BinKind) CmpOp() datum.CmpOp {
 	switch k {

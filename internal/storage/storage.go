@@ -6,9 +6,9 @@
 //
 // Relations and the store are safe for concurrent use: reads (scans, index
 // probes) share an RWMutex read lock so many evaluators can run at once,
-// while Insert and Rebuild serialize behind the write lock. Relations are multi-versioned:
-// see mvcc.go for the begin/end stamp protocol, snapshot visibility, views,
-// and vacuum.
+// while Insert serializes behind the write lock. Relations are
+// multi-versioned: see mvcc.go for the begin/end stamp protocol, snapshot
+// visibility, views, and vacuum.
 package storage
 
 import (
@@ -167,31 +167,6 @@ func (r *Relation) Snapshot() (vec.Table, []datum.Row) {
 // Intern returns the intern table the relation's string columns resolve
 // through.
 func (r *Relation) Intern() *vec.Intern { return r.tab }
-
-// Rebuild replaces the relation's contents, revalidating and reindexing
-// every row. All new versions are stamped committed-at-zero. It is a bulk
-// replace for tests and loaders; transactional DELETE/UPDATE use the
-// version protocol instead, and Rebuild must not run while any transaction
-// markers are unresolved (their positions would dangle).
-func (r *Relation) Rebuild(rows []datum.Row) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old, oldIdx, oldCols := r.rows, r.indexes, r.cols
-	oldBegins, oldEnds := r.begins, r.ends
-	r.rows, r.begins, r.ends = nil, nil, nil
-	r.indexes = newIndexes(r.Meta)
-	r.cols = newCols(r.Meta)
-	for _, row := range rows {
-		if _, err := r.appendLocked(row, 0); err != nil {
-			r.rows, r.indexes, r.cols = old, oldIdx, oldCols // restore on failure
-			r.begins, r.ends = oldBegins, oldEnds
-			return err
-		}
-	}
-	r.dirty.Store(0)
-	r.inflight.Store(0)
-	return nil
-}
 
 // Len returns the number of rows visible to a ReadAll snapshot.
 func (r *Relation) Len() int {

@@ -154,6 +154,3 @@ func (s *Server) Close() {
 
 // Metrics returns a snapshot of the server's wire-level activity counters.
 func (s *Server) Metrics() obs.WireMetrics { return s.metrics.Snapshot() }
-
-// ActiveConns reports the number of connections currently being served.
-func (s *Server) ActiveConns() int64 { return s.active.Load() }

@@ -314,14 +314,6 @@ var (
 // after a bulk DELETE). It returns the number of versions reclaimed.
 func (db *DB) Vacuum() int { return db.eng.Vacuum() }
 
-// Query optimizes and executes a SELECT with the default EMST strategy.
-func (db *DB) Query(query string) (*Result, error) { return db.eng.Query(query) }
-
-// QueryWith optimizes and executes a SELECT with an explicit strategy.
-func (db *DB) QueryWith(query string, s Strategy) (*Result, error) {
-	return db.eng.QueryWith(query, s)
-}
-
 // QueryContext optimizes and executes a SELECT under ctx: cancellation and
 // deadlines abort the pipeline between phases and the executor inside its
 // scan/join/recursion loops (amortized, so the overhead stays within
@@ -335,12 +327,8 @@ func (db *DB) QueryContext(ctx context.Context, query string, opts ...QueryOptio
 // reports its own counters.
 type Prepared = engine.Prepared
 
-// Prepare parses, binds and optimizes a query for repeated execution.
-func (db *DB) Prepare(query string, s Strategy) (*Prepared, error) {
-	return db.eng.Prepare(query, s)
-}
-
-// PrepareContext is Prepare with a context and per-call options.
+// PrepareContext parses, binds and optimizes a query for repeated execution
+// under ctx, with per-call options (WithStrategy, WithArgs, …).
 func (db *DB) PrepareContext(ctx context.Context, query string, opts ...QueryOption) (*Prepared, error) {
 	return db.eng.PrepareContext(ctx, query, opts...)
 }
@@ -349,13 +337,6 @@ func (db *DB) PrepareContext(ctx context.Context, query string, opts ...QueryOpt
 // QGM snapshots, rewrite-rule fire counts, the plan-cost comparison and its
 // winner, and the executed plan's join orders. String() renders it as text.
 type ExplainInfo = engine.ExplainInfo
-
-// Explain returns a textual account of the optimization: the QGM graph
-// after each rewrite phase (the paper's Figure 4 panels), plan costs, and
-// which plan won the cost comparison.
-func (db *DB) Explain(query string, s Strategy) (string, error) {
-	return db.eng.Explain(query, s)
-}
 
 // ExplainContext returns the structured ExplainInfo for a query without
 // executing it.

@@ -38,7 +38,7 @@ func TestPublicAPIQueryD(t *testing.T) {
 	for _, s := range []starmagic.Strategy{
 		starmagic.StrategyOriginal, starmagic.StrategyCorrelated, starmagic.StrategyEMST,
 	} {
-		res, err := db.QueryWith(queryD, s)
+		res, err := db.QueryContext(context.Background(), queryD, starmagic.WithStrategy(s))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -60,7 +60,7 @@ func TestPublicAPIValueConstructors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("SELECT COUNT(*), COUNT(workdept) FROM employee")
+	res, err := db.QueryContext(context.Background(), "SELECT COUNT(*), COUNT(workdept) FROM employee")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,12 @@ func TestPublicAPIValueConstructors(t *testing.T) {
 
 func TestPublicAPIExplain(t *testing.T) {
 	db := openPaperDB(t)
-	out, err := db.Explain("SELECT workdept, avgsalary FROM avgMgrSal WHERE workdept = 1", starmagic.StrategyEMST)
+	info, err := db.ExplainContext(context.Background(), "SELECT workdept, avgsalary FROM avgMgrSal WHERE workdept = 1",
+		starmagic.WithStrategy(starmagic.StrategyEMST))
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := info.String()
 	if !strings.Contains(out, "phase2") || !strings.Contains(out, "cost") {
 		t.Errorf("explain output:\n%s", out)
 	}
@@ -82,7 +84,8 @@ func TestPublicAPIExplain(t *testing.T) {
 
 func TestPublicAPIPrepare(t *testing.T) {
 	db := openPaperDB(t)
-	p, err := db.Prepare("SELECT AVG(salary) FROM employee WHERE workdept = 1", starmagic.StrategyEMST)
+	p, err := db.PrepareContext(context.Background(), "SELECT AVG(salary) FROM employee WHERE workdept = 1",
+		starmagic.WithStrategy(starmagic.StrategyEMST))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +174,7 @@ func ExampleOpen() {
 	CREATE TABLE parts (pno INT, pname VARCHAR(20), weight FLOAT, PRIMARY KEY (pno));
 	INSERT INTO parts VALUES (1, 'bolt', 0.1), (2, 'nut', 0.05), (3, 'plate', 2.5);
 	`)
-	res, err := db.Query("SELECT pname FROM parts WHERE weight < 1 ORDER BY pname")
+	res, err := db.QueryContext(context.Background(), "SELECT pname FROM parts WHERE weight < 1 ORDER BY pname")
 	if err != nil {
 		panic(err)
 	}
@@ -183,16 +186,17 @@ func ExampleOpen() {
 	// nut
 }
 
-// ExampleDB_QueryWith shows strategy selection — the three columns of the
+// ExampleWithStrategy shows strategy selection — the three columns of the
 // paper's Table 1.
-func ExampleDB_QueryWith() {
+func ExampleWithStrategy() {
 	db := starmagic.Open()
 	db.MustExec(`
 	CREATE TABLE t (a INT, PRIMARY KEY (a));
 	CREATE VIEW doubled (a2) AS SELECT a * 2 FROM t;
 	INSERT INTO t VALUES (1), (2), (3);
 	`)
-	res, _ := db.QueryWith("SELECT a2 FROM doubled WHERE a2 = 4", starmagic.StrategyEMST)
+	res, _ := db.QueryContext(context.Background(), "SELECT a2 FROM doubled WHERE a2 = 4",
+		starmagic.WithStrategy(starmagic.StrategyEMST))
 	fmt.Println(len(res.Rows), res.Rows[0][0].Format())
 	// Output: 1 4
 }
