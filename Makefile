@@ -37,16 +37,25 @@ check: fmt-check build test race answers
 	cd benchmark && $(GO) vet ./... && $(GO) test .
 	bash benchmark/run.sh --agree
 
-# The fast answer gate: a 3 s run of each gated workload (BENCHMARK.json)
-# must answer every read as benchmark/expected/ says and fail no operation.
+# The fast answer gate: a 3 s timed run of each gated workload
+# (BENCHMARK.json) on two seeds, then a 6 s traced run of each TRACED
+# workload, whose checks add staged-plan parity and the Table-1 bounds (at
+# 6 s the probe takes 3 repetitions). Every run must answer every read as
+# benchmark/expected/ says and fail no operation; a failing run's FAILED
+# lines are printed.
 GATED = t1_small_adhoc t1_small_prepared t1_large wire_read
+TRACED = t1_small_prepared t1_large
 answers:
-	@for w in $(GATED); do \
-		line=$$(bash benchmark/run.sh --workload $$w --seconds 3 --trace 0 2>/dev/null | tail -n 1); \
-		echo "$$w $$line"; \
+	@check() { \
+		out=$$(bash benchmark/run.sh --workload $$1 --seed $$2 --seconds $$3 --trace $$4 2>&1); \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$1 seed $$2 trace $$4: $$line"; \
 		case "$$line" in *'"correct":true'*'"failed":0,'*) ;; \
-		*) echo "answers: $$w answered wrong or failed operations" >&2; exit 1 ;; esac; \
-	done
+		*) printf '%s\n' "$$out" | grep FAILED >&2; \
+		   echo "answers: $$1 (seed $$2, trace $$4) answered wrong or failed operations" >&2; exit 1 ;; esac; \
+	}; \
+	for s in 1994 2026; do for w in $(GATED); do check $$w $$s 3 0; done; done; \
+	for w in $(TRACED); do check $$w 1994 6 1; done
 
 # gofmt as a gate: print offending files and fail if any exist.
 fmt-check:

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 1, "data size multiplier")
-	reps := flag.Int("reps", 3, "executions per measurement (fastest wins)")
+	reps := flag.Int("reps", 3, "executions per measurement (fastest wins; the ablation takes the median of at least 11)")
 	verbose := flag.Bool("v", false, "print raw timings, counters, and regimes")
 	metrics := flag.Bool("metrics", false, "print the database-wide metrics snapshot after the runs")
 	ablation := flag.Bool("ablation", false, "also run the design-choice ablation study on experiments G and H")

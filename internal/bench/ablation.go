@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"starmagic/internal/core"
@@ -75,63 +76,81 @@ func ablationExperiments() []Experiment {
 	})
 }
 
-// RunAblations measures every variant on the given experiments.
+// minAblationReps is the fewest runs a variant's time is the median of:
+// the plans run in well under a millisecond, where the fastest of a few
+// runs cannot resolve their differences.
+const minAblationReps = 11
+
+// RunAblations measures every variant on the given experiments: each
+// variant's time is the median of max(reps, minAblationReps) runs, every
+// run of an ablated variant preceded by a run of full EMST, so drift in the
+// machine's speed reaches both alike.
 func RunAblations(db *engine.Database, experimentIDs []string, reps int) ([]AblationRow, error) {
 	wanted := map[string]bool{}
 	for _, id := range experimentIDs {
 		wanted[id] = true
 	}
+	reps = max(reps, minAblationReps)
 	var out []AblationRow
 	for _, e := range ablationExperiments() {
 		if !wanted[e.ID] {
 			continue
 		}
-		for _, v := range AblationVariants() {
-			row, err := runAblation(db, e, v, reps)
-			if err != nil {
-				return nil, fmt.Errorf("exp %s / %s: %w", e.ID, v.Name, err)
-			}
-			out = append(out, row)
+		rows, err := runAblations(db, e, reps)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, rows...)
 	}
 	return out, nil
 }
 
-func runAblation(db *engine.Database, e Experiment, v AblationVariant, reps int) (AblationRow, error) {
-	g, err := buildFor(db, e.Query)
-	if err != nil {
-		return AblationRow{}, err
+// runAblations optimizes e under every variant, then runs the plans round
+// by round. AblationVariants lists full EMST first.
+func runAblations(db *engine.Database, e Experiment, reps int) ([]AblationRow, error) {
+	variants := AblationVariants()
+	rows := make([]AblationRow, len(variants))
+	plans := make([]*core.Result, len(variants))
+	times := make([][]time.Duration, len(variants))
+	for i, v := range variants {
+		g, err := buildFor(db, e.Query)
+		if err == nil {
+			plans[i], err = optimizeWith(g, v)
+		}
+		if err == nil {
+			err = plans[i].Graph.Check()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("exp %s / %s: %w", e.ID, v.Name, err)
+		}
+		stats := plans[i].Graph.Stats()
+		rows[i] = AblationRow{Experiment: e.ID, Variant: v.Name, Boxes: stats.Boxes, Joins: stats.Joins}
 	}
-	res, err := optimizeWith(g, v)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	if err := res.Graph.Check(); err != nil {
-		return AblationRow{}, err
-	}
-	stats := res.Graph.Stats()
-	row := AblationRow{
-		Experiment: e.ID,
-		Variant:    v.Name,
-		Boxes:      stats.Boxes,
-		Joins:      stats.Joins,
-		Elapsed:    1<<62 - 1,
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	for i := 0; i < reps; i++ {
+	run := func(i int) error {
 		ev := exec.New(db.Store())
 		start := time.Now()
-		if _, _, err := ev.EvalPlan(res.Physical); err != nil {
-			return AblationRow{}, err
+		if _, _, err := ev.EvalPlan(plans[i].Physical); err != nil {
+			return fmt.Errorf("exp %s / %s: %w", e.ID, variants[i].Name, err)
 		}
-		if d := time.Since(start); d < row.Elapsed {
-			row.Elapsed = d
-			row.Counters = ev.Counters
+		times[i] = append(times[i], time.Since(start))
+		rows[i].Counters = ev.Counters
+		return nil
+	}
+	for range reps {
+		for i := 1; i < len(variants); i++ {
+			if err := run(0); err != nil {
+				return nil, err
+			}
+			if err := run(i); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return row, nil
+	for i := range rows {
+		slices.Sort(times[i])
+		rows[i].Elapsed = times[i][len(times[i])/2]
+	}
+	return rows, nil
 }
 
 // FormatAblations renders the study, normalizing elapsed times to the full

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"starmagic/internal/datum"
@@ -130,6 +132,105 @@ func TestExperimentsAgreeAcrossStrategies(t *testing.T) {
 	}
 }
 
+// smallAllocCeiling bounds what one EMST execution of the small Table-1
+// experiments may allocate at DefaultConfig. Each is below what the
+// executor allocated (A 44 952, F 34 688, G 49 088, H 95 936 bytes) when
+// every execution rendered its EXPLAIN ANALYZE text and every vectorized
+// operator allocated its 512-row scratch, and an index stage a chain array
+// the size of its table, at each open.
+var smallAllocCeiling = map[string]uint64{"A": 36 << 10, "F": 28 << 10, "G": 36 << 10, "H": 80 << 10}
+
+// steadyAlloc returns the fewest bytes one of five EMST executions of e
+// allocated: the first executions fill the executor's scratch pool.
+func steadyAlloc(t *testing.T, db *engine.Database, e Experiment) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		_, _, alloc := executeOnce(t, db, e, engine.EMST)
+		least = min(least, alloc)
+	}
+	return least
+}
+
+// TestSmallPlanAllocation: executing a small cached plan costs what its rows
+// cost. A, F, G and H stay under their ceilings, and A, F and G, whose
+// magic set picks one department, allocate the same within 10 % with four
+// times the departments, so four times the rows in every table; H is left
+// out of that, since its region holds four times the departments.
+func TestSmallPlanAllocation(t *testing.T) {
+	db, err := NewDB(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var db4 *engine.Database
+	if !testing.Short() {
+		cfg := DefaultConfig()
+		cfg.Departments *= 4
+		if db4, err = NewDB(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range Experiments() {
+		ceiling, ok := smallAllocCeiling[e.ID]
+		if !ok {
+			continue
+		}
+		alloc := steadyAlloc(t, db, e)
+		if alloc > ceiling {
+			t.Errorf("exp %s: one EMST execution allocated %d bytes, ceiling %d", e.ID, alloc, ceiling)
+		}
+		if e.ID == "H" || db4 == nil {
+			continue
+		}
+		if alloc4 := steadyAlloc(t, db4, e); float64(alloc4) > 1.1*float64(alloc) {
+			t.Errorf("exp %s: %d bytes at 4x departments, %d at 1x", e.ID, alloc4, alloc)
+		}
+	}
+}
+
+// TestSmallPlansConcurrent: concurrent executions of the small EMST plans
+// each take their own scratch from the executor's pool and return the rows
+// a lone execution returns.
+func TestSmallPlansConcurrent(t *testing.T) {
+	db := benchDB(t)
+	var prepared []*engine.Prepared
+	var want []string
+	for _, e := range Experiments() {
+		if _, ok := smallAllocCeiling[e.ID]; !ok {
+			continue
+		}
+		p, err := db.Prepare(e.Query, engine.EMST)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared = append(prepared, p)
+		want = append(want, strings.Join(formatRows(res.Rows), ";"))
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 40 {
+				k := (w + i) % len(prepared)
+				res, err := prepared[k].Execute()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := strings.Join(formatRows(res.Rows), ";"); got != want[k] {
+					t.Errorf("worker %d run %d: rows %s, want %s", w, i, got, want[k])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestPreparedPlansHoldStill: the §3.2 magic/no-magic choice is made once,
 // when the query is optimized. Re-preparing and re-executing a Table-1 text
 // on one database must serve the cached plan unchanged — one physical plan
@@ -233,16 +334,16 @@ func TestMagicPipelinesColumnar(t *testing.T) {
 		}
 		for _, label := range []string{"select T3", "group-by GB4"} {
 			if !vectorized[label] {
-				t.Errorf("%s: %s not vectorized\n%s", name, label, res.Plan.Physical)
+				t.Errorf("%s: %s not vectorized\n%s", name, label, res.Plan.Physical())
 			}
 		}
 		switch {
 		case tc.id == "C" && res.Plan.Counters != wantC:
 			t.Errorf("%s: counters %+v, want %+v", name, res.Plan.Counters, wantC)
 		case tc.id == "D" && res.Plan.Counters.IndexLookups != 0:
-			t.Errorf("%s: %d index lookups\n%s", name, res.Plan.Counters.IndexLookups, res.Plan.Physical)
-		case tc.id == "D" && res.Plan.UsedEMST && !strings.Contains(res.Plan.Physical, "o:hash, d:hash]"):
-			t.Errorf("%s: department stage is not a hash join\n%s", name, res.Plan.Physical)
+			t.Errorf("%s: %d index lookups\n%s", name, res.Plan.Counters.IndexLookups, res.Plan.Physical())
+		case tc.id == "D" && res.Plan.UsedEMST && !strings.Contains(res.Plan.Physical(), "o:hash, d:hash]"):
+			t.Errorf("%s: department stage is not a hash join\n%s", name, res.Plan.Physical())
 		}
 		db.SetVectorized(false)
 		row, err := p.Execute(tc.args...)
@@ -260,9 +361,11 @@ func TestMagicPipelinesColumnar(t *testing.T) {
 // index lookups into employee — run their index stage on the columnar path:
 // each department's bucket is looked up once and filtered by column kernels.
 // The counters are exactly the row pipeline's, and so are the rows, in order.
-// The literal texts keep their counters too; literal E's magic-driven index
-// stage, estimated to emit ~1 400 rows, goes columnar, literal B's (150)
-// stays on the row path.
+// The literal texts keep their counters too, and their magic-driven index
+// stages go columnar whatever their size: literal E's (~1 400 rows) and
+// literal B's (150). So do the small EMST plans of A, F, G and H, literal
+// and with the benchmark's `?` texts: the magic join into the indexed view
+// and the group-by above it, and H's two index stages into employee.
 func TestIndexStagesColumnar(t *testing.T) {
 	db, err := NewDB(DefaultConfig())
 	if err != nil {
@@ -272,11 +375,13 @@ func TestIndexStagesColumnar(t *testing.T) {
 	for _, e := range Experiments() {
 		exps[e.ID] = e
 	}
+	magicJoin := map[string]bool{"select T3": true, "group-by GB4": true}
+	regionJoins := map[string]bool{"select SM_T9#1": true, "select T4": true, "group-by GB5": true}
 	cases := []struct {
 		id, query string
 		args      []any
-		vec       map[string]bool // select operators and whether they must run vectorized
-		want      exec.Counters   // the row pipeline's
+		vec       map[string]bool // operators and whether they must run vectorized
+		want      exec.Counters   // the row pipeline's; zero: not pinned
 	}{
 		{"B", `SELECT e.empname, v.total FROM employee e, deptSales v
 		        WHERE e.workdept = v.deptno AND e.empno < ?`, []any{int64(1030)},
@@ -287,11 +392,27 @@ func TestIndexStagesColumnar(t *testing.T) {
 			map[string]bool{"select SEL1": true},
 			exec.Counters{BaseRows: 22500, BoxEvals: 4, IndexLookups: 150, OutputRows: 45242}},
 		{"B", exps["B"].Query, nil,
-			map[string]bool{"select T3": false},
+			map[string]bool{"select T3": true},
 			exec.Counters{BaseRows: 6000, BoxEvals: 6, HashBuilds: 1, HashProbes: 29, IndexLookups: 1, OutputRows: 6210}},
 		{"E", exps["E"].Query, nil,
 			map[string]bool{"select T3": true},
 			exec.Counters{BaseRows: 6000, BoxEvals: 6, HashBuilds: 1, HashProbes: 92, IndexLookups: 3, OutputRows: 6640}},
+		{"A", exps["A"].Query, nil, magicJoin, exec.Counters{}},
+		{"A", `SELECT d.deptname, v.avgsal FROM department d, avgSalary v
+		        WHERE d.deptno = v.workdept AND d.deptname = ? AND d.mgrno > ?`, []any{"Planning", int64(0)},
+			magicJoin, exec.Counters{}},
+		{"F", exps["F"].Query, nil, magicJoin, exec.Counters{}},
+		{"F", `SELECT d.deptname, v.headcount FROM department d, avgSalary v
+		        WHERE d.deptno = v.workdept AND d.deptno = ? AND d.mgrno > ?`, []any{int64(3), int64(0)},
+			magicJoin, exec.Counters{}},
+		{"G", exps["G"].Query, nil, magicJoin, exec.Counters{}},
+		{"G", `SELECT d.deptname, v.deptno, v.avgamount FROM department d, deptAvgSales v
+		        WHERE d.deptno = v.deptno AND d.deptname = ? AND d.mgrno > ?`, []any{"Planning", int64(0)},
+			magicJoin, exec.Counters{}},
+		{"H", exps["H"].Query, nil, regionJoins, exec.Counters{}},
+		{"H", `SELECT v.region, v.totalsal FROM regionPay v
+		        WHERE v.region = ? AND v.totalsal > ?`, []any{"R03", int64(-1)},
+			regionJoins, exec.Counters{}},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s%v", tc.id, tc.args)
@@ -309,10 +430,10 @@ func TestIndexStagesColumnar(t *testing.T) {
 		}
 		for label, want := range tc.vec {
 			if vectorized[label] != want {
-				t.Errorf("%s: %s vectorized = %v, want %v\n%s", name, label, vectorized[label], want, res.Plan.Physical)
+				t.Errorf("%s: %s vectorized = %v, want %v\n%s", name, label, vectorized[label], want, res.Plan.Physical())
 			}
 		}
-		if res.Plan.Counters != tc.want {
+		if tc.want != (exec.Counters{}) && res.Plan.Counters != tc.want {
 			t.Errorf("%s: counters %+v, want %+v", name, res.Plan.Counters, tc.want)
 		}
 		db.SetVectorized(false)
@@ -321,8 +442,8 @@ func TestIndexStagesColumnar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (row path): %v", name, err)
 		}
-		if row.Plan.Counters != tc.want {
-			t.Errorf("%s: row path counters %+v, want %+v", name, row.Plan.Counters, tc.want)
+		if row.Plan.Counters != res.Plan.Counters {
+			t.Errorf("%s: row path counters %+v, vectorized %+v", name, row.Plan.Counters, res.Plan.Counters)
 		}
 		if got, want := strings.Join(formatRows(row.Rows), ";"), strings.Join(formatRows(res.Rows), ";"); got != want {
 			t.Errorf("%s: row path disagrees\nvec %s\nrow %s", name, want, got)

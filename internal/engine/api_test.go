@@ -257,6 +257,36 @@ func TestCorrelatedPlanAccounting(t *testing.T) {
 	}
 }
 
+// TestExplainListsOnlyTimedPhases: a snapshot taken where no stage ran —
+// the initial graph, Correlated's correlated graph — keeps its panel in the
+// EXPLAIN text but gets no line under "phases:", where every line is a
+// stage's wall-clock.
+func TestExplainListsOnlyTimedPhases(t *testing.T) {
+	db := newDB(t)
+	query := `SELECT d.deptname, s.avgsalary FROM department d, avgMgrSal s
+		WHERE d.deptno = s.workdept AND d.deptname = 'Planning'`
+	info, err := db.ExplainContext(context.Background(), query, WithStrategy(Correlated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := info.String()
+	for _, panel := range []string{"-- initial --", "-- correlated --"} {
+		if !strings.Contains(text, panel) {
+			t.Errorf("EXPLAIN lost the %q panel:\n%s", panel, text)
+		}
+	}
+	_, timings, _ := strings.Cut(text, "phases:\n")
+	timings, _, _ = strings.Cut(timings, "rules:\n")
+	if !strings.Contains(timings, "  correlate ") {
+		t.Errorf("phases list has no correlate stage:\n%s", timings)
+	}
+	for _, line := range strings.Split(timings, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && (f[0] == "initial" || f[0] == "correlated") {
+			t.Errorf("snapshot listed as a phase: %q", line)
+		}
+	}
+}
+
 // TestPreparedCountersReset verifies each execution reports its own
 // counters: N identical runs each see the same work, not a running total.
 func TestPreparedCountersReset(t *testing.T) {

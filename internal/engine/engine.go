@@ -502,10 +502,9 @@ type PlanInfo struct {
 	Counters        exec.Counters
 	OptimizeTime    time.Duration
 	ExecTime        time.Duration
-	// Physical renders the physical operator tree with this run's
-	// per-operator rows/batches/time; Operators is the structured form
-	// (depth-first). Both are empty for materialized (box-at-a-time) runs.
-	Physical  string
+	// Operators is the run's per-operator report (depth-first), the
+	// structured form of Physical; empty for materialized (box-at-a-time)
+	// runs.
 	Operators []plan.OpReport
 	// Mem is the run's memory-governance footprint; the zero value means
 	// the run executed without a budget.
@@ -517,6 +516,21 @@ type PlanInfo struct {
 	// (max(est/actual, actual/est); 1.0 = perfect, 0 = not measured). It is
 	// reported only: the plan stays fixed for its catalog epoch.
 	MaxQError float64
+
+	// phys and stats are the executed plan and its per-node statistics,
+	// kept so Physical renders on demand.
+	phys  *plan.Plan
+	stats []plan.OpStats
+}
+
+// Physical renders the physical operator tree with this run's per-operator
+// rows/batches/time (EXPLAIN ANALYZE). It is empty for materialized
+// (box-at-a-time) runs and before the run finalizes.
+func (p PlanInfo) Physical() string {
+	if p.phys == nil || p.stats == nil {
+		return ""
+	}
+	return p.phys.Format(p.stats)
 }
 
 // MemInfo is one budgeted execution's memory footprint.

@@ -39,7 +39,7 @@ type ExplainInfo struct {
 	JoinOrders []JoinOrder
 	// Physical renders the lowered physical operator tree (cardinality
 	// estimates only — per-operator execution counters appear on
-	// Result.Plan.Physical after a run); Operators is the structured form.
+	// Result.Plan.Physical() after a run); Operators is the structured form.
 	Physical  string
 	Operators []plan.OpReport
 	// PlanDOT is the Graphviz rendering of the executed plan (captured with
@@ -104,8 +104,8 @@ func (e *ExplainInfo) String() string {
 	if len(e.Phases) > 0 {
 		sb.WriteString("phases:\n")
 		for _, p := range e.Phases {
-			if p.Name == "initial" {
-				continue // a snapshot, not work
+			if p.HasSnapshot && p.Duration == 0 {
+				continue // a snapshot where no stage ran, not work
 			}
 			fmt.Fprintf(&sb, "  %-10s %v\n", p.Name, p.Duration)
 		}

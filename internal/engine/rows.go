@@ -370,7 +370,7 @@ func (r *Rows) finish(execErr error) {
 	r.info.Mem = mem
 	r.info.AdmissionWait = r.admissionWait
 	if opStats != nil {
-		r.info.Physical = r.p.phys.Format(opStats)
+		r.info.phys, r.info.stats = r.p.phys, opStats
 		r.info.Operators = reports
 		r.info.MaxQError = r.p.phys.MaxQError(opStats)
 	}

@@ -54,7 +54,7 @@ func TestVectorizedSmoke(t *testing.T) {
 			}
 		}
 		if !vectorized {
-			t.Errorf("%q: no vectorized operator in plan:\n%s", tc.query, res.Plan.Physical)
+			t.Errorf("%q: no vectorized operator in plan:\n%s", tc.query, res.Plan.Physical())
 		}
 	}
 
@@ -583,7 +583,7 @@ func TestVectorizedAggOracle(t *testing.T) {
 			t.Fatalf("%q: %v", tc.query, err)
 		}
 		if got := groupByVectorized(res); got != tc.vec {
-			t.Errorf("%q: group-by vectorized = %v, want %v\n%s", tc.query, got, tc.vec, res.Plan.Physical)
+			t.Errorf("%q: group-by vectorized = %v, want %v\n%s", tc.query, got, tc.vec, res.Plan.Physical())
 		}
 		want := strings.Join(rowsAsStrings(res), ";")
 		mat, err := db.QueryContext(ctx, tc.query, WithStrategy(Original), WithMaterialized())
@@ -663,7 +663,7 @@ func TestIndexStageSnapshots(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		if !indexStageVectorized(vec) {
-			t.Fatalf("%s: the index stage did not run vectorized\n%s", label, vec.Plan.Physical)
+			t.Fatalf("%s: the index stage did not run vectorized\n%s", label, vec.Plan.Physical())
 		}
 		want := strings.Join(rowsAsStrings(vec), ";")
 		db.SetVectorized(false)

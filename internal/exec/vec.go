@@ -19,6 +19,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"starmagic/internal/catalog"
 	"starmagic/internal/datum"
@@ -31,7 +32,82 @@ import (
 // vecBatch is the vectorized chunk size: large enough to amortize kernel
 // dispatch, small enough that a LIMIT consumer over-reads at most one
 // chunk beyond the row pipeline's 64-row batches.
-const vecBatch = plan.VecBatch
+const vecBatch = 512
+
+// vecScratch is what a vectorized operator works in during one open: its
+// vecBatch-row selection vectors, verdicts, key words, NULL masks, id columns
+// and VM temporaries, and its index stages' probed keys. It comes from
+// scratchPool at open and goes back at close, so an execution of a cached
+// plan reuses the scratch of earlier ones instead of allocating its own. No
+// batch handed to a consumer lives in it.
+type vecScratch struct {
+	i32   slab[int32]
+	u64   slab[uint64]
+	i64   slab[int64]
+	f64   slab[float64]
+	bl    slab[bool]
+	u8    slab[uint8]
+	tv    slab[datum.TV]
+	index []*indexRuns
+	nidx  int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(vecScratch) }}
+
+// slab hands out consecutive vecBatch-element slices of one array. Once the
+// array is used up, take allocates; reset then sizes the array to everything
+// taken, so the next open of the pooled scratch allocates nothing.
+type slab[T any] struct {
+	buf []T
+	off int
+}
+
+func (s *slab[T]) take() []T {
+	lo := s.off
+	s.off += vecBatch
+	if s.off > len(s.buf) {
+		return make([]T, vecBatch)
+	}
+	return s.buf[lo:s.off:s.off]
+}
+
+func (s *slab[T]) reset() {
+	if s.off > len(s.buf) {
+		s.buf = make([]T, s.off)
+	}
+	s.off = 0
+}
+
+// indexRuns is one index stage's state for an open (see lookupKey): run holds
+// the surviving row ids of each key probed, one -1-terminated run per key,
+// and seen maps the key to the start of its run (-1: no row survived).
+type indexRuns struct {
+	seen map[vec.Key]int32
+	run  []int32
+}
+
+func (sc *vecScratch) takeIndex() *indexRuns {
+	if sc.nidx == len(sc.index) {
+		sc.index = append(sc.index, &indexRuns{seen: map[vec.Key]int32{}})
+	}
+	sc.nidx++
+	return sc.index[sc.nidx-1]
+}
+
+func (sc *vecScratch) release() {
+	sc.i32.reset()
+	sc.u64.reset()
+	sc.i64.reset()
+	sc.f64.reset()
+	sc.bl.reset()
+	sc.u8.reset()
+	sc.tv.reset()
+	sc.nidx = 0
+	scratchPool.Put(sc)
+}
+
+// scratchUser is a compiled predicate or VM node that works in scratch.
+type scratchUser interface{ useScratch(sc *vecScratch) }
 
 // tickN is the bulk form of tick for chunked loops: it advances the
 // amortized cancellation counter by n rows and polls if a poll boundary
@@ -119,6 +195,10 @@ type logicPred struct {
 	subSel vec.Sel
 	idx    []int32
 	subTVs []datum.TV
+}
+
+func (p *logicPred) useScratch(sc *vecScratch) {
+	p.subSel, p.idx, p.subTVs = sc.i32.take()[:0], sc.i32.take()[:0], sc.tv.take()
 }
 
 func (p *logicPred) eval(o *vecCols, sel vec.Sel, tvs []datum.TV) {
@@ -270,12 +350,9 @@ type numExpr struct {
 	bln []bool
 }
 
-// withBufs gives a VM node the scratch its parent evaluates it into.
-func (n *numExpr) withBufs() *numExpr {
-	n.bi = make([]int64, vecBatch)
-	n.bf = make([]float64, vecBatch)
-	n.bln = make([]bool, vecBatch)
-	return n
+// useScratch gives a VM node the buffers its parent evaluates it into.
+func (n *numExpr) useScratch(sc *vecScratch) {
+	n.bi, n.bf, n.bln = sc.i64.take(), sc.f64.take(), sc.bl.take()
 }
 
 const (
@@ -462,7 +539,7 @@ type probeSrc struct {
 // set, row ids are version positions); any other child is materialized and
 // keyed row by row. An index stage builds nothing: it probes its relation's
 // captured index once per distinct key (rel is set, row ids are version
-// positions).
+// positions, and chain positions index the runs of ix).
 type vecStage struct {
 	st      *plan.Stage
 	quant   *qgm.Quantifier
@@ -485,19 +562,17 @@ type vecStage struct {
 
 	// Index stage (see lookupKey): cols are the stage table's columns, preds
 	// the leading residuals compiled against them, which filter each bucket
-	// (filters keeps the rest); seen maps each key probed this open to the
-	// head of its surviving rows, chained through link in bucket order.
-	rel    *storage.RelView
-	cols   vecCols
-	preds  []vecPred
-	seen   map[vec.Key]int32
-	key    datum.Row
-	bucket []int32
+	// (filters keeps the rest); ix holds this open's probed keys and runs.
+	rel   *storage.RelView
+	cols  vecCols
+	preds []vecPred
+	ix    *indexRuns
+	key   datum.Row
 
 	// Expansion state: in holds n tuples the stage extends (in[0] driving
 	// row ids, in[t+1] the ids matched at stage t), heads their chain heads;
 	// pos is the next tuple to extend, cur the one being extended and chain
-	// its next candidate build row (-1 none).
+	// its next candidate build row, or run position (-1 none).
 	in     [][]int32
 	heads  []int32
 	n, pos int
@@ -528,6 +603,8 @@ type vecCols struct {
 	tbl  vec.Table
 	tab  *vec.Intern
 	strs []string
+	// users are the compiled nodes that take scratch at each open.
+	users []scratchUser
 }
 
 // vecSelectOp is the vectorized replacement for selectPipeOp. The driving
@@ -576,6 +653,8 @@ type vecSelectOp struct {
 	miss         []bool
 	done         bool
 	out          []datum.Row
+	// sc is the scratch held between open and close.
+	sc *vecScratch
 }
 
 // tryVecSelect compiles a Vec-marked select node, returning nil when the
@@ -639,39 +718,53 @@ func (r *planRun) tryVecSelect(n *plan.Node) operator {
 		}
 	}
 	o.compileProj()
-	o.selA = make(vec.Sel, 0, vecBatch)
-	o.selB = make(vec.Sel, 0, vecBatch)
-	o.tvs = make([]datum.TV, vecBatch)
 	o.out = make([]datum.Row, 0, streamBatch)
-	o.fin = idCols(len(o.stages)+1, len(o.stages) > 0)
-	if len(o.stages) > 0 {
-		o.src = make([]int32, 0, vecBatch)
-		nk := 0
-		for s, vs := range o.stages {
-			vs.in = idCols(s+1, s > 0)
-			vs.heads = make([]int32, vecBatch)
-			nk = max(nk, len(vs.probes))
-		}
-		for p := range nk {
-			o.words[p] = make([]uint64, vecBatch)
-		}
-		o.nulls = make([]uint8, vecBatch)
-		o.miss = make([]bool, vecBatch)
+	o.fin = make([][]int32, len(o.stages)+1)
+	for s, vs := range o.stages {
+		vs.in = make([][]int32, s+1)
 	}
 	return o
 }
 
-// idCols returns the id columns of a batch of tuples n levels deep, with
-// room for vecBatch tuples when expand fills them (alloc); the source
-// hands out slices of its own.
-func idCols(n int, alloc bool) [][]int32 {
-	cols := make([][]int32, n)
-	for k := range cols {
-		if alloc {
-			cols[k] = make([]int32, 0, vecBatch)
+// acquire takes the operator's scratch for this open (see vecScratch): the
+// id columns expand fills get room for vecBatch tuples each.
+func (o *vecSelectOp) acquire() {
+	if o.sc != nil {
+		return
+	}
+	sc := scratchPool.Get().(*vecScratch)
+	o.sc = sc
+	o.selA, o.selB, o.tvs = sc.i32.take()[:0], sc.i32.take()[:0], sc.tv.take()
+	for _, u := range o.users {
+		u.useScratch(sc)
+	}
+	if len(o.stages) == 0 {
+		return
+	}
+	o.src = sc.i32.take()[:0]
+	for k := range o.fin {
+		o.fin[k] = sc.i32.take()[:0]
+	}
+	nk := 0
+	for s, vs := range o.stages {
+		if s > 0 { // stage 0 extends the source's own slices
+			for k := range vs.in {
+				vs.in[k] = sc.i32.take()[:0]
+			}
+		}
+		vs.heads = sc.i32.take()
+		nk = max(nk, len(vs.probes))
+		if vs.rel != nil {
+			vs.ix = sc.takeIndex()
+			for _, u := range vs.cols.users {
+				u.useScratch(sc)
+			}
 		}
 	}
-	return cols
+	for p := range nk {
+		o.words[p] = sc.u64.take()
+	}
+	o.nulls, o.miss = sc.u8.take(), sc.bl.take()
 }
 
 // columnTypes returns the declared types of t's columns.
@@ -905,6 +998,12 @@ func (o *vecCols) compileVal(e qgm.Expr) (compiledVal, bool) {
 	return compiledVal{}, false
 }
 
+// scratched registers VM node n, which works in scratch.
+func (o *vecCols) scratched(n *numExpr) *numExpr {
+	o.users = append(o.users, n)
+	return n
+}
+
 // compileNum compiles an arithmetic tree to the numeric VM. Div and Mod
 // are rejected: their divide-by-zero errors are data-dependent and must
 // fire lazily in row order, which the row pipeline provides.
@@ -918,13 +1017,13 @@ func (o *vecCols) compileNum(e qgm.Expr) (*numExpr, bool) {
 		if t != datum.TInt && t != datum.TFloat {
 			return nil, false
 		}
-		return (&numExpr{kind: numCol, col: x.Ord, isInt: t == datum.TInt}).withBufs(), true
+		return o.scratched(&numExpr{kind: numCol, col: x.Ord, isInt: t == datum.TInt}), true
 	case *qgm.Const:
 		n, ok := o.compileNumConst(x.Val)
 		if !ok {
 			return nil, false
 		}
-		return n.withBufs(), true
+		return o.scratched(n), true
 	case *qgm.Param:
 		if x.Ord >= len(o.params) {
 			return nil, false
@@ -933,13 +1032,13 @@ func (o *vecCols) compileNum(e qgm.Expr) (*numExpr, bool) {
 		if !ok {
 			return nil, false
 		}
-		return n.withBufs(), true
+		return o.scratched(n), true
 	case *qgm.Neg:
 		l, ok := o.compileNum(x.X)
 		if !ok {
 			return nil, false
 		}
-		return (&numExpr{kind: numNeg, l: l, isInt: l.isInt}).withBufs(), true
+		return o.scratched(&numExpr{kind: numNeg, l: l, isInt: l.isInt}), true
 	case *qgm.Arith:
 		if x.Op != datum.Add && x.Op != datum.Sub && x.Op != datum.Mul {
 			return nil, false
@@ -952,7 +1051,7 @@ func (o *vecCols) compileNum(e qgm.Expr) (*numExpr, bool) {
 		if !ok {
 			return nil, false
 		}
-		return (&numExpr{kind: numArith, aop: x.Op, l: l, r: r, isInt: l.isInt && r.isInt}).withBufs(), true
+		return o.scratched(&numExpr{kind: numArith, aop: x.Op, l: l, r: r, isInt: l.isInt && r.isInt}), true
 	}
 	return nil, false
 }
@@ -979,12 +1078,8 @@ func (o *vecCols) compilePred(e qgm.Expr) (vecPred, bool) {
 		if len(x.Args) == 0 {
 			return nil, false
 		}
-		p := &logicPred{
-			and:    x.Op == qgm.And,
-			subSel: make(vec.Sel, 0, vecBatch),
-			idx:    make([]int32, 0, vecBatch),
-			subTVs: make([]datum.TV, vecBatch),
-		}
+		p := &logicPred{and: x.Op == qgm.And}
+		o.users = append(o.users, p)
 		for _, a := range x.Args {
 			ap, ok := o.compilePred(a)
 			if !ok {
@@ -1119,7 +1214,7 @@ func (o *vecCols) asNum(v compiledVal) (*numExpr, bool) {
 	} else {
 		n = &numExpr{kind: numCol, col: v.col, isInt: o.colType(v.col) == datum.TInt}
 	}
-	return n.withBufs(), true
+	return o.scratched(n), true
 }
 
 func (o *vecSelectOp) open() error {
@@ -1129,6 +1224,7 @@ func (o *vecSelectOp) open() error {
 	}
 	o.env = ev.rootEnv()
 	o.done = false
+	o.acquire()
 	for _, pred := range o.n.ConstPreds {
 		tv, err := EvalPred(pred, o.env)
 		if err != nil {
@@ -1240,7 +1336,7 @@ func (o *vecSelectOp) buildOnDriver(vs *vecStage) error {
 	}
 	// Without a visibility selection every row is visible: each batch is a
 	// window of the columns, addressed by one identity selection.
-	ident := vec.Iota(make(vec.Sel, 0, vecBatch), 0, vecBatch)
+	ident := vec.Iota(o.sc.i32.take()[:0], 0, vecBatch)
 	win := make([]vec.Col, len(vs.keyOrds))
 	var key vec.Key
 	g, have := int32(-1), false
@@ -1326,8 +1422,8 @@ func (o *vecSelectOp) openIndexes() {
 		tbl, rows, _, tab := vs.rel.Vec()
 		vs.cols.tbl, vs.cols.tab, vs.cols.strs = tbl, tab, tab.Strs()
 		vs.tbl, vs.rows = &vs.cols.tbl, rows
-		vs.seen = make(map[vec.Key]int32)
-		vs.link = make([]int32, tbl.N)
+		clear(vs.ix.seen)
+		vs.ix.run = vs.ix.run[:0]
 	}
 }
 
@@ -1551,9 +1647,15 @@ func (o *vecSelectOp) expand(s int, out [][]int32) (int, error) {
 			continue
 		}
 		id := chain
-		if vs.link != nil {
+		switch {
+		case vs.ix != nil:
+			run := vs.ix.run
+			if id, chain = run[chain], chain+1; run[chain] < 0 {
+				chain = -1
+			}
+		case vs.link != nil:
 			chain = vs.link[id]
-		} else {
+		default:
 			chain = vs.jt.Next(id)
 		}
 		steps++
@@ -1639,13 +1741,13 @@ func (o *vecSelectOp) probeIndex(vs *vecStage, n int) error {
 		for p, w := range words {
 			key.V[p] = w[k]
 		}
-		head, ok := vs.seen[key]
+		head, ok := vs.ix.seen[key]
 		if !ok {
 			var err error
 			if head, err = o.lookupKey(vs, k); err != nil {
 				return err
 			}
-			vs.seen[key] = head
+			vs.ix.seen[key] = head
 		}
 		heads[k] = head
 	}
@@ -1654,23 +1756,25 @@ func (o *vecSelectOp) probeIndex(vs *vecStage, n int) error {
 
 // lookupKey looks the key of tuple k of vs.in up in the stage's index —
 // the datums the row pipeline would probe with, so the encoding is the
-// index's own — runs the bucket through the stage's compiled residuals
-// vecBatch row ids at a time, and chains the survivors through vs.link in
-// bucket order, the order the row pipeline's lookup returns them in. It
-// returns the chain head, -1 when no row survives. Equal normalized words
-// mean equal index keys, so the first tuple of a key speaks for all.
+// index's own — appending the bucket to the stage's run slab, runs it
+// through the stage's compiled residuals vecBatch row ids at a time, and
+// keeps the survivors there in bucket order, the order the row pipeline's
+// lookup returns them in, as one -1-terminated run. It returns the run's
+// start, -1 when no row survives. Equal normalized words mean equal index
+// keys, so the first tuple of a key speaks for all.
 func (o *vecSelectOp) lookupKey(vs *vecStage, k int) (int32, error) {
 	for p := range vs.probes {
 		vs.key[p] = o.probeDatum(&vs.probes[p], vs.in, k)
 	}
-	ids, _ := vs.rel.LookupIDs(vs.st.IndexCols, vs.key, vs.bucket[:0])
-	vs.bucket = ids
-	if err := o.ev.tickN(len(ids)); err != nil {
+	start := len(vs.ix.run)
+	run, _ := vs.rel.LookupIDs(vs.st.IndexCols, vs.key, vs.ix.run)
+	vs.ix.run = run[:start]
+	if err := o.ev.tickN(len(run) - start); err != nil {
 		return -1, err
 	}
-	head, last := int32(-1), int32(-1)
-	for lo := 0; lo < len(ids); lo += vecBatch {
-		sel := ids[lo:min(lo+vecBatch, len(ids))]
+	end := start
+	for lo := start; lo < len(run); lo += vecBatch {
+		sel := run[lo:min(lo+vecBatch, len(run))]
 		for _, p := range vs.preds {
 			if len(sel) == 0 {
 				break
@@ -1679,19 +1783,13 @@ func (o *vecSelectOp) lookupKey(vs *vecStage, k int) (int32, error) {
 			p.eval(&vs.cols, sel, tvs)
 			sel = vec.FilterTrue(sel, tvs, sel[:0])
 		}
-		for _, id := range sel {
-			if last < 0 {
-				head = id
-			} else {
-				vs.link[last] = id
-			}
-			last = id
-		}
+		end += copy(run[end:], sel)
 	}
-	if last >= 0 {
-		vs.link[last] = -1
+	if end == start {
+		return -1, nil
 	}
-	return head, nil
+	vs.ix.run = append(run[:end], -1)
+	return int32(start), nil
 }
 
 // probeDatum returns key position ps of tuple k of in as the row pipeline
@@ -1924,7 +2022,11 @@ func (o *vecSelectOp) close() error {
 	for _, vs := range o.stages {
 		vs.rows, vs.tbl, vs.jt, vs.ids = nil, nil, nil, nil
 		vs.grp, vs.first, vs.link = nil, nil, nil
-		vs.cols.tbl, vs.cols.strs, vs.seen = vec.Table{}, nil, nil
+		vs.cols.tbl, vs.cols.strs, vs.ix = vec.Table{}, nil, nil
+	}
+	if o.sc != nil {
+		o.sc.release()
+		o.sc = nil
 	}
 	return nil
 }

@@ -34,7 +34,7 @@ type vecSrc struct {
 	t     datum.Type
 	num   *numExpr
 	// buf holds a VM expression's values for the current batch, addressed by
-	// the identity selection.
+	// the identity selection; it lives in the select's scratch.
 	buf vec.Col
 }
 
@@ -138,15 +138,24 @@ func (g *vecGroupByOp) compileSrc(e qgm.Expr) *vecSrc {
 		return nil
 	}
 	src := &vecSrc{num: num, t: datum.TFloat}
-	src.buf.Nulls = make([]bool, vecBatch)
 	if num.isInt {
 		src.t = datum.TInt
-		src.buf.I64 = make([]int64, vecBatch)
-	} else {
-		src.buf.F64 = make([]float64, vecBatch)
 	}
 	src.buf.T = src.t
 	return src
+}
+
+// useScratch gives a VM expression's buffer its room for this open.
+func (s *vecSrc) useScratch(sc *vecScratch) {
+	if s == nil || s.num == nil {
+		return
+	}
+	s.buf.Nulls = sc.bl.take()
+	if s.num.isInt {
+		s.buf.I64 = sc.i64.take()
+	} else {
+		s.buf.F64 = sc.f64.take()
+	}
 }
 
 // load returns the column holding the batch's values of s and the row ids
@@ -181,14 +190,20 @@ func (g *vecGroupByOp) open() error {
 	}
 	g.r.stats[g.n.ID].Vectorized = true
 
+	// The select's scratch is held until child.close below.
+	sc := o.sc
 	gt := vec.NewGroupTable()
 	words := make([][]uint64, len(g.keys))
-	for j := range words {
-		words[j] = make([]uint64, vecBatch)
+	for j, src := range g.keys {
+		words[j] = sc.u64.take()
+		src.useScratch(sc)
 	}
-	nulls := make([]uint8, vecBatch)
-	gids := make([]int32, vecBatch)
-	ident := vec.Iota(make(vec.Sel, 0, vecBatch), 0, vecBatch)
+	for _, a := range g.aggs {
+		a.arg.useScratch(sc)
+	}
+	nulls, gids := sc.u8.take(), sc.i32.take()
+	clear(gids) // scalar aggregation: every row is group 0
+	ident := vec.Iota(sc.i32.take()[:0], 0, vecBatch)
 	var fresh []int32
 	var keyRows []datum.Row
 	groups := 0

@@ -348,7 +348,6 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 			probes *= lw.est.Selectivity(b, pred)
 		}
 		probes = max(probes, 1)
-		st.EstRows = probes
 
 		switch {
 		case corr:
@@ -433,16 +432,14 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 // residual filters — a magic or supplementary-magic box, say — provided the
 // next stage hashes a base table on the driver's columns alone (the executor
 // then builds the join table over the driver's few rows and streams the base
-// table through it, instead of building over the whole table) or is a
-// columnar index stage. Every later stage is a hash join or a columnar index
-// stage, keyed on at most vec.MaxKeyCols plain column/constant expressions,
-// and nothing forces row-at-a-time finishing (scalar subqueries, semi/anti
-// checks, post-predicates). An index stage is columnar only when it is
-// estimated to emit at least VecBatch tuples: the executor probes each
-// distinct key once and filters the bucket with column kernels, which pays
-// for its setup only over full batches. The executor re-verifies at build
-// time against runtime types and the memory mode; this flag is the shared
-// structural judgment surfaced in EXPLAIN.
+// table through it, instead of building over the whole table) or is an
+// index stage. Every later stage is a hash join or an index stage, keyed on
+// at most vec.MaxKeyCols plain column/constant expressions, and nothing
+// forces row-at-a-time finishing (scalar subqueries, semi/anti checks,
+// post-predicates). The executor probes an index stage once per
+// distinct key and filters the bucket with column kernels. It re-verifies at
+// build time against runtime types and the memory mode; this flag is the
+// shared structural judgment surfaced in EXPLAIN.
 func vectorizableSelect(n *Node) bool {
 	if len(n.Scalars) > 0 || len(n.Subqs) > 0 || len(n.PostPreds) > 0 || len(n.Stages) == 0 {
 		return false
@@ -469,8 +466,7 @@ func vectorizableSelect(n *Node) bool {
 			}
 			continue
 		}
-		columnarIndex := st.Access == AccessIndex && st.EstRows >= VecBatch
-		if st.Access != AccessHash && !columnarIndex || len(st.KeyMine) == 0 || len(st.KeyMine) > maxVecKeys {
+		if st.Access != AccessHash && st.Access != AccessIndex || len(st.KeyMine) == 0 || len(st.KeyMine) > maxVecKeys {
 			return false
 		}
 		for _, e := range st.KeyMine {

@@ -142,16 +142,7 @@ type Stage struct {
 	Residual []qgm.Expr
 	// Child is the operator producing the stage's input rows.
 	Child *Node
-	// EstRows is the estimated number of tuples the pipeline holds after
-	// this stage: the bindings reaching it times its child's rows times the
-	// selectivity of its predicates, as opt.pipelineCost counts them.
-	EstRows float64
 }
-
-// VecBatch is the vectorized executor's chunk size in rows. Lowering sends
-// an index stage to the columnar path only when the stage is estimated to
-// emit at least one chunk.
-const VecBatch = 512
 
 // SubqMode selects how an Exists/ForAll quantifier check executes.
 type SubqMode uint8
