@@ -309,7 +309,7 @@ func Run(db *engine.Database, e Experiment, strategy engine.Strategy, reps int) 
 			best.Counters = res.Plan.Counters
 			best.UsedEMST = res.Plan.UsedEMST
 			best.Vec = [2]int{}
-			for _, op := range res.Plan.Operators {
+			for _, op := range res.Plan.Operators() {
 				if op.Kind == "select" || op.Kind == "group-by" {
 					best.Vec[1]++
 					if op.Vectorized {

@@ -134,11 +134,20 @@ func TestExperimentsAgreeAcrossStrategies(t *testing.T) {
 
 // smallAllocCeiling bounds what one EMST execution of the small Table-1
 // experiments may allocate at DefaultConfig. Each is below what the
-// executor allocated (A 44 952, F 34 688, G 49 088, H 95 936 bytes) when
-// every execution rendered its EXPLAIN ANALYZE text and every vectorized
-// operator allocated its 512-row scratch, and an index stage a chain array
-// the size of its table, at each open.
-var smallAllocCeiling = map[string]uint64{"A": 36 << 10, "F": 28 << 10, "G": 36 << 10, "H": 80 << 10}
+// executor allocated (A 20 952, F 18 976, G 21 000, H 65 512 bytes) when
+// every execution built its per-operator report for the metrics, and far
+// below what it allocated (A 44 952, F 34 688, G 49 088, H 95 936) when it
+// also rendered its EXPLAIN ANALYZE text and every vectorized operator
+// allocated its 512-row scratch, and an index stage a chain array the size
+// of its table, at each open.
+var smallAllocCeiling = map[string]uint64{"A": 18 << 10, "F": 16 << 10, "G": 18 << 10, "H": 62 << 10}
+
+// preparedCAllocCeiling bounds one EMST execution of the benchmark's
+// prepared C at DefaultConfig: its magic set drives a build over orders,
+// whose table-sized chain array (90 KB) and driver-sized arrays came fresh
+// at every open (121 440 bytes an execution) before they came from the
+// pooled scratch (~26 KB).
+const preparedCAllocCeiling = 32 << 10
 
 // steadyAlloc returns the fewest bytes one of five EMST executions of e
 // allocated: the first executions fill the executor's scratch pool.
@@ -156,7 +165,9 @@ func steadyAlloc(t *testing.T, db *engine.Database, e Experiment) uint64 {
 // cost. A, F, G and H stay under their ceilings, and A, F and G, whose
 // magic set picks one department, allocate the same within 10 % with four
 // times the departments, so four times the rows in every table; H is left
-// out of that, since its region holds four times the departments.
+// out of that, since its region holds four times the departments. Prepared
+// C, whose plan builds over the whole orders table, stays under its ceiling
+// too.
 func TestSmallPlanAllocation(t *testing.T) {
 	db, err := NewDB(DefaultConfig())
 	if err != nil {
@@ -185,6 +196,25 @@ func TestSmallPlanAllocation(t *testing.T) {
 		if alloc4 := steadyAlloc(t, db4, e); float64(alloc4) > 1.1*float64(alloc) {
 			t.Errorf("exp %s: %d bytes at 4x departments, %d at 1x", e.ID, alloc4, alloc)
 		}
+	}
+	c := shapeByID("C")
+	p, err := db.Prepare(c.query, engine.EMST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := p.Execute(c.fixed...)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > preparedCAllocCeiling {
+		t.Errorf("prepared C: one EMST execution allocated %d bytes, ceiling %d", least, preparedCAllocCeiling)
 	}
 }
 
@@ -231,13 +261,25 @@ func TestSmallPlansConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPreparedPlansHoldStill: the §3.2 magic/no-magic choice is made once,
-// when the query is optimized. Re-preparing and re-executing a Table-1 text
-// on one database must serve the cached plan unchanged — one physical plan
-// per (experiment, strategy), a cold miss once and hits afterwards — with
-// identical rows every round.
+// TestPreparedPlansHoldStill: the §3.2 magic/no-magic choice is made once
+// per plan. Re-preparing and re-executing a Table-1 text — literal, or a
+// prepared shape at a fixed binding — on one database must serve the cached
+// plan unchanged — one physical plan per (text, strategy), a cold miss once
+// and hits afterwards — execute the same plan every round (the plan made
+// for the binding's class, run statistics aside), and return identical rows.
 func TestPreparedPlansHoldStill(t *testing.T) {
 	const rounds = 30
+	type text struct {
+		id, query string
+		args      []any
+	}
+	var texts []text
+	for _, e := range Experiments() {
+		texts = append(texts, text{e.ID, e.Query, nil})
+	}
+	for _, sh := range preparedShapes {
+		texts = append(texts, text{sh.id + "?", sh.query, sh.fixed})
+	}
 	for _, cfg := range []Config{testConfig(), DefaultConfig()} {
 		name := fmt.Sprintf("depts=%d", cfg.Departments)
 		t.Run(name, func(t *testing.T) {
@@ -248,38 +290,43 @@ func TestPreparedPlansHoldStill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range Experiments() {
-				for _, s := range []engine.Strategy{engine.Original, engine.Correlated, engine.EMST} {
-					var plan, rows string
+			for _, e := range texts {
+				for _, s := range allStrategies {
+					var prepared, executed, rows string
 					for i := 1; i <= rounds; i++ {
-						p, err := db.Prepare(e.Query, s)
+						p, err := db.Prepare(e.query, s)
 						if err != nil {
-							t.Fatalf("exp %s %v: %v", e.ID, s, err)
+							t.Fatalf("exp %s %v: %v", e.id, s, err)
 						}
 						want := "hit"
 						if i == 1 {
 							want = "miss"
 						}
 						if got := p.Explain().CacheStatus; got != want {
-							t.Errorf("exp %s %v round %d: cache status %q, want %q", e.ID, s, i, got, want)
+							t.Errorf("exp %s %v round %d: cache status %q, want %q", e.id, s, i, got, want)
 							break
 						}
-						res, err := p.Execute()
+						res, err := p.Execute(e.args...)
 						if err != nil {
-							t.Fatalf("exp %s %v: %v", e.ID, s, err)
+							t.Fatalf("exp %s %v: %v", e.id, s, err)
 						}
 						got := sortedRows(res.Rows)
+						ran := planText(res.Plan.Operators(), true)
 						if i == 1 {
-							plan, rows = p.Explain().Physical, strings.Join(got, ";")
+							prepared, executed, rows = p.Explain().Physical, ran, strings.Join(got, ";")
 							continue
 						}
-						if p.Explain().Physical != plan {
+						if p.Explain().Physical != prepared {
 							t.Errorf("exp %s %v round %d: physical plan changed\n%s\nvs round 1\n%s",
-								e.ID, s, i, p.Explain().Physical, plan)
+								e.id, s, i, p.Explain().Physical, prepared)
+							break
+						}
+						if ran != executed {
+							t.Errorf("exp %s %v round %d: executed plan changed\n%s\nvs round 1\n%s", e.id, s, i, ran, executed)
 							break
 						}
 						if strings.Join(got, ";") != rows {
-							t.Errorf("exp %s %v round %d: rows changed", e.ID, s, i)
+							t.Errorf("exp %s %v round %d: rows changed", e.id, s, i)
 							break
 						}
 					}
@@ -329,7 +376,7 @@ func TestMagicPipelinesColumnar(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		vectorized := map[string]bool{}
-		for _, op := range res.Plan.Operators {
+		for _, op := range res.Plan.Operators() {
 			vectorized[op.Label] = vectorized[op.Label] || op.Vectorized
 		}
 		for _, label := range []string{"select T3", "group-by GB4"} {
@@ -357,13 +404,15 @@ func TestMagicPipelinesColumnar(t *testing.T) {
 	}
 }
 
-// TestIndexStagesColumnar: prepared B and E — an aggregate view driving 150
-// index lookups into employee — run their index stage on the columnar path:
-// each department's bucket is looked up once and filtered by column kernels.
-// The counters are exactly the row pipeline's, and so are the rows, in order.
-// The literal texts keep their counters too, and their magic-driven index
-// stages go columnar whatever their size: literal E's (~1 400 rows) and
-// literal B's (150). So do the small EMST plans of A, F, G and H, literal
+// TestIndexStagesColumnar: the default-selectivity plans of prepared B and
+// E — an aggregate view driving 150 index lookups into employee, run here
+// by a Prepared held across a catalog-epoch change — run their index stage
+// on the columnar path: each department's bucket is looked up once and
+// filtered by column kernels. The counters are exactly the row pipeline's,
+// and so are the rows, in order. The literal texts keep their counters too,
+// and their magic-driven index stages go columnar whatever their size:
+// literal E's (~1 400 rows) and literal B's (150); so do the plans prepared
+// B and E run for those bindings. So do the small EMST plans of A, F, G and H, literal
 // and with the benchmark's `?` texts: the magic join into the indexed view
 // and the group-by above it, and H's two index stages into employee.
 func TestIndexStagesColumnar(t *testing.T) {
@@ -377,42 +426,48 @@ func TestIndexStagesColumnar(t *testing.T) {
 	}
 	magicJoin := map[string]bool{"select T3": true, "group-by GB4": true}
 	regionJoins := map[string]bool{"select SM_T9#1": true, "select T4": true, "group-by GB5": true}
+	const (
+		preparedB = `SELECT e.empname, v.total FROM employee e, deptSales v
+		        WHERE e.workdept = v.deptno AND e.empno < ?`
+		preparedE = `SELECT e.empname, v.total FROM employee e, deptSales v
+		        WHERE e.workdept = v.deptno AND (e.empno < ? OR e.empno > ?)`
+	)
+	literalB := exec.Counters{BaseRows: 6000, BoxEvals: 6, HashBuilds: 1, HashProbes: 29, IndexLookups: 1, OutputRows: 6210}
+	literalE := exec.Counters{BaseRows: 6000, BoxEvals: 6, HashBuilds: 1, HashProbes: 92, IndexLookups: 3, OutputRows: 6640}
 	cases := []struct {
 		id, query string
 		args      []any
 		vec       map[string]bool // operators and whether they must run vectorized
 		want      exec.Counters   // the row pipeline's; zero: not pinned
+		// stale runs the Prepared after an epoch change: its default plan.
+		stale bool
 	}{
-		{"B", `SELECT e.empname, v.total FROM employee e, deptSales v
-		        WHERE e.workdept = v.deptno AND e.empno < ?`, []any{int64(1030)},
+		{"B", preparedB, []any{int64(1030)},
 			map[string]bool{"select SEL1": true},
-			exec.Counters{BaseRows: 22500, BoxEvals: 4, IndexLookups: 150, OutputRows: 45179}},
-		{"E", `SELECT e.empname, v.total FROM employee e, deptSales v
-		        WHERE e.workdept = v.deptno AND (e.empno < ? OR e.empno > ?)`, []any{int64(1013), int64(149000)},
+			exec.Counters{BaseRows: 22500, BoxEvals: 4, IndexLookups: 150, OutputRows: 45179}, true},
+		{"E", preparedE, []any{int64(1013), int64(149000)},
 			map[string]bool{"select SEL1": true},
-			exec.Counters{BaseRows: 22500, BoxEvals: 4, IndexLookups: 150, OutputRows: 45242}},
-		{"B", exps["B"].Query, nil,
-			map[string]bool{"select T3": true},
-			exec.Counters{BaseRows: 6000, BoxEvals: 6, HashBuilds: 1, HashProbes: 29, IndexLookups: 1, OutputRows: 6210}},
-		{"E", exps["E"].Query, nil,
-			map[string]bool{"select T3": true},
-			exec.Counters{BaseRows: 6000, BoxEvals: 6, HashBuilds: 1, HashProbes: 92, IndexLookups: 3, OutputRows: 6640}},
-		{"A", exps["A"].Query, nil, magicJoin, exec.Counters{}},
+			exec.Counters{BaseRows: 22500, BoxEvals: 4, IndexLookups: 150, OutputRows: 45242}, true},
+		{"B", preparedB, []any{int64(1030)}, map[string]bool{"select T3": true}, literalB, false},
+		{"E", preparedE, []any{int64(1013), int64(149000)}, map[string]bool{"select T3": true}, literalE, false},
+		{"B", exps["B"].Query, nil, map[string]bool{"select T3": true}, literalB, false},
+		{"E", exps["E"].Query, nil, map[string]bool{"select T3": true}, literalE, false},
+		{"A", exps["A"].Query, nil, magicJoin, exec.Counters{}, false},
 		{"A", `SELECT d.deptname, v.avgsal FROM department d, avgSalary v
 		        WHERE d.deptno = v.workdept AND d.deptname = ? AND d.mgrno > ?`, []any{"Planning", int64(0)},
-			magicJoin, exec.Counters{}},
-		{"F", exps["F"].Query, nil, magicJoin, exec.Counters{}},
+			magicJoin, exec.Counters{}, false},
+		{"F", exps["F"].Query, nil, magicJoin, exec.Counters{}, false},
 		{"F", `SELECT d.deptname, v.headcount FROM department d, avgSalary v
 		        WHERE d.deptno = v.workdept AND d.deptno = ? AND d.mgrno > ?`, []any{int64(3), int64(0)},
-			magicJoin, exec.Counters{}},
-		{"G", exps["G"].Query, nil, magicJoin, exec.Counters{}},
+			magicJoin, exec.Counters{}, false},
+		{"G", exps["G"].Query, nil, magicJoin, exec.Counters{}, false},
 		{"G", `SELECT d.deptname, v.deptno, v.avgamount FROM department d, deptAvgSales v
 		        WHERE d.deptno = v.deptno AND d.deptname = ? AND d.mgrno > ?`, []any{"Planning", int64(0)},
-			magicJoin, exec.Counters{}},
-		{"H", exps["H"].Query, nil, regionJoins, exec.Counters{}},
+			magicJoin, exec.Counters{}, false},
+		{"H", exps["H"].Query, nil, regionJoins, exec.Counters{}, false},
 		{"H", `SELECT v.region, v.totalsal FROM regionPay v
 		        WHERE v.region = ? AND v.totalsal > ?`, []any{"R03", int64(-1)},
-			regionJoins, exec.Counters{}},
+			regionJoins, exec.Counters{}, false},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s%v", tc.id, tc.args)
@@ -420,12 +475,16 @@ func TestIndexStagesColumnar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if tc.stale {
+			db.Analyze()
+			name += " stale"
+		}
 		res, err := p.Execute(tc.args...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		vectorized := map[string]bool{}
-		for _, op := range res.Plan.Operators {
+		for _, op := range res.Plan.Operators() {
 			vectorized[op.Label] = vectorized[op.Label] || op.Vectorized
 		}
 		for label, want := range tc.vec {
@@ -451,11 +510,15 @@ func TestIndexStagesColumnar(t *testing.T) {
 	}
 }
 
-// TestPreparedShapesAgree prepares the benchmark's eight Table-1 shape texts
-// once per strategy and executes each over its whole binding domain — every
-// department and region for A, F, G and H, and the workload's ranges for B,
-// C, D and E — under Original and EMST, vectorized and on the row path. All
-// four must return the same bag of rows for every binding.
+// TestPreparedShapesAgree prepares the benchmark's prepared texts once per
+// strategy and executes each over its whole binding domain — every
+// department and region for A, F, G and H, the workload's ranges for B, C, D
+// and E, and one employee per department for PK — under all three
+// strategies, vectorized and on the row path, and runs the same text with
+// the binding written as literals, which has no per-binding plans. All must
+// return the same bag of rows for every binding. Correlated D and E, whose
+// executions take up to 0.4 s, run every tenth binding. No shape and
+// strategy runs more distinct plans than a text keeps.
 func TestPreparedShapesAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark scale")
@@ -468,11 +531,12 @@ func TestPreparedShapesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names, nos, regions []any
+	var names, nos, regions, empnos []any
 	seen := map[string]bool{}
 	for _, r := range depts.Rows {
 		nos = append(nos, r[0].I)
 		names = append(names, r[1].S)
+		empnos = append(empnos, r[0].I*1000+1)
 		if !seen[r[2].S] {
 			seen[r[2].S] = true
 			regions = append(regions, r[2].S)
@@ -498,58 +562,60 @@ func TestPreparedShapesAgree(t *testing.T) {
 			eArgs = append(eArgs, []any{lo, hi})
 		}
 	}
-	shapes := []struct {
-		id, query string
-		args      [][]any
-	}{
-		{"A", `SELECT d.deptname, v.avgsal FROM department d, avgSalary v
-		        WHERE d.deptno = v.workdept AND d.deptname = ? AND d.mgrno > ?`, bind(names, int64(0))},
-		{"F", `SELECT d.deptname, v.headcount FROM department d, avgSalary v
-		        WHERE d.deptno = v.workdept AND d.deptno = ? AND d.mgrno > ?`, bind(nos, int64(0))},
-		{"G", `SELECT d.deptname, v.deptno, v.avgamount FROM department d, deptAvgSales v
-		        WHERE d.deptno = v.deptno AND d.deptname = ? AND d.mgrno > ?`, bind(names, int64(0))},
-		{"H", `SELECT v.region, v.totalsal FROM regionPay v
-		        WHERE v.region = ? AND v.totalsal > ?`, bind(regions, int64(-1))},
-		{"B", `SELECT e.empname, v.total FROM employee e, deptSales v
-		        WHERE e.workdept = v.deptno AND e.empno < ?`, bind(span(1010, 1040))},
-		{"C", `SELECT d.deptname, v.total FROM department d, deptOrders v
-		        WHERE d.deptno = v.deptno AND d.deptno < ?`, bind(span(4, 10))},
-		{"D", `SELECT d.deptname, v.total FROM department d, deptOrdersJ v
-		        WHERE d.deptno = v.deptno AND d.deptno <= ?`, bind(span(100, 140))},
-		{"E", `SELECT e.empname, v.total FROM employee e, deptSales v
-		        WHERE e.workdept = v.deptno AND (e.empno < ? OR e.empno > ?)`, eArgs},
+	domain := map[string][][]any{
+		"A": bind(names, int64(0)), "F": bind(nos, int64(0)), "G": bind(names, int64(0)),
+		"H": bind(regions, int64(-1)), "B": bind(span(1010, 1040)), "C": bind(span(4, 10)),
+		"D": bind(span(100, 140)), "E": eArgs, "PK": bind(empnos),
 	}
-	for _, sh := range shapes {
-		var prepared []*engine.Prepared
-		for _, s := range []engine.Strategy{engine.Original, engine.EMST} {
+	for _, sh := range preparedShapes {
+		prepared := map[engine.Strategy]*engine.Prepared{}
+		plans := map[engine.Strategy]map[string]bool{}
+		for _, s := range allStrategies {
 			p, err := db.Prepare(sh.query, s)
 			if err != nil {
 				t.Fatalf("%s %v: %v", sh.id, s, err)
 			}
-			prepared = append(prepared, p)
+			prepared[s], plans[s] = p, map[string]bool{}
 		}
-		for _, args := range sh.args {
+		for i, args := range domain[sh.id] {
 			var want string
-			for i, p := range prepared {
+			haveWant := false
+			for _, s := range allStrategies {
+				if s == engine.Correlated && (sh.id == "D" || sh.id == "E") && i%10 != 0 {
+					continue
+				}
 				for _, vec := range []bool{true, false} {
 					db.SetVectorized(vec)
-					res, err := p.Execute(args...)
+					res, err := prepared[s].Execute(args...)
 					db.SetVectorized(true)
 					if err != nil {
-						t.Fatalf("%s%v: %v", sh.id, args, err)
+						t.Fatalf("%s%v %v: %v", sh.id, args, s, err)
 					}
+					plans[s][planText(res.Plan.Operators(), true)] = true
 					got := strings.Join(sortedRows(res.Rows), ";")
-					if i == 0 && vec {
-						want = got
+					if !haveWant {
+						want, haveWant = got, true
 						if len(res.Rows) == 0 && sh.id != "E" {
 							t.Errorf("%s%v: no rows", sh.id, args)
 						}
 						continue
 					}
 					if got != want {
-						t.Fatalf("%s%v strategy %d vectorized=%v: rows differ\ngot  %s\nwant %s", sh.id, args, i, vec, got, want)
+						t.Fatalf("%s%v %v vectorized=%v: rows differ\ngot  %s\nwant %s", sh.id, args, s, vec, got, want)
 					}
 				}
+				lit, err := db.QueryWith(literalSQL(sh.query, args), s)
+				if err != nil {
+					t.Fatalf("%s%v %v literal: %v", sh.id, args, s, err)
+				}
+				if got := strings.Join(sortedRows(lit.Rows), ";"); got != want {
+					t.Fatalf("%s%v %v: literal text's rows differ\ngot  %s\nwant %s", sh.id, args, s, got, want)
+				}
+			}
+		}
+		for _, s := range allStrategies {
+			if n := len(plans[s]); n > engine.MaxBindingPlans {
+				t.Errorf("%s %v: %d distinct plans executed, a text keeps at most %d", sh.id, s, n, engine.MaxBindingPlans)
 			}
 		}
 	}

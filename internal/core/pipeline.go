@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"starmagic/internal/datum"
 	"starmagic/internal/obs"
 	"starmagic/internal/opt"
 	"starmagic/internal/plan"
@@ -69,6 +70,11 @@ type Options struct {
 	// skewed-plan oracle use it to measure the runtime of the strategy the
 	// optimizer rejected. Other strategies ignore it.
 	ForceEMST bool
+	// Params is one execution's binding of the query's `?` placeholders.
+	// When set, the estimators of both plan optimizations and of lowering
+	// read bound parameters as their values, so the plan is made for that
+	// binding; it stays parameterized and correct for any other.
+	Params datum.Row
 
 	// Ablations disable individual design choices for the ablation study
 	// (cmd/table1 -ablation); all false in normal operation.
@@ -190,7 +196,7 @@ func Optimize(g *qgm.Graph, o Options) (*Result, error) {
 	// Lowering: the winning graph plus its chosen join orders become the
 	// physical operator tree the streaming executor runs.
 	err = p.stage("lower", func() error {
-		res.Physical = plan.LowerWith(res.Graph, opt.NewEstimatorWith(nil, o.NoHist))
+		res.Physical = plan.LowerWith(res.Graph, p.estimator())
 		return nil
 	})
 	return res, err
@@ -241,10 +247,18 @@ func (p *pipeline) snap(name string) {
 func (p *pipeline) planOpt(name string) (opt.Result, error) {
 	var r opt.Result
 	err := p.stage(name, func() error {
-		r = opt.OptimizeEst(p.g, opt.NewEstimatorWith(nil, p.o.NoHist))
+		r = opt.OptimizeEst(p.g, p.estimator())
 		return nil
 	})
 	return r, err
+}
+
+// estimator returns a fresh estimator for one pass: memoized cardinalities
+// must not survive graph rewrites.
+func (p *pipeline) estimator() *opt.Estimator {
+	e := opt.NewEstimatorWith(nil, p.o.NoHist)
+	e.Params = p.o.Params
+	return e
 }
 
 // correlate is the Correlated strategy's branch: join predicates move into

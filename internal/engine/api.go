@@ -15,7 +15,6 @@ import (
 	"starmagic/internal/datum"
 	"starmagic/internal/exec"
 	"starmagic/internal/obs"
-	"starmagic/internal/plan"
 	"starmagic/internal/qgm"
 	"starmagic/internal/semant"
 	"starmagic/internal/sql"
@@ -46,6 +45,9 @@ type queryConfig struct {
 	noAdmission bool
 	// forceEMST skips the cost comparison and executes the magic plan.
 	forceEMST bool
+	// planParams is the binding a selectivity-class plan is optimized for
+	// (see bound.go); nil for a prepare-time plan.
+	planParams datum.Row
 }
 
 // WithStrategy selects the optimization/execution strategy (default EMST).
@@ -55,10 +57,10 @@ func WithStrategy(s Strategy) QueryOption {
 
 // WithArgs binds values to the query's `?` placeholders in left-to-right
 // order. Supported Go types: nil, bool, int, int32, int64, float32, float64,
-// string, and datum.D. Because a parameterized plan's shape — including the
-// magic seed the EMST transformation installs — does not depend on the bound
-// values, one cached plan serves every binding; only execution sees the
-// values.
+// string, and datum.D. A parameterized plan — including the magic seed the
+// EMST transformation installs — is correct for every binding, so one cached
+// entry serves them all; an execution runs the entry's plan made for its
+// binding's selectivity class (see bound.go).
 func WithArgs(args ...any) QueryOption {
 	row, err := toDatumRow(args)
 	return func(c *queryConfig) { c.args, c.hasArgs, c.argsErr = row, true, err }
@@ -206,16 +208,22 @@ func (db *Database) PrepareContext(ctx context.Context, query string, opts ...Qu
 		})
 		return p, nil
 	}
+	db.recordOptimization(p)
+	return p, nil
+}
+
+// recordOptimization feeds the metrics sink one optimizer run: p's costs,
+// optimization time and rule fires.
+func (db *Database) recordOptimization(p *Prepared) {
 	db.metrics.RecordPlan(obs.PlanSample{
-		Strategy:       cfg.strategy.String(),
-		EMSTConsidered: cfg.strategy == EMST,
+		Strategy:       p.strategy.String(),
+		EMSTConsidered: p.strategy == EMST,
 		UsedEMST:       p.info.UsedEMST,
 		CostBefore:     p.info.CostBefore,
 		CostAfter:      p.info.CostAfter,
 		OptimizeNanos:  int64(p.info.OptimizeTime),
 		RuleFires:      p.ruleFires,
 	})
-	return p, nil
 }
 
 // prepare is the front door for every PrepareContext/QueryContext/
@@ -252,7 +260,7 @@ func (db *Database) prepare(ctx context.Context, query string, cfg queryConfig) 
 		}
 	}
 	if !db.plans.enabled() || cfg.tracer != nil {
-		p, err := db.prepareCold(ctx, query, cfg)
+		p, err := db.prepareCold(ctx, query, cfg, epoch)
 		if err != nil {
 			return nil, err
 		}
@@ -265,8 +273,10 @@ func (db *Database) prepare(ctx context.Context, query string, cfg queryConfig) 
 
 // prepareCold runs the full parse→bind→optimize→lower pipeline under the
 // read lock. The plan cache calls it on a miss; bypassing calls reach it
-// directly.
-func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConfig) (*Prepared, error) {
+// directly, and so do the selectivity-class plans of bound.go, with their
+// binding in cfg.planParams. epoch is the catalog epoch the statistics were
+// validated under; the text's class plans are made only while it holds.
+func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConfig, epoch uint64) (*Prepared, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if err := ctx.Err(); err != nil {
@@ -308,26 +318,21 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 	numParams := g.NumParams
 	explain.Params = numParams
 
+	noHist := db.noHist.Load()
 	start := time.Now()
 	res, err := core.Optimize(g, core.Options{
 		Strategy:  cfg.strategy,
 		Snapshots: cfg.snapshots,
 		Ctx:       ctx,
 		Tracer:    cfg.tracer,
-		NoHist:    db.noHist.Load(),
+		NoHist:    noHist,
 		ForceEMST: cfg.forceEMST,
+		Params:    cfg.planParams,
 	})
 	if err != nil {
 		return nil, err
 	}
-	info := PlanInfo{
-		Strategy:        cfg.strategy,
-		UsedEMST:        res.UsedEMST,
-		CostBefore:      res.CostBefore,
-		CostAfter:       res.CostAfter,
-		PlansConsidered: res.PlansConsidered,
-		OptimizeTime:    time.Since(start),
-	}
+	info := planInfo(cfg.strategy, res, start)
 	g = res.Graph
 	if err := g.Check(); err != nil {
 		return nil, fmt.Errorf("engine: optimized graph invalid: %w", err)
@@ -349,7 +354,7 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 			ruleFires[r.Rule] = r.Fires
 		}
 	}
-	return &Prepared{
+	p := &Prepared{
 		db:        db,
 		graph:     g,
 		phys:      res.Physical,
@@ -360,7 +365,25 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 		info:      info,
 		explain:   explain,
 		ruleFires: ruleFires,
-	}, nil
+	}
+	if numParams > 0 && cfg.planParams == nil && db.plans.enabled() {
+		p.bound = newBoundPlans(cacheKey(query, cfg), g, noHist, epoch)
+		explain.BindingPlans = p.bound != nil
+	}
+	return p, nil
+}
+
+// planInfo is the optimization half of a plan's account; start is when
+// core.Optimize was entered.
+func planInfo(strategy Strategy, res *core.Result, start time.Time) PlanInfo {
+	return PlanInfo{
+		Strategy:        strategy,
+		UsedEMST:        res.UsedEMST,
+		CostBefore:      res.CostBefore,
+		CostAfter:       res.CostAfter,
+		PlansConsidered: res.PlansConsidered,
+		OptimizeTime:    time.Since(start),
+	}
 }
 
 // ExecuteContext runs the prepared plan with a fresh evaluator under ctx.
@@ -369,8 +392,8 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 // executor runs the lowered physical plan and the result carries
 // per-operator counters; WithMaterialized falls back to box-at-a-time
 // evaluation. Optional args bind the query's `?` placeholders for this run
-// only, overriding WithArgs values captured at prepare time; the cached plan
-// itself is binding-invariant.
+// only, overriding WithArgs values captured at prepare time; the run uses
+// the plan made for the binding's selectivity class when the text has one.
 func (p *Prepared) ExecuteContext(ctx context.Context, args ...any) (*Result, error) {
 	r, err := p.ExecuteRows(ctx, args...)
 	if err != nil {
@@ -388,22 +411,6 @@ func (p *Prepared) ExecuteContext(ctx context.Context, args ...any) (*Result, er
 		return nil, err
 	}
 	return &Result{Columns: p.columns, Rows: rows, Plan: *r.Plan()}, nil
-}
-
-// opSamples copies operator reports into the dependency-free obs form.
-func opSamples(reports []plan.OpReport) []obs.OpSample {
-	if len(reports) == 0 {
-		return nil
-	}
-	out := make([]obs.OpSample, len(reports))
-	for i, r := range reports {
-		out[i] = obs.OpSample{
-			Kind: r.Kind, Rows: r.Rows, Batches: r.Batches, Nanos: r.Nanos,
-			Spills: r.Spills, SpillBytes: r.SpillBytes,
-			Vectorized: r.Vectorized, RowsPerBatch: r.RowsPerBatch,
-		}
-	}
-	return out
 }
 
 // Explain returns the structured optimization account captured when the

@@ -4,9 +4,12 @@ package engine
 // parameterized queries amortize the two-pass EMST optimization (phase-1,
 // magic transformation, phase-3, and both plan-optimization passes) across
 // executions. Because `?` placeholders are opaque constants in the QGM —
-// they add no quantifiers and no correlation — a plan's shape, including the
-// magic seed box the EMST transformation installs, is identical for every
-// binding, so one cached plan serves them all.
+// they add no quantifiers and no correlation — every plan of a text,
+// including the magic seed box the EMST transformation installs, is correct
+// for every binding: the prepare-time plan, made with default
+// selectivities, serves them all, and the plans executions make for their
+// bindings' selectivity classes (see bound.go) are entries of their own,
+// keyed by the text's key plus the class.
 //
 // The cache is sharded to keep hot prepares from contending on one mutex,
 // each shard is a bounded LRU, and misses are single-flighted: concurrent
@@ -137,13 +140,41 @@ func (p *Prepared) withConfig(cfg queryConfig, status string, epoch uint64) *Pre
 	return &cp
 }
 
+// cacheOutcome is how the cache served a lookup.
+type cacheOutcome int
+
+const (
+	cacheHit    cacheOutcome = iota // the stored plan
+	cacheShared                     // waited on another caller's optimization
+	cacheMissed                     // optimized cold by this caller
+)
+
 // prepareCached serves a prepare through the plan cache: hit, single-flight
 // wait, or leader cold-prepare on miss. epoch is the catalog epoch the
 // caller validated statistics against (see prepare); entries are stored and
 // checked under it so a plan can never be cached under an epoch newer than
 // the statistics it was optimized with.
 func (db *Database) prepareCached(ctx context.Context, query string, cfg queryConfig, epoch uint64) (*Prepared, error) {
-	key := cacheKey(query, cfg)
+	p, how, err := db.cachedPlan(ctx, cacheKey(query, cfg), query, cfg, epoch)
+	if err != nil {
+		return nil, err
+	}
+	status := "hit"
+	switch how {
+	case cacheHit:
+		db.metrics.RecordCacheHit()
+	case cacheShared:
+		db.metrics.RecordCacheShared()
+	case cacheMissed:
+		status = "miss"
+	}
+	return p.withConfig(cfg, status, epoch), nil
+}
+
+// cachedPlan returns the stored plan of key, or optimizes query under cfg
+// as the single-flight leader for key on a miss. It counts misses; the
+// caller counts what else it serves.
+func (db *Database) cachedPlan(ctx context.Context, key, query string, cfg queryConfig, epoch uint64) (*Prepared, cacheOutcome, error) {
 	sh := &db.plans.shards[cacheShardIndex(key)]
 	for {
 		sh.mu.Lock()
@@ -154,8 +185,7 @@ func (db *Database) prepareCached(ctx context.Context, query string, cfg queryCo
 				if e.err == nil && e.epoch == epoch {
 					sh.lru.MoveToFront(el)
 					sh.mu.Unlock()
-					db.metrics.RecordCacheHit()
-					return e.p.withConfig(cfg, "hit", epoch), nil
+					return e.p, cacheHit, nil
 				}
 				// Stale (the epoch advanced since it was prepared): drop it
 				// and take over as the new leader below, still locked.
@@ -167,18 +197,18 @@ func (db *Database) prepareCached(ctx context.Context, query string, cfg queryCo
 				select {
 				case <-e.ready:
 				case <-ctx.Done():
-					return nil, ctx.Err()
+					return nil, 0, ctx.Err()
 				}
 				if e.err == nil && e.epoch == epoch {
-					db.metrics.RecordCacheShared()
-					return e.p.withConfig(cfg, "hit", e.epoch), nil
+					return e.p, cacheShared, nil
 				}
 				continue // leader failed or entry went stale; retry
 			}
 		}
 		// Miss: optimize cold as the leader for this key.
 		db.metrics.RecordCacheMiss()
-		return db.leadPrepare(ctx, query, cfg, epoch, key, sh)
+		p, err := db.leadPrepare(ctx, query, cfg, epoch, key, sh)
+		return p, cacheMissed, err
 	}
 }
 
@@ -199,7 +229,7 @@ func (db *Database) leadPrepare(ctx context.Context, query string, cfg queryConf
 	if evicted > 0 {
 		db.metrics.RecordCacheEvictions(evicted)
 	}
-	p, err := db.prepareCold(ctx, query, cfg)
+	p, err := db.prepareCold(ctx, query, cfg, epoch)
 	e.p, e.err = p, err
 	close(e.ready)
 	if err != nil {
@@ -211,7 +241,7 @@ func (db *Database) leadPrepare(ctx context.Context, query string, cfg queryConf
 		sh.mu.Unlock()
 		return nil, err
 	}
-	return p.withConfig(cfg, "miss", epoch), nil
+	return p, nil
 }
 
 // SetPlanCache enables or disables the prepared-plan cache (it starts

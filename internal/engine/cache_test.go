@@ -371,7 +371,7 @@ func TestParamArgValidation(t *testing.T) {
 }
 
 // TestParamExplainReporting checks the explain surface: placeholder count,
-// default-selectivity note, and the cache line.
+// default-selectivity and per-binding re-plan note, and the cache line.
 func TestParamExplainReporting(t *testing.T) {
 	db := cacheTestDB(t)
 	info, err := db.ExplainContext(context.Background(), paramViewQuery)
@@ -382,7 +382,8 @@ func TestParamExplainReporting(t *testing.T) {
 		t.Fatalf("Params = %d, want 2", info.Params)
 	}
 	text := info.String()
-	if !strings.Contains(text, "parameters: 2") || !strings.Contains(text, "default selectivities") {
+	if !strings.Contains(text, "parameters: 2") || !strings.Contains(text, "default selectivities") ||
+		!strings.Contains(text, "re-plan once per binding selectivity class") {
 		t.Fatalf("explain missing parameter note:\n%s", text)
 	}
 	if !strings.Contains(text, "cache: miss") {

@@ -502,10 +502,6 @@ type PlanInfo struct {
 	Counters        exec.Counters
 	OptimizeTime    time.Duration
 	ExecTime        time.Duration
-	// Operators is the run's per-operator report (depth-first), the
-	// structured form of Physical; empty for materialized (box-at-a-time)
-	// runs.
-	Operators []plan.OpReport
 	// Mem is the run's memory-governance footprint; the zero value means
 	// the run executed without a budget.
 	Mem MemInfo
@@ -531,6 +527,16 @@ func (p PlanInfo) Physical() string {
 		return ""
 	}
 	return p.phys.Format(p.stats)
+}
+
+// Operators is the run's per-operator report (depth-first), the structured
+// form of Physical, built on demand; empty for materialized (box-at-a-time)
+// runs and before the run finalizes.
+func (p PlanInfo) Operators() []plan.OpReport {
+	if p.phys == nil || p.stats == nil {
+		return nil
+	}
+	return p.phys.Report(p.stats)
 }
 
 // MemInfo is one budgeted execution's memory footprint.
@@ -575,6 +581,9 @@ type Prepared struct {
 	explain  *ExplainInfo
 	// ruleFires feeds the metrics sink (fires-only subset of explain.Rules).
 	ruleFires map[string]int64
+	// bound picks the plan an execution's binding runs (see bound.go); nil
+	// when no estimate reads a parameter. withConfig copies share it.
+	bound *boundPlans
 }
 
 // Prepare parses, binds and optimizes a query for repeated execution.

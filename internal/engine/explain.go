@@ -46,9 +46,14 @@ type ExplainInfo struct {
 	// the snapshots).
 	PlanDOT string
 	// Params is the number of `?` placeholders the query declares. Their
-	// values are unknown at plan time, so predicates over them use the
-	// optimizer's default selectivities.
+	// values are unknown at prepare time, so the plan explained here uses
+	// the optimizer's default selectivities for predicates over them;
+	// executions run a plan made for their binding's selectivity class
+	// when BindingPlans is set.
 	Params int
+	// BindingPlans reports that some estimate of the plan reads a parameter,
+	// so executions re-plan per binding selectivity class (see bound.go).
+	BindingPlans bool
 	// CacheStatus reports how the plan cache served this prepare: "hit",
 	// "miss" (optimized cold and stored), or "bypass" (cache disabled or a
 	// tracer was attached). A cached plan is served unchanged until its
@@ -92,7 +97,10 @@ func (e *ExplainInfo) String() string {
 	if e.CacheStatus != "" {
 		fmt.Fprintf(&sb, "cache: %s (epoch %d)\n", e.CacheStatus, e.CacheEpoch)
 	}
-	if e.Params > 0 {
+	switch {
+	case e.BindingPlans:
+		fmt.Fprintf(&sb, "parameters: %d (planned with default selectivities; executions re-plan once per binding selectivity class, up to %d plans)\n", e.Params, MaxBindingPlans)
+	case e.Params > 0:
 		fmt.Fprintf(&sb, "parameters: %d (planned with default selectivities)\n", e.Params)
 	}
 	for _, p := range e.Phases {

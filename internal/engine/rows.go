@@ -39,6 +39,9 @@ import (
 type Rows struct {
 	p   *Prepared
 	ctx context.Context
+	// phys is the plan this execution runs: the prepared plan, or the one
+	// made for its binding's class.
+	phys *plan.Plan
 
 	// Exactly one of iter (streaming physical plan) or mat (materialized
 	// box-at-a-time fallback) feeds the cursor.
@@ -99,10 +102,11 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 	if len(bound) != p.numParams {
 		return nil, &ParamCountError{Want: p.numParams, Got: len(bound)}
 	}
+	run := p.bindingPlan(ctx, bound)
+	graph, r := run.graph, &Rows{p: p, ctx: ctx, phys: run.phys, info: run.info}
 	// Admission control gates execution only — the plan is already prepared
 	// at this point, so a queued execution never holds plan-cache state (in
 	// particular it cannot interact with a single-flight cold prepare).
-	r := &Rows{p: p, ctx: ctx, info: p.info}
 	if p.db.gov.AdmissionEnabled() && !p.cfg.noAdmission {
 		release, waited, err := p.db.gov.Admit(ctx)
 		if err != nil {
@@ -152,14 +156,14 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 	r.start = time.Now()
 
 	if p.cfg.materialized {
-		rows, err := ev.EvalGraph(p.graph)
+		rows, err := ev.EvalGraph(graph)
 		if err != nil {
 			r.fail(err)
 			return nil, err
 		}
 		r.mat = rows
 	} else {
-		it, err := ev.OpenPlan(p.phys)
+		it, err := ev.OpenPlan(r.phys)
 		if err != nil {
 			r.iter = it // may carry partial stats
 			r.fail(err)
@@ -336,13 +340,15 @@ func (r *Rows) finish(execErr error) {
 	elapsed := time.Since(r.start)
 	r.sp.End()
 
-	var reports []plan.OpReport
-	var opStats []plan.OpStats
 	if r.iter != nil {
-		opStats = r.iter.Stats()
+		if opStats := r.iter.Stats(); opStats != nil {
+			r.info.phys, r.info.stats = r.phys, opStats
+			r.info.MaxQError = r.phys.MaxQError(opStats)
+		}
 	}
-	if opStats != nil {
-		reports = r.p.phys.Report(opStats)
+	var ops obs.OpCounters
+	if r.info.stats != nil {
+		ops = (*opCounters)(&r.info)
 	}
 	mem := MemInfo{
 		LimitBytes:   r.bud.Limit(),
@@ -356,7 +362,7 @@ func (r *Rows) finish(execErr error) {
 		Strategy:  r.p.strategy.String(),
 		ExecNanos: int64(elapsed),
 		Exec:      execStats(ev.Counters),
-		Operators: opSamples(reports),
+		Operators: ops,
 		Mem: obs.MemSample{
 			LimitBytes:   mem.LimitBytes,
 			PeakBytes:    mem.PeakBytes,
@@ -369,11 +375,6 @@ func (r *Rows) finish(execErr error) {
 	r.info.Counters = ev.Counters
 	r.info.Mem = mem
 	r.info.AdmissionWait = r.admissionWait
-	if opStats != nil {
-		r.info.phys, r.info.stats = r.p.phys, opStats
-		r.info.Operators = reports
-		r.info.MaxQError = r.p.phys.MaxQError(opStats)
-	}
 	if r.bud != nil {
 		r.bud.Close()
 		r.bud = nil
@@ -388,6 +389,16 @@ func (r *Rows) finish(execErr error) {
 	}
 	r.batch = nil
 	r.mat = nil
+}
+
+// opCounters hands a finished run's per-operator counters to the metrics
+// sink straight from the executed plan's nodes.
+type opCounters PlanInfo
+
+func (o *opCounters) Len() int { return len(o.stats) }
+
+func (o *opCounters) Op(i int) (string, int64, int64) {
+	return o.phys.Nodes[i].Kind.String(), o.stats[i].Rows, o.stats[i].Nanos
 }
 
 // QueryRows optimizes query and returns a streaming cursor over its result;

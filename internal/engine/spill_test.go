@@ -122,7 +122,7 @@ func TestSpillCountersSurface(t *testing.T) {
 		t.Fatalf("physical plan missing spill counters:\n%s", res.Plan.Physical())
 	}
 	var attributed int64
-	for _, op := range res.Plan.Operators {
+	for _, op := range res.Plan.Operators() {
 		attributed += op.Spills
 	}
 	if attributed == 0 {

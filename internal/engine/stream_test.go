@@ -260,12 +260,12 @@ func TestExplainPhysicalTree(t *testing.T) {
 		t.Fatalf("executed plan missing per-operator counters:\n%s", res.Plan.Physical())
 	}
 	var rooted bool
-	for _, op := range res.Plan.Operators {
+	for _, op := range res.Plan.Operators() {
 		if op.Depth == 0 && op.Rows > 0 {
 			rooted = true
 		}
 	}
 	if !rooted {
-		t.Fatalf("operator reports missing root row counts: %+v", res.Plan.Operators)
+		t.Fatalf("operator reports missing root row counts: %+v", res.Plan.Operators())
 	}
 }

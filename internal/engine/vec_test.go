@@ -45,7 +45,7 @@ func TestVectorizedSmoke(t *testing.T) {
 			t.Errorf("%q: rows = %v, want %v", tc.query, got, tc.want)
 		}
 		vectorized := false
-		for _, op := range res.Plan.Operators {
+		for _, op := range res.Plan.Operators() {
 			if op.Vectorized {
 				vectorized = true
 				if op.Rows > 0 && op.RowsPerBatch <= 0 {
@@ -70,7 +70,7 @@ func TestVectorizedSmoke(t *testing.T) {
 		if strings.Join(got, ";") != strings.Join(tc.want, ";") {
 			t.Errorf("%q (vec off): rows = %v, want %v", tc.query, got, tc.want)
 		}
-		for _, op := range res.Plan.Operators {
+		for _, op := range res.Plan.Operators() {
 			if op.Vectorized {
 				t.Errorf("%q: operator %s vectorized despite SetVectorized(false)", tc.query, op.Kind)
 			}
@@ -139,7 +139,7 @@ func TestVectorizedOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("query %d %q %v: %v", i, query, s, err)
 			}
-			for _, op := range vec.Plan.Operators {
+			for _, op := range vec.Plan.Operators() {
 				if op.Vectorized {
 					sawVectorized = true
 				}
@@ -467,7 +467,7 @@ func indexOracleQueries(rng *rand.Rand, n int) []string {
 // indexStageVectorized reports whether the run executed a select pipeline
 // with an index stage on the columnar path.
 func indexStageVectorized(res *Result) bool {
-	for _, op := range res.Plan.Operators {
+	for _, op := range res.Plan.Operators() {
 		if op.Kind == "select" && op.Vectorized && strings.Contains(op.Detail, ":index") {
 			return true
 		}
@@ -479,7 +479,7 @@ func indexStageVectorized(res *Result) bool {
 // on the columnar path driven by a materialized input — a magic set, a
 // union — rather than by a base-table scan.
 func drivenSelectVectorized(res *Result) bool {
-	ops := res.Plan.Operators
+	ops := res.Plan.Operators()
 	for i, op := range ops {
 		if op.Kind == "select" && op.Vectorized && i+1 < len(ops) && ops[i+1].Kind != "scan" {
 			return true
@@ -491,7 +491,7 @@ func drivenSelectVectorized(res *Result) bool {
 // groupByVectorized reports whether the run executed a group-by operator on
 // the columnar path.
 func groupByVectorized(res *Result) bool {
-	for _, op := range res.Plan.Operators {
+	for _, op := range res.Plan.Operators() {
 		if op.Kind == "group-by" && op.Vectorized {
 			return true
 		}

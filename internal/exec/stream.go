@@ -156,7 +156,8 @@ type planRun struct {
 }
 
 // spillNote returns the spill-event callback for node n, attributing spill
-// counts and bytes to its OpStats (surfaced in EXPLAIN and obs OpSamples).
+// counts and bytes to its OpStats (surfaced in EXPLAIN, via
+// PlanInfo.Operators() and Physical()).
 func (r *planRun) spillNote(n *plan.Node) func(int64) {
 	st := &r.stats[n.ID]
 	return func(b int64) {

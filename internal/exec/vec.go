@@ -36,7 +36,8 @@ const vecBatch = 512
 
 // vecScratch is what a vectorized operator works in during one open: its
 // vecBatch-row selection vectors, verdicts, key words, NULL masks, id columns
-// and VM temporaries, and its index stages' probed keys. It comes from
+// and VM temporaries, its index stages' probed keys, and the arrays a build
+// over a materialized driver sizes to its tables. It comes from
 // scratchPool at open and goes back at close, so an execution of a cached
 // plan reuses the scratch of earlier ones instead of allocating its own. No
 // batch handed to a consumer lives in it.
@@ -50,6 +51,11 @@ type vecScratch struct {
 	tv    slab[datum.TV]
 	index []*indexRuns
 	nidx  int
+	// Sized arrays of driver builds (see buildOnDriver).
+	ai32 arrays[int32]
+	au64 arrays[uint64]
+	au8  arrays[uint8]
+	abl  arrays[bool]
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(vecScratch) }}
@@ -78,6 +84,25 @@ func (s *slab[T]) reset() {
 	s.off = 0
 }
 
+// arrays hands out arrays of any length, kept across opens: the k-th taken
+// in an open reuses the k-th of earlier opens when it is large enough. Their
+// contents are whatever an earlier open left; takers overwrite or clear them.
+type arrays[T any] struct {
+	bufs [][]T
+	n    int
+}
+
+func (a *arrays[T]) take(n int) []T {
+	if a.n == len(a.bufs) {
+		a.bufs = append(a.bufs, nil)
+	}
+	if cap(a.bufs[a.n]) < n {
+		a.bufs[a.n] = make([]T, n)
+	}
+	a.n++
+	return a.bufs[a.n-1][:n:n]
+}
+
 // indexRuns is one index stage's state for an open (see lookupKey): run holds
 // the surviving row ids of each key probed, one -1-terminated run per key,
 // and seen maps the key to the start of its run (-1: no row survived).
@@ -103,6 +128,7 @@ func (sc *vecScratch) release() {
 	sc.u8.reset()
 	sc.tv.reset()
 	sc.nidx = 0
+	sc.ai32.n, sc.au64.n, sc.au8.n, sc.abl.n = 0, 0, 0, 0
 	scratchPool.Put(sc)
 }
 
@@ -1296,25 +1322,30 @@ func (o *vecSelectOp) buildOnDriver(vs *vecStage) error {
 	o.transpose(tab)
 	o.r.stats[vs.st.Child.ID].Vectorized = true
 
-	n := o.tbl.N
+	// The arrays below come from the operator's pooled scratch, sized to
+	// the driver (n) or to the build table (link).
+	sc, n := o.sc, o.tbl.N
 	keys := make([]*vec.Col, len(vs.probes))
 	words := make([][]uint64, len(vs.probes))
 	for p, ps := range vs.probes {
 		keys[p] = &o.tbl.Cols[ps.ord]
-		words[p] = make([]uint64, n)
+		words[p] = sc.au64.take(n)
 	}
 	djt := vec.BuildJoinTable(keys, n, nil)
 	// A driving row's group is the lowest driving row with its key.
-	all := vec.Iota(make(vec.Sel, 0, n), 0, int32(n))
-	nulls := make([]uint8, n)
+	all := vec.Iota(vec.Sel(sc.ai32.take(n)[:0]), 0, int32(n))
+	nulls := sc.au8.take(n)
+	clear(nulls)
 	for p, c := range keys {
 		vec.NormCol(c, all, words[p], nulls, 1)
 	}
-	vs.grp = make([]int32, n)
-	lookupRun(djt, words, nulls, make([]bool, n), vs.grp)
+	vs.grp = sc.ai32.take(n)
+	miss := sc.abl.take(n)
+	clear(miss)
+	lookupRun(djt, words, nulls, miss, vs.grp)
 
-	vs.first, vs.link = make([]int32, n), make([]int32, tbl.N)
-	last := make([]int32, n)
+	vs.first, vs.link = sc.ai32.take(n), sc.ai32.take(tbl.N)
+	last := sc.ai32.take(n)
 	for g := range vs.first {
 		vs.first[g] = -1
 	}

@@ -60,9 +60,9 @@ type ExecSample struct {
 	ExecNanos int64
 	// Exec is the executor counter snapshot of this run.
 	Exec ExecStats
-	// Operators holds per-physical-operator counters when the run used the
-	// streaming executor (empty for materialized box-at-a-time runs).
-	Operators []OpSample
+	// Operators lists the per-physical-operator counters when the run used
+	// the streaming executor (nil for materialized box-at-a-time runs).
+	Operators OpCounters
 	// Mem is the memory-governance footprint of the run; the zero value
 	// means the run executed without a budget.
 	Mem MemSample
@@ -84,25 +84,12 @@ type MemSample struct {
 	Spills       int64 `json:"spills"`
 }
 
-// OpSample is one physical operator's execution counters (the dependency-
-// free mirror of internal/plan's OpStats — the engine copies field by
-// field).
-type OpSample struct {
-	// Kind is the operator kind ("scan", "select", "limit", ...).
-	Kind string `json:"kind"`
-	// Rows and Batches count the operator's output.
-	Rows    int64 `json:"rows"`
-	Batches int64 `json:"batches"`
-	// Nanos is inclusive wall-clock (children included).
-	Nanos int64 `json:"nanos"`
-	// Spills/SpillBytes count spill-to-disk events attributed to this
-	// operator under a memory budget, and the bytes they wrote.
-	Spills     int64 `json:"spills,omitempty"`
-	SpillBytes int64 `json:"spill_bytes,omitempty"`
-	// Vectorized marks operators that ran over typed column batches;
-	// RowsPerBatch is the operator's mean output batch width (Rows/Batches).
-	Vectorized   bool    `json:"vectorized,omitempty"`
-	RowsPerBatch float64 `json:"rows_per_batch,omitempty"`
+// OpCounters lists one run's physical operators: each one's kind, output
+// rows and inclusive wall-clock nanos. The engine reads them straight from
+// the executed plan, so recording a run copies nothing per operator.
+type OpCounters interface {
+	Len() int
+	Op(i int) (kind string, rows, nanos int64)
 }
 
 // InternStats is the engine-wide string-intern table snapshot (the
@@ -156,7 +143,8 @@ type WALStats struct {
 // executor work (per run), and rewrite-rule fire counts.
 type Metrics struct {
 	// Plans counts optimizations (Prepare/Explain calls, including failed
-	// ones); Queries counts plan executions. A plan prepared once and
+	// ones, and the plans made for a binding's selectivity class); Queries
+	// counts plan executions. A plan prepared once and
 	// executed N times contributes 1 and N respectively.
 	Plans   int64 `json:"plans"`
 	Queries int64 `json:"queries"`
@@ -279,13 +267,16 @@ func (s *MetricsSink) RecordExec(e ExecSample) {
 	}
 	s.m.ExecNanos += e.ExecNanos
 	s.m.Exec.Add(e.Exec)
-	for _, op := range e.Operators {
-		if s.m.OpRows == nil {
-			s.m.OpRows = map[string]int64{}
-			s.m.OpNanos = map[string]int64{}
+	if e.Operators != nil {
+		for i := range e.Operators.Len() {
+			kind, rows, nanos := e.Operators.Op(i)
+			if s.m.OpRows == nil {
+				s.m.OpRows = map[string]int64{}
+				s.m.OpNanos = map[string]int64{}
+			}
+			s.m.OpRows[kind] += rows
+			s.m.OpNanos[kind] += nanos
 		}
-		s.m.OpRows[op.Kind] += op.Rows
-		s.m.OpNanos[op.Kind] += op.Nanos
 	}
 	s.m.BytesSpilled += e.Mem.SpilledBytes
 	s.m.Spills += e.Mem.Spills

@@ -40,6 +40,11 @@ type Estimator struct {
 	// (defaultNDVFrac and the fixed comparison selectivities). Used for
 	// flat-baseline comparisons in tests and benchmarks.
 	NoHist bool
+	// Params is the binding of the query's `?` placeholders when the plan
+	// is made for one execution's values: a comparison of a column with a
+	// bound parameter is estimated as the comparison with its value. Nil,
+	// every parameter is an unknown value and gets the defaults.
+	Params datum.Row
 }
 
 // NewEstimator returns a fresh estimator (statistics are read from the
@@ -59,6 +64,9 @@ func NewEstimatorWith(hints map[string]float64, noHist bool) *Estimator {
 func (e *Estimator) Card(b *qgm.Box) float64 {
 	if c, ok := e.card[b]; ok {
 		return c
+	}
+	if e.card == nil {
+		e.card = map[*qgm.Box]float64{}
 	}
 	e.card[b] = 1 // cycle guard; QGM graphs are acyclic but be safe
 	c, hinted := 0.0, false
@@ -295,10 +303,11 @@ func (e *Estimator) Selectivity(b *qgm.Box, pred qgm.Expr) float64 {
 	return defaultSel
 }
 
-// colConst decomposes cmp into a column reference and a constant, flipping
-// the operator so the column is on the left. ok is false when cmp is not a
-// column-vs-constant comparison.
-func colConst(cmp *qgm.Cmp) (cr *qgm.ColRef, c *qgm.Const, op datum.CmpOp, ok bool) {
+// colConst decomposes cmp into a column reference and a constant value,
+// flipping the operator so the column is on the left; a bound parameter
+// counts as its value. ok is false when cmp is not a column-vs-constant
+// comparison.
+func (e *Estimator) colConst(cmp *qgm.Cmp) (cr *qgm.ColRef, v datum.D, op datum.CmpOp, ok bool) {
 	col, konst := cmp.L, cmp.R
 	op = cmp.Op
 	if _, isCol := col.(*qgm.ColRef); !isCol {
@@ -306,11 +315,62 @@ func colConst(cmp *qgm.Cmp) (cr *qgm.ColRef, c *qgm.Const, op datum.CmpOp, ok bo
 		op = op.Flip()
 	}
 	cr, crOK := col.(*qgm.ColRef)
-	c, cOK := konst.(*qgm.Const)
-	if !crOK || !cOK || c.Val.IsNull() {
-		return nil, nil, op, false
+	if !crOK {
+		return nil, v, op, false
 	}
-	return cr, c, op, true
+	switch c := konst.(type) {
+	case *qgm.Const:
+		v = c.Val
+	case *qgm.Param:
+		if c.Ord >= len(e.Params) {
+			return nil, v, op, false
+		}
+		v = e.Params[c.Ord]
+	default:
+		return nil, v, op, false
+	}
+	if v.IsNull() {
+		return nil, v, op, false
+	}
+	return cr, v, op, true
+}
+
+// BindingSensitive reports whether the estimate of pred can read the values
+// bound to its parameters: whether, under AND, OR or NOT, it compares a
+// parameter with a column whose histogram (any comparison) or numeric
+// min/max (range comparisons) Selectivity consults.
+func (e *Estimator) BindingSensitive(pred qgm.Expr) bool {
+	switch x := pred.(type) {
+	case *qgm.Cmp:
+		col, other := x.L, x.R
+		if _, ok := col.(*qgm.ColRef); !ok {
+			col, other = other, col
+		}
+		cr, ok := col.(*qgm.ColRef)
+		if _, isParam := other.(*qgm.Param); !ok || !isParam {
+			return false
+		}
+		st, ok := e.baseColStats(cr.Q.Ranges, cr.Ord)
+		switch {
+		case !ok:
+			return false
+		case !e.NoHist && st.Hist != nil:
+			return true
+		case x.Op == datum.EQ || x.Op == datum.NE:
+			return false
+		}
+		_, _, ok = e.minMax(cr.Q.Ranges, cr.Ord)
+		return ok
+	case *qgm.Logic:
+		for _, a := range x.Args {
+			if e.BindingSensitive(a) {
+				return true
+			}
+		}
+	case *qgm.Not:
+		return e.BindingSensitive(x.X)
+	}
+	return false
 }
 
 // histEqSel answers column = constant from the column's equi-depth
@@ -321,7 +381,7 @@ func (e *Estimator) histEqSel(cmp *qgm.Cmp) (float64, bool) {
 	if e.NoHist {
 		return 0, false
 	}
-	cr, c, op, ok := colConst(cmp)
+	cr, v, op, ok := e.colConst(cmp)
 	if !ok || op != datum.EQ {
 		return 0, false
 	}
@@ -329,10 +389,10 @@ func (e *Estimator) histEqSel(cmp *qgm.Cmp) (float64, bool) {
 	if !ok || st.Hist == nil {
 		return 0, false
 	}
-	if !datum.Comparable(c.Val.T, st.Hist.Low.T) {
+	if !datum.Comparable(v.T, st.Hist.Low.T) {
 		return 0, false
 	}
-	return st.Hist.EqSel(c.Val)
+	return st.Hist.EqSel(v)
 }
 
 // rangeSel estimates the selectivity of a range comparison between a column
@@ -340,42 +400,41 @@ func (e *Estimator) histEqSel(cmp *qgm.Cmp) (float64, bool) {
 // with linear interpolation inside the containing bucket), else from min/max
 // interpolation.
 func (e *Estimator) rangeSel(cmp *qgm.Cmp) (float64, bool) {
-	cr, c, op, ok := colConst(cmp)
+	cr, v, op, ok := e.colConst(cmp)
 	if !ok {
 		return 0, false
 	}
 	if !e.NoHist {
 		if st, ok := e.baseColStats(cr.Q.Ranges, cr.Ord); ok && st.Hist != nil &&
-			datum.Comparable(c.Val.T, st.Hist.Low.T) {
+			datum.Comparable(v.T, st.Hist.Low.T) {
 			switch op {
 			case datum.LT:
-				if s, ok := st.Hist.LessSel(c.Val, false); ok {
+				if s, ok := st.Hist.LessSel(v, false); ok {
 					return clamp(s, 0.0005, 1), true
 				}
 			case datum.LE:
-				if s, ok := st.Hist.LessSel(c.Val, true); ok {
+				if s, ok := st.Hist.LessSel(v, true); ok {
 					return clamp(s, 0.0005, 1), true
 				}
 			case datum.GT:
-				if s, ok := st.Hist.LessSel(c.Val, true); ok {
+				if s, ok := st.Hist.LessSel(v, true); ok {
 					return clamp(1-s, 0.0005, 1), true
 				}
 			case datum.GE:
-				if s, ok := st.Hist.LessSel(c.Val, false); ok {
+				if s, ok := st.Hist.LessSel(v, false); ok {
 					return clamp(1-s, 0.0005, 1), true
 				}
 			}
 		}
 	}
-	if c.Val.T != datum.TInt && c.Val.T != datum.TFloat {
+	if v.T != datum.TInt && v.T != datum.TFloat {
 		return 0, false
 	}
 	lo, hi, ok := e.minMax(cr.Q.Ranges, cr.Ord)
 	if !ok || hi <= lo {
 		return 0, false
 	}
-	v := c.Val.AsFloat()
-	frac := (v - lo) / (hi - lo) // fraction of values below v
+	frac := (v.AsFloat() - lo) / (hi - lo) // fraction of values below v
 	switch op {
 	case datum.LT, datum.LE:
 		return clamp(frac, 0.0005, 1), true
@@ -444,8 +503,8 @@ func (e *Estimator) sideNDV(expr qgm.Expr) float64 {
 		return 1
 	case *qgm.Param:
 		// Equality against a parameter selects like equality against one
-		// value; range comparisons fall back to default selectivities in
-		// rangeSel (the binding is unknown at plan time).
+		// value; histEqSel and rangeSel read the value only when the
+		// estimator carries a binding.
 		return 1
 	default:
 		return 10

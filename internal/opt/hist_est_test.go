@@ -110,3 +110,48 @@ func TestCardHintsOverrideEstimates(t *testing.T) {
 		t.Errorf("unrelated hint changed card: %v vs %v", c, base)
 	}
 }
+
+// TestBoundParamSelectivity: with a binding, a comparison of a column with
+// a parameter is estimated as the comparison with the bound value — the
+// histogram's skew and its ranges show through; without one, parameters
+// keep the defaults. BindingSensitive names exactly the predicates whose
+// estimate reads a binding.
+func TestBoundParamSelectivity(t *testing.T) {
+	sel, q := skewGraph(t)
+	param := &qgm.Param{Ord: 0}
+	cases := []struct {
+		op datum.CmpOp
+		v  datum.D
+	}{
+		{datum.EQ, datum.Int(7)}, {datum.EQ, datum.Int(250)}, {datum.LT, datum.Int(300)}, {datum.GE, datum.Int(450)},
+	}
+	for _, c := range cases {
+		lit := NewEstimator().Selectivity(sel, &qgm.Cmp{Op: c.op, L: q.Col(0), R: &qgm.Const{Val: c.v}})
+		bound := NewEstimator()
+		bound.Params = datum.Row{c.v}
+		withParam := &qgm.Cmp{Op: c.op, L: q.Col(0), R: param}
+		if got := bound.Selectivity(sel, withParam); got != lit {
+			t.Errorf("%v %v: bound estimate %v, literal %v", c.op, c.v, got, lit)
+		}
+		// Flipped sides read the same.
+		if got := bound.Selectivity(sel, &qgm.Cmp{Op: c.op.Flip(), L: param, R: q.Col(0)}); got != lit {
+			t.Errorf("%v %v flipped: bound estimate %v, literal %v", c.op, c.v, got, lit)
+		}
+		if !bound.BindingSensitive(withParam) {
+			t.Errorf("%v: not binding-sensitive", c.op)
+		}
+	}
+	unbound := NewEstimator()
+	if got := unbound.Selectivity(sel, &qgm.Cmp{Op: datum.LT, L: q.Col(0), R: param}); got != rangeSelectivity {
+		t.Errorf("unbound range estimate %v, want the default %v", got, rangeSelectivity)
+	}
+	if unbound.BindingSensitive(&qgm.Cmp{Op: datum.EQ, L: q.Col(0), R: &qgm.Const{Val: datum.Int(7)}}) ||
+		unbound.BindingSensitive(&qgm.Cmp{Op: datum.EQ, L: &qgm.Arith{Op: datum.Add, L: q.Col(0), R: param}, R: param}) {
+		t.Error("a predicate whose estimate reads no binding is binding-sensitive")
+	}
+	flat := NewEstimatorWith(nil, true)
+	if flat.BindingSensitive(&qgm.Cmp{Op: datum.EQ, L: q.Col(0), R: param}) ||
+		!flat.BindingSensitive(&qgm.Cmp{Op: datum.LT, L: q.Col(0), R: param}) {
+		t.Error("without histograms only range comparisons over min/max read a binding")
+	}
+}

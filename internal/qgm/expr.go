@@ -36,11 +36,12 @@ type Const struct {
 }
 
 // Param is a positional query parameter (`?`), bound to a value only at
-// execution time. To the rewrite rules, the plan optimizer and the EMST
-// transformation it is an opaque constant: it references no quantifiers, so
-// plan shape and magic-seed structure are invariant under the binding —
-// which is what lets one cached plan serve any argument values. Type is the
-// declared slot type when known (TNull otherwise).
+// execution time. To the rewrite rules and the EMST transformation it is an
+// opaque constant: it references no quantifiers, so any plan made for one
+// binding is correct for every other — which is what lets a cached plan
+// serve any argument values. The plan optimizer reads its value only when
+// it plans for a binding (opt.Estimator.Params). Type is the declared slot
+// type when known (TNull otherwise).
 type Param struct {
 	Ord  int
 	Type datum.Type
