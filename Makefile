@@ -20,9 +20,11 @@ test-short:
 # The race detector over every package whose state more than one goroutine
 # reaches — concurrent executions against one engine, the server's
 # connections, the group-commit log — and over the executor and the
-# vectorized kernels those executions run.
+# vectorized kernels those executions run; plus the benchmark-scale
+# concurrency tests of internal/bench (its other tests take a minute).
 race:
 	$(GO) test -race ./internal/exec/... ./internal/engine/... ./internal/core/... ./internal/resource/... ./internal/storage/... ./internal/vec/... ./internal/wal/... ./internal/wire/... ./internal/opt/... ./internal/catalog/...
+	$(GO) test -race -run Concurrent ./internal/bench/
 
 cover:
 	$(GO) test -cover ./...

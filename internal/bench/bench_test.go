@@ -406,8 +406,8 @@ func TestMagicPipelinesColumnar(t *testing.T) {
 
 // TestIndexStagesColumnar: the default-selectivity plans of prepared B and
 // E — an aggregate view driving 150 index lookups into employee, run here
-// by a Prepared held across a catalog-epoch change — run their index stage
-// on the columnar path: each department's bucket is looked up once and
+// with the plan cache off, so no plan is made for the binding — run their
+// index stage on the columnar path: each department's bucket is looked up once and
 // filtered by column kernels. The counters are exactly the row pipeline's,
 // and so are the rows, in order. The literal texts keep their counters too,
 // and their magic-driven index stages go columnar whatever their size:
@@ -439,7 +439,7 @@ func TestIndexStagesColumnar(t *testing.T) {
 		args      []any
 		vec       map[string]bool // operators and whether they must run vectorized
 		want      exec.Counters   // the row pipeline's; zero: not pinned
-		// stale runs the Prepared after an epoch change: its default plan.
+		// stale runs the Prepared with the plan cache off: its default plan.
 		stale bool
 	}{
 		{"B", preparedB, []any{int64(1030)},
@@ -476,7 +476,7 @@ func TestIndexStagesColumnar(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if tc.stale {
-			db.Analyze()
+			db.SetPlanCache(false)
 			name += " stale"
 		}
 		res, err := p.Execute(tc.args...)
@@ -507,6 +507,7 @@ func TestIndexStagesColumnar(t *testing.T) {
 		if got, want := strings.Join(formatRows(row.Rows), ";"), strings.Join(formatRows(res.Rows), ";"); got != want {
 			t.Errorf("%s: row path disagrees\nvec %s\nrow %s", name, want, got)
 		}
+		db.SetPlanCache(true)
 	}
 }
 

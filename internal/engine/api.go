@@ -9,6 +9,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"starmagic/internal/core"
@@ -365,9 +367,11 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 		info:      info,
 		explain:   explain,
 		ruleFires: ruleFires,
+		epoch:     epoch,
+		replan:    new(atomic.Pointer[Prepared]),
 	}
 	if numParams > 0 && cfg.planParams == nil && db.plans.enabled() {
-		p.bound = newBoundPlans(cacheKey(query, cfg), g, noHist, epoch)
+		p.bound = newBoundPlans(cacheKey(query, cfg), g, noHist)
 		explain.BindingPlans = p.bound != nil
 	}
 	return p, nil
@@ -411,6 +415,34 @@ func (p *Prepared) ExecuteContext(ctx context.Context, args ...any) (*Result, er
 		return nil, err
 	}
 	return &Result{Columns: p.columns, Rows: rows, Plan: *r.Plan()}, nil
+}
+
+// current returns the plan an execution of p runs. A plan runs only against
+// the tables it was made for, so once DDL or ANALYZE has advanced the
+// catalog epoch past p's, the text is prepared again — through the plan
+// cache, once per epoch and handle — and that plan runs instead. The
+// execution fails if the result columns changed: Columns and a wire
+// statement's column definitions have already been handed out.
+func (p *Prepared) current(ctx context.Context) (*Prepared, error) {
+	epoch := p.db.epoch.Load()
+	if p.epoch == epoch {
+		return p, nil
+	}
+	if q := p.replan.Load(); q != nil && q.epoch == epoch {
+		return q, nil
+	}
+	q, err := p.db.prepare(ctx, p.explain.Query, p.cfg)
+	if err != nil {
+		return nil, err
+	}
+	if q.explain.CacheStatus != "hit" {
+		p.db.recordOptimization(q)
+	}
+	if !slices.Equal(q.columns, p.columns) {
+		return nil, fmt.Errorf("result columns changed from %v to %v since the statement was prepared", p.columns, q.columns)
+	}
+	p.replan.Store(q)
+	return q, nil
 }
 
 // Explain returns the structured optimization account captured when the

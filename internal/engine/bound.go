@@ -38,9 +38,6 @@ const maxBoundConjuncts = 16
 type boundPlans struct {
 	// key is the text's plan-cache key; a class plan's key extends it.
 	key string
-	// epoch is the catalog epoch the text was prepared under; after it
-	// advances, executions run the prepare-time plan.
-	epoch uint64
 	// conjs are the binding-sensitive conjuncts of the prepare-time plan's
 	// graph: the estimates a class is made of.
 	conjs []boundConj
@@ -59,7 +56,7 @@ type boundConj struct {
 // newBoundPlans records the binding-sensitive conjuncts of g, the
 // prepare-time plan's graph; nil when no estimate of g reads a binding. The
 // caller holds db.mu.RLock.
-func newBoundPlans(key string, g *qgm.Graph, noHist bool, epoch uint64) *boundPlans {
+func newBoundPlans(key string, g *qgm.Graph, noHist bool) *boundPlans {
 	est := opt.Estimator{NoHist: noHist}
 	var conjs []boundConj
 	for _, b := range g.Reachable() {
@@ -72,7 +69,7 @@ func newBoundPlans(key string, g *qgm.Graph, noHist bool, epoch uint64) *boundPl
 	if conjs == nil {
 		return nil
 	}
-	return &boundPlans{key: key, epoch: epoch, conjs: conjs}
+	return &boundPlans{key: key, conjs: conjs}
 }
 
 // classify maps a binding to its class: per conjunct, the half-decade of
@@ -116,7 +113,7 @@ func (b *boundPlans) admit(class uint64) string {
 // optimization fails.
 func (p *Prepared) bindingPlan(ctx context.Context, params datum.Row) *Prepared {
 	b, db := p.bound, p.db
-	if b == nil || db.epoch.Load() != b.epoch || !db.plans.enabled() {
+	if b == nil || db.epoch.Load() != p.epoch || !db.plans.enabled() {
 		return p
 	}
 	noHist := db.noHist.Load()
@@ -133,7 +130,7 @@ func (p *Prepared) bindingPlan(ctx context.Context, params datum.Row) *Prepared 
 		forceEMST:  p.cfg.forceEMST,
 		planParams: params,
 	}
-	bp, status, err := db.cachedPlan(ctx, key, p.explain.Query, cfg, b.epoch)
+	bp, status, err := db.cachedPlan(ctx, key, p.explain.Query, cfg, p.epoch)
 	if err != nil {
 		return p
 	}

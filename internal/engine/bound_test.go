@@ -72,7 +72,7 @@ func storedPlans(p *Prepared) int {
 // TestBoundPlansPerClass: an execution runs the plan made for its binding's
 // class — one per class, made on the class's first execution, at most
 // MaxBindingPlans per text — and answers what the literal text answers.
-// After the catalog epoch moves, a held Prepared runs its prepare-time plan.
+// After the catalog epoch moves, a held Prepared prepares its text again.
 func TestBoundPlansPerClass(t *testing.T) {
 	db := boundDB(t)
 	p, err := db.Prepare(boundQuery, EMST)
@@ -133,13 +133,25 @@ func TestBoundPlansPerClass(t *testing.T) {
 	if !small.Plan.UsedEMST || small.Plan.Physical() == "" {
 		t.Errorf("bound plan not reported: EMST %v\n%s", small.Plan.UsedEMST, small.Plan.Physical())
 	}
+	// After the epoch moves, the held Prepared prepares its text again —
+	// one cache miss — and runs the new epoch's plan for the class, made
+	// once (a second miss) and reused.
 	db.Analyze()
-	stale, err := p.Execute(int64(12), int64(0))
-	if err != nil {
-		t.Fatal(err)
+	before = db.Metrics()
+	for i := 0; i < 2; i++ {
+		stale, err := p.Execute(int64(12), int64(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stale.Plan.UsedEMST || sortedAnswer(t, stale) != sortedAnswer(t, small) {
+			t.Errorf("after an epoch change: EMST %v, rows agree %v", stale.Plan.UsedEMST, sortedAnswer(t, stale) == sortedAnswer(t, small))
+		}
 	}
-	if stale.Plan.UsedEMST != p.info.UsedEMST || sortedAnswer(t, stale) != sortedAnswer(t, small) {
-		t.Errorf("after an epoch change: EMST %v, prepared %v", stale.Plan.UsedEMST, p.info.UsedEMST)
+	if misses := db.Metrics().CacheMisses - before.CacheMisses; misses != 2 {
+		t.Errorf("%d cache misses after the epoch change, want 2 (the text, its class)", misses)
+	}
+	if q := p.replan.Load(); q == nil || q.epoch != db.epoch.Load() || q.bound == p.bound {
+		t.Error("the held Prepared was not prepared again under the new epoch")
 	}
 }
 

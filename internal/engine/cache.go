@@ -15,8 +15,10 @@ package engine
 // each shard is a bounded LRU, and misses are single-flighted: concurrent
 // callers of the same key wait for one leader's optimization instead of
 // repeating it. Entries are validated against the database's catalog epoch
-// (bumped by DDL, DML, bulk loads, and ANALYZE); a stale entry is evicted
-// and re-prepared on first touch. Errors are never cached.
+// (bumped by DDL and explicit ANALYZE; DML and bulk loads only mark the
+// statistics dirty); a stale entry is evicted and re-prepared on first
+// touch, and so is a held Prepared of an older epoch on its next execution.
+// Errors are never cached.
 
 import (
 	"container/list"

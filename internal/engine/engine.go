@@ -467,8 +467,9 @@ func (db *Database) InsertRows(table string, rows []datum.Row) error {
 
 // Analyze recomputes optimizer statistics for every table. An explicit
 // ANALYZE advances the catalog epoch (fresh statistics can change plan
-// choices); the implicit analyze on the prepare path does not — the
-// mutation that dirtied the stats already advanced it.
+// choices); the implicit analyze on the prepare path does not: DML only
+// marks statistics dirty, and plans made before the refresh stay valid for
+// every snapshot.
 func (db *Database) Analyze() {
 	db.mu.Lock()
 	db.analyzeLocked()
@@ -584,6 +585,11 @@ type Prepared struct {
 	// bound picks the plan an execution's binding runs (see bound.go); nil
 	// when no estimate reads a parameter. withConfig copies share it.
 	bound *boundPlans
+	// epoch is the catalog epoch the plan was prepared under.
+	epoch uint64
+	// replan is the text prepared again under a later epoch (see current);
+	// withConfig copies share it.
+	replan *atomic.Pointer[Prepared]
 }
 
 // Prepare parses, binds and optimizes a query for repeated execution.
@@ -597,9 +603,6 @@ func (db *Database) Prepare(query string, strategy Strategy) (*Prepared, error) 
 func (p *Prepared) Execute(args ...any) (*Result, error) {
 	return p.ExecuteContext(context.Background(), args...)
 }
-
-// Graph exposes the optimized graph (qgmviz and tests inspect it).
-func (p *Prepared) Graph() *qgm.Graph { return p.graph }
 
 // Columns returns the result column names, known at prepare time — a wire
 // server needs them to describe a statement before its first execution.

@@ -102,7 +102,11 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 	if len(bound) != p.numParams {
 		return nil, &ParamCountError{Want: p.numParams, Got: len(bound)}
 	}
-	run := p.bindingPlan(ctx, bound)
+	cur, err := p.current(ctx)
+	if err != nil {
+		return nil, err
+	}
+	run := cur.bindingPlan(ctx, bound)
 	graph, r := run.graph, &Rows{p: p, ctx: ctx, phys: run.phys, info: run.info}
 	// Admission control gates execution only — the plan is already prepared
 	// at this point, so a queued execution never holds plan-cache state (in

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"starmagic/internal/catalog"
 	"starmagic/internal/datum"
 	"starmagic/internal/qgm"
 	"starmagic/internal/resource"
@@ -58,10 +59,6 @@ type Evaluator struct {
 	// Database.SetVectorized; the paired-benchmark harness and the
 	// vectorized-vs-row oracle tests rely on it.
 	NoVec bool
-
-	// MaxRecursion bounds fixpoint iterations for recursive views
-	// (0 = default 1000).
-	MaxRecursion int
 
 	// Params binds the query's positional `?` placeholders for this run,
 	// slot i holding the value of parameter ordinal i. Bindings are constant
@@ -274,6 +271,9 @@ func (ev *Evaluator) EvalBox(b *qgm.Box, env Env) ([]datum.Row, error) {
 	return rows, nil
 }
 
+// maxRecursion bounds the rounds of a recursive view's fixpoint iteration.
+const maxRecursion = 1000
+
 // evalRecursive iterates a recursive view's fixpoint root to a fixpoint:
 // each round re-evaluates the body with the previous round's accumulated
 // set visible through the root's memo entry, accumulating new rows under
@@ -293,10 +293,6 @@ func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 	defer delete(ev.recActive, b)
 
 	scc := ev.sccMembers(b)
-	maxIter := ev.MaxRecursion
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
 	var cur []datum.Row
 	// The delta-membership keyset is spillable under a memory budget; the
 	// accumulated set itself must stay resident because the body re-enters
@@ -304,8 +300,8 @@ func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 	seen := ev.newSeenSet("fixpoint", nil)
 	defer seen.close()
 	for iter := 0; ; iter++ {
-		if iter >= maxIter {
-			return nil, fmt.Errorf("exec: recursive view %q did not reach a fixpoint in %d iterations", b.Name, maxIter)
+		if iter >= maxRecursion {
+			return nil, fmt.Errorf("exec: recursive view %q did not reach a fixpoint in %d iterations", b.Name, maxRecursion)
 		}
 		// A cancelled query must not keep iterating toward a distant (or
 		// unreachable) fixpoint; check every round, unamortized.
@@ -465,10 +461,26 @@ func errRowBudget(n int64) error {
 	return fmt.Errorf("exec: row budget exceeded (%d rows)", n)
 }
 
-func (ev *Evaluator) evalBase(b *qgm.Box) ([]datum.Row, error) {
-	rel, ok := ev.view.Relation(b.Table.Name)
+// relation resolves base table t through the evaluation's view. A plan runs
+// only against the tables it was made for: the view's relation must carry t
+// itself as its metadata. A table dropped and re-created after the plan was
+// made, or after a transaction's snapshot was taken, fails the query rather
+// than feeding rows of another shape (or without the plan's indexes) to it.
+func (ev *Evaluator) relation(t *catalog.Table) (*storage.RelView, error) {
+	rel, ok := ev.view.Relation(t.Name)
 	if !ok {
-		return nil, fmt.Errorf("exec: no storage for table %q", b.Table.Name)
+		return nil, fmt.Errorf("exec: no storage for table %q", t.Name)
+	}
+	if rel.Meta != t {
+		return nil, fmt.Errorf("exec: table %q was replaced after the plan or the snapshot was made", t.Name)
+	}
+	return rel, nil
+}
+
+func (ev *Evaluator) evalBase(b *qgm.Box) ([]datum.Row, error) {
+	rel, err := ev.relation(b.Table)
+	if err != nil {
+		return nil, err
 	}
 	rows := rel.Rows()
 	ev.Counters.BaseRows += int64(len(rows))
@@ -686,32 +698,33 @@ func (ev *Evaluator) joinStage(b *qgm.Box, plan *selectPlan, q *qgm.Quantifier, 
 			cols = append(cols, cr.Ord)
 		}
 		if plain {
-			rel, okr := ev.view.Relation(q.Ranges.Table.Name)
-			if okr {
-				probe := make(datum.Row, len(keys))
-				for j, k := range keys {
-					v, err := EvalExpr(k.other, cur)
+			rel, err := ev.relation(q.Ranges.Table)
+			if err != nil {
+				return err
+			}
+			probe := make(datum.Row, len(keys))
+			for j, k := range keys {
+				v, err := EvalExpr(k.other, cur)
+				if err != nil {
+					return err
+				}
+				probe[j] = v
+			}
+			if rows, used := rel.Lookup(cols, probe); used {
+				ev.Counters.IndexLookups++
+				for _, row := range rows {
+					ok, err := emit(row)
 					if err != nil {
 						return err
 					}
-					probe[j] = v
-				}
-				if rows, used := rel.Lookup(cols, probe); used {
-					ev.Counters.IndexLookups++
-					for _, row := range rows {
-						ok, err := emit(row)
-						if err != nil {
+					if ok {
+						if err := next(); err != nil {
 							return err
 						}
-						if ok {
-							if err := next(); err != nil {
-								return err
-							}
-						}
 					}
-					delete(cur, q)
-					return nil
 				}
+				delete(cur, q)
+				return nil
 			}
 		}
 	}

@@ -36,7 +36,7 @@ import (
 // row; scalar subqueries and semi/anti checks would not).
 func (p *selectPipeOp) graceShape(i int) bool {
 	return i == 1 && len(p.stages) == 2 &&
-		p.stages[0].access == plan.AccessStream &&
+		p.stages[0].st.Access == plan.AccessStream &&
 		len(p.n.Scalars) == 0 && len(p.n.Subqs) == 0 && len(p.n.PostPreds) == 0
 }
 
@@ -219,7 +219,7 @@ func (p *selectPipeOp) graceRun(ss *stageState) error {
 				}
 				p.env[q1] = brow
 				pass := true
-				for _, pred := range ss.filters {
+				for _, pred := range ss.st.Residual {
 					tv, err := EvalPred(pred, p.env)
 					if err != nil {
 						return err

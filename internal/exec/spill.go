@@ -817,7 +817,6 @@ type rowBuffer struct {
 	label   string
 	rows    []datum.Row
 	rw      *recordWriter
-	count   int
 	encBuf  []byte
 }
 
@@ -848,7 +847,6 @@ func (rb *rowBuffer) add(row datum.Row) error {
 		}
 	}
 	rb.rows = append(rb.rows, row)
-	rb.count++
 	return nil
 }
 
@@ -873,20 +871,6 @@ func (rb *rowBuffer) spillResident() error {
 	if rb.onSpill != nil {
 		rb.onSpill(rb.rw.bytes - start)
 	}
-	return nil
-}
-
-// freeze moves any resident suffix to the spill file and releases the whole
-// reservation: subsequent cursors replay purely from disk. Called before
-// building derived state (a hash table) from the buffer so the buffer's
-// memory does not compete with the state being built.
-func (rb *rowBuffer) freeze() error {
-	if len(rb.rows) > 0 {
-		if err := rb.spillResident(); err != nil {
-			return err
-		}
-	}
-	rb.acct.Clear()
 	return nil
 }
 

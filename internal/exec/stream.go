@@ -230,9 +230,9 @@ func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
 	// treat the result as read-only, so skip the batch-append copy and
 	// charge the same counters the streamed scan would.
 	if n.Kind == plan.OpScan {
-		rel, ok := ev.view.Relation(n.Box.Table.Name)
-		if !ok {
-			return nil, fmt.Errorf("exec: no storage for table %q", n.Box.Table.Name)
+		rel, err := ev.relation(n.Box.Table)
+		if err != nil {
+			return nil, err
 		}
 		rows := rel.Rows()
 		ev.Counters.BoxEvals++
@@ -262,12 +262,11 @@ func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
 
 // evalBridge materializes a bridge node's box. A shared box carries its own
 // streamed plan below the bridge: that runs (vectorized where it can) and
-// lands in the box memo, which serves every later consumer, bridged or
-// streamed. Correlated, recursive and extension boxes — and every bridge
-// under a memory budget, whose memo the classic evaluator governs — evaluate
-// box-at-a-time.
+// lands in the box memo — charged to the memory budget when there is one —
+// which serves every later consumer, bridged or streamed. Only extension
+// kinds and recursive fixpoints evaluate box-at-a-time.
 func (r *planRun) evalBridge(n *plan.Node) ([]datum.Row, error) {
-	if len(n.Children) == 1 && r.ev.Mem == nil {
+	if len(n.Children) == 1 {
 		return r.materialize(n.Children[0])
 	}
 	return r.ev.EvalBox(n.Box, r.ev.rootEnv())
@@ -280,9 +279,9 @@ func (r *planRun) evalBridge(n *plan.Node) ([]datum.Row, error) {
 // nothing when a bridged box already scanned (and memoized) the table.
 func (r *planRun) scanBuild(n *plan.Node) (vec.Table, []datum.Row, []int32, *vec.Intern, error) {
 	ev := r.ev
-	rel, ok := ev.view.Relation(n.Box.Table.Name)
-	if !ok {
-		return vec.Table{}, nil, nil, nil, fmt.Errorf("exec: no storage for table %q", n.Box.Table.Name)
+	rel, err := ev.relation(n.Box.Table)
+	if err != nil {
+		return vec.Table{}, nil, nil, nil, err
 	}
 	tbl, rows, vis, tab := rel.Vec()
 	if !ev.NoSubqueryCache {
@@ -358,9 +357,9 @@ type scanOp struct {
 
 func (s *scanOp) open() error {
 	ev := s.r.ev
-	rel, ok := ev.view.Relation(s.n.Box.Table.Name)
-	if !ok {
-		return fmt.Errorf("exec: no storage for table %q", s.n.Box.Table.Name)
+	rel, err := ev.relation(s.n.Box.Table)
+	if err != nil {
+		return err
 	}
 	s.rows = rel.Rows()
 	s.pos = 0
@@ -395,10 +394,10 @@ func (s *scanOp) close() error {
 }
 
 // boxEvalOp materializes a box and streams the result out in batches:
-// OpBoxEval (correlated, shared, extension) and OpFixpoint (recursive) nodes
-// go through evalBridge — the classic evaluator's EvalBox, which handles
-// memoization and naive fixpoint iteration, or for a shared box its own
-// streamed plan. All Counters accounting happens inside those.
+// OpBoxEval (shared, extension kind) and OpFixpoint (recursive) nodes go
+// through evalBridge — for a shared box its own streamed plan, otherwise the
+// classic evaluator's EvalBox, which handles memoization and naive fixpoint
+// iteration. All Counters accounting happens inside those.
 type boxEvalOp struct {
 	r    *planRun
 	n    *plan.Node
@@ -436,12 +435,7 @@ func (o *boxEvalOp) close() error {
 
 // stageState is the runtime state of one join-pipeline stage.
 type stageState struct {
-	st     *plan.Stage
-	access plan.AccessKind // may be downgraded at runtime (missing index)
-	// filters are the predicates applied with the stage quantifier bound
-	// (residual; plus reconstructed key equalities after an index or
-	// nested-loop downgrade).
-	filters []qgm.Expr
+	st *plan.Stage
 
 	child     operator         // AccessStream
 	rel       *storage.RelView // AccessIndex: snapshot-filtered probes
@@ -534,8 +528,6 @@ func (p *selectPipeOp) open() error {
 		st := &p.n.Stages[i]
 		ss := &p.stages[i]
 		ss.st = st
-		ss.access = st.Access
-		ss.filters = st.Residual
 		switch st.Access {
 		case plan.AccessStream:
 			ss.child = p.r.build(st.Child)
@@ -543,9 +535,9 @@ func (p *selectPipeOp) open() error {
 				return err
 			}
 		case plan.AccessIndex:
-			rel, ok := ev.view.Relation(st.Quant.Ranges.Table.Name)
-			if !ok {
-				return fmt.Errorf("exec: no storage for table %q", st.Quant.Ranges.Table.Name)
+			rel, err := ev.relation(st.Quant.Ranges.Table)
+			if err != nil {
+				return err
 			}
 			ss.rel = rel
 			ss.probe = make(datum.Row, len(st.KeyOther))
@@ -660,26 +652,6 @@ func (p *selectPipeOp) buildSpillScan(ss *stageState) error {
 	return nil
 }
 
-// downgrade switches a stage whose index probe found no usable index — the
-// index was dropped under a cached plan; lowering only plans index access
-// where the catalog has one — to a hash join (build side big enough) or a
-// nested loop with the key equalities as filters. The choice depends only on
-// the store, so plans stay deterministic; the caller's resetStage retry
-// builds whichever it picked.
-func (p *selectPipeOp) downgrade(ss *stageState) error {
-	if p.r.ev.Mem != nil {
-		return p.downgradeSpill(ss)
-	}
-	if ss.rel.Len() > 4 {
-		ss.access = plan.AccessHash
-		ss.flat = p.flatKeys(ss.st)
-		return nil
-	}
-	ss.access = plan.AccessScan
-	ss.filters = p.downgradeFilters(ss)
-	return nil
-}
-
 // flatKeys returns the key column ordinals of a hash stage that can build a
 // flat vec.JoinTable straight from its base table's columnar snapshot, or
 // nil when it must build byte-keyed: the same conditions as the vectorized
@@ -766,111 +738,13 @@ func (p *selectPipeOp) probeFlat(ss *stageState) error {
 	return nil
 }
 
-// downgradeFilters reconstructs the key equalities as residual filters for
-// a nested-loop downgrade.
-func (p *selectPipeOp) downgradeFilters(ss *stageState) []qgm.Expr {
-	filters := make([]qgm.Expr, 0, len(ss.st.Residual)+len(ss.st.KeyMine))
-	filters = append(filters, ss.st.Residual...)
-	for j := range ss.st.KeyMine {
-		filters = append(filters, &qgm.Cmp{Op: datum.EQ, L: ss.st.KeyMine[j], R: ss.st.KeyOther[j]})
-	}
-	return filters
-}
-
-// downgradeSpill is downgrade under a memory budget: the child streams into
-// a governed row buffer to learn its cardinality (never into the ungoverned
-// memo), then either replays into a spillable hash table or stays a nested
-// loop over the buffer.
-func (p *selectPipeOp) downgradeSpill(ss *stageState) error {
-	ev := p.r.ev
-	if err := p.buildSpillScan(ss); err != nil {
-		return err
-	}
-	if ss.buf.count <= 4 {
-		ss.access = plan.AccessScan
-		cur, err := ss.buf.cursor()
-		if err != nil {
-			return err
-		}
-		rows, err := cur.nextBatch(8)
-		if err != nil {
-			return err
-		}
-		ss.buf.close()
-		ss.buf = nil
-		ss.childRows = rows
-		ss.built = true
-		ss.filters = p.downgradeFilters(ss)
-		return nil
-	}
-	ss.access = plan.AccessHash
-	ev.Counters.HashBuilds++
-	// Free the buffer's reservation before the build: the replay streams
-	// from disk, so the hash table gets the whole remaining budget instead
-	// of competing with the buffer's resident suffix.
-	if err := ss.buf.freeze(); err != nil {
-		return err
-	}
-	sht := ev.newSpillJoin(p.r.spillNote(p.n))
-	cur, err := ss.buf.cursor()
-	if err != nil {
-		sht.close()
-		return err
-	}
-	q := ss.st.Quant
-	buf := make([]byte, 0, 64)
-	err = func() error {
-		for {
-			batch, err := cur.nextBatch(streamBatch)
-			if err != nil {
-				return err
-			}
-			if len(batch) == 0 {
-				return nil
-			}
-			for _, row := range batch {
-				p.env[q] = row
-				buf = buf[:0]
-				null := false
-				for _, e := range ss.st.KeyMine {
-					v, err := EvalExpr(e, p.env)
-					if err != nil {
-						return err
-					}
-					if v.IsNull() {
-						null = true
-						break
-					}
-					buf = v.AppendKey(buf)
-				}
-				if null {
-					continue // equality never matches NULL
-				}
-				if err := sht.add(buf, row); err != nil {
-					return err
-				}
-			}
-		}
-	}()
-	delete(p.env, q)
-	ss.buf.close()
-	ss.buf = nil
-	if err != nil {
-		sht.close()
-		return err
-	}
-	ss.sht = sht
-	ss.built = true
-	return nil
-}
-
 // resetStage prepares stage i's candidate rows for the current outer
 // binding.
 func (p *selectPipeOp) resetStage(i int) error {
 	ev := p.r.ev
 	ss := &p.stages[i]
 	ss.idx = 0
-	switch ss.access {
+	switch ss.st.Access {
 	case plan.AccessStream:
 		// advanceStage pulls batches from the child.
 		ss.rows = nil
@@ -896,10 +770,9 @@ func (p *selectPipeOp) resetStage(i int) error {
 			ss.rows, ss.lookup, ss.probed = rows, rows, true
 			return nil
 		}
-		if err := p.downgrade(ss); err != nil {
-			return err
-		}
-		return p.resetStage(i)
+		// The plan's table carries the index (see Evaluator.relation), and
+		// the probe reads the live index generation.
+		return fmt.Errorf("exec: internal error: no index on %s%v", ss.st.Quant.Ranges.Table.Name, ss.st.IndexCols)
 	case plan.AccessHash:
 		if !ss.built {
 			if ev.Mem != nil {
@@ -1001,7 +874,7 @@ func (p *selectPipeOp) advanceStage(i int) (bool, error) {
 			row = ss.rows[ss.idx]
 			ss.idx++
 		} else {
-			if ss.access == plan.AccessStream {
+			if ss.st.Access == plan.AccessStream {
 				batch, err := ss.child.next()
 				if err != nil {
 					return false, err
@@ -1031,7 +904,7 @@ func (p *selectPipeOp) advanceStage(i int) (bool, error) {
 		}
 		p.env[q] = row
 		pass := true
-		for _, pred := range ss.filters {
+		for _, pred := range ss.st.Residual {
 			tv, err := EvalPred(pred, p.env)
 			if err != nil {
 				return false, err

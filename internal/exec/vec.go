@@ -18,7 +18,6 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 
 	"starmagic/internal/catalog"
@@ -911,16 +910,17 @@ func (o *vecSelectOp) compileStage(st *plan.Stage) (*vecStage, bool) {
 }
 
 // compileIndex prepares index stage vs. The view's capture of the stage's
-// relation must hold the index (the row pipeline handles a missing one).
+// relation must hold the index: a view taken before CREATE INDEX lacks it,
+// and the row pipeline, which probes the live index, runs the stage instead.
 // The stage's leading residuals that compile to kernels over its own
 // columns filter each bucket; the first that does not, and every residual
 // after it, runs per extended tuple, so no residual is evaluated for a row
 // the row pipeline would not evaluate it for.
 func (o *vecSelectOp) compileIndex(vs *vecStage) bool {
 	t := vs.quant.Ranges.Table
-	rel, ok := o.ev.view.Relation(t.Name)
-	if !ok || !rel.HasIndex(vs.st.IndexCols) {
-		return false
+	rel, err := o.ev.relation(t)
+	if err != nil || !rel.HasIndex(vs.st.IndexCols) {
+		return false // the row pipeline reports err
 	}
 	vs.rel = rel
 	vs.cols = vecCols{q: vs.quant, colTypes: columnTypes(t), params: o.params}
@@ -1283,9 +1283,9 @@ func (o *vecSelectOp) open() error {
 		}
 		return nil
 	}
-	rel, ok := ev.view.Relation(o.drive.Box.Table.Name)
-	if !ok {
-		return fmt.Errorf("exec: no storage for table %q", o.drive.Box.Table.Name)
+	rel, err := ev.relation(o.drive.Box.Table)
+	if err != nil {
+		return err
 	}
 	// Vec hands back the raw columnar arrays (all versions, zero-copy) plus a
 	// visibility selection; kernels stay oblivious to MVCC and the pred loop

@@ -28,7 +28,6 @@ func LowerWith(g *qgm.Graph, est *opt.Estimator) *Plan {
 		est:       est,
 		uses:      map[*qgm.Box]int{},
 		freeCache: map[*qgm.Box]bool{},
-		visiting:  map[*qgm.Box]bool{},
 	}
 	for _, b := range g.Boxes {
 		for _, q := range b.Quantifiers {
@@ -75,7 +74,6 @@ type lowerer struct {
 	est       *opt.Estimator
 	uses      map[*qgm.Box]int
 	freeCache map[*qgm.Box]bool
-	visiting  map[*qgm.Box]bool
 }
 
 // hasFree reports whether b's subtree references quantifiers declared
@@ -149,18 +147,17 @@ func estWidth(b *qgm.Box) float64 {
 	return float64(24 + 48*cols)
 }
 
+// lowerBox lowers b as one consumer's input. Correlated boxes never reach
+// it: lowerSelect bridges them as AccessCorr stage children or as subquery
+// and scalar inputs. A recursive cycle stops at its fixpoint node.
 func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
 	switch {
-	case lw.visiting[b]:
-		return lw.bridge(b, "cyclic")
 	case b.Recursive:
 		n := lw.p.newNode(OpFixpoint, b, "fixpoint "+boxName(b))
 		n.Detail = "naive iteration"
 		n.EstRows = lw.est.Card(b)
 		n.EstMem = n.EstRows * estWidth(b)
 		return n
-	case lw.hasFree(b):
-		return lw.bridge(b, "correlated")
 	case lw.uses[b] > 1 && b.Kind != qgm.KindBaseTable:
 		// A shared box is evaluated once and its rows serve every consumer.
 		// Its own streamed plan hangs below each bridge; the consumer that
@@ -176,9 +173,6 @@ func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
 // lowerOwn lowers b itself to a streamed operator subtree, whatever its
 // sharing.
 func (lw *lowerer) lowerOwn(b *qgm.Box) *Node {
-	lw.visiting[b] = true
-	defer delete(lw.visiting, b)
-
 	var n *Node
 	switch b.Kind {
 	case qgm.KindBaseTable:

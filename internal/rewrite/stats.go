@@ -46,11 +46,3 @@ func (s *Stats) Snapshot() []RuleStat {
 	}
 	return out
 }
-
-// Fires returns the fire count of one rule (0 if never observed).
-func (s *Stats) Fires(rule string) int64 {
-	if st, ok := s.byName[rule]; ok {
-		return st.Fires
-	}
-	return 0
-}

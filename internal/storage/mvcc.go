@@ -437,9 +437,6 @@ func (v *View) captureAll() {
 	v.mu.Unlock()
 }
 
-// Snap returns the view's snapshot.
-func (v *View) Snap() Snap { return v.snap }
-
 // Relation resolves a captured relation view by table name, capturing on
 // demand for relations created after the view (DDL is serialized against
 // query prepare, so this only serves lazy views and benign races).
@@ -507,14 +504,6 @@ func (rv *RelView) Rows() []datum.Row {
 		rv.rowsDone = true
 	}
 	return rv.visRows
-}
-
-// Len returns the number of visible rows.
-func (rv *RelView) Len() int {
-	if rv.cap.all {
-		return rv.cap.n
-	}
-	return len(rv.Rows())
 }
 
 // Vec returns the zero-copy columnar capture, the aligned row slice, the

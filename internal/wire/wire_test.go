@@ -453,3 +453,49 @@ func TestLargeResultStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestStmtAcrossTableReplace: a statement prepared on one connection whose
+// table another connection drops and re-creates with its columns swapped
+// answers its next execute with the rows a fresh prepare answers; one whose
+// SELECT * would now return another column list answers ERR.
+func TestStmtAcrossTableReplace(t *testing.T) {
+	srv := NewServer(testDB(t), Config{})
+	c1 := connect(t, srv, "u", "")
+	c2 := connect(t, srv, "u", "")
+	const q = `SELECT e.empno, d.deptname FROM emp e, dept d WHERE e.deptno = d.deptno AND e.empno > ?`
+	st, err := c1.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := c1.Prepare(`SELECT * FROM dept`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		`DROP TABLE dept`,
+		`CREATE TABLE dept (deptname VARCHAR, deptno INT, budget INT, PRIMARY KEY (deptno))`,
+		`INSERT INTO dept VALUES ('Research', 10, 1), ('Sales', 20, 2)`,
+	} {
+		if _, err := c2.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	got, err := c1.Execute(st, int64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := c2.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c2.Execute(fresh, int64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || len(got.Rows) != 3 {
+		t.Errorf("held statement answered %v, a fresh prepare %v", got.Rows, want.Rows)
+	}
+	if rs, err := c1.Execute(star); err == nil {
+		t.Errorf("held SELECT * answered %v under its old column list", rs.Rows)
+	}
+}
