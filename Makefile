@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover check answers fmt-check bench bench-pair table1 sweep ablation fuzz examples clean
+.PHONY: all build test test-short race cover check answers traffic fmt-check bench bench-pair table1 sweep ablation fuzz examples clean
 
 all: build test
 
@@ -58,6 +58,12 @@ answers:
 	}; \
 	for s in 1994 2026; do for w in $(GATED); do check $$w $$s 3 0; done; done; \
 	for w in $(TRACED); do check $$w 1994 6 1; done
+
+# The functions of internal/exec, internal/engine and internal/plan that no
+# gated workload reaches: each workload's timed pass (SECS, default 4) on
+# coverage-instrumented builds, merged (see scripts/traffic-cover.sh).
+traffic:
+	WORKLOADS="$(GATED)" bash scripts/traffic-cover.sh
 
 # gofmt as a gate: print offending files and fail if any exist.
 fmt-check:

@@ -368,3 +368,68 @@ func BenchmarkPreparedCacheHit(b *testing.B) {
 		}
 	}
 }
+
+// rowPipelineDB builds a 20 000-row fact table over 150 groups, a 150-row
+// dimension and a grouped view of the fact table. The queries below filter
+// with a LIKE no columnar kernel compiles, so each select and group-by runs
+// on the row pipeline.
+func rowPipelineDB(b *testing.B) *engine.Database {
+	b.Helper()
+	db := engine.New()
+	if _, err := db.Exec(`
+	CREATE TABLE fact (id INT, k INT, v FLOAT, name VARCHAR);
+	CREATE TABLE dim (k INT, w FLOAT, name VARCHAR);
+	CREATE VIEW factTot (k, total, n) AS
+	  SELECT k, SUM(v), COUNT(*) FROM fact WHERE name LIKE 'x%' GROUP BY k;`); err != nil {
+		b.Fatal(err)
+	}
+	const rows, groups = 20_000, 150
+	facts := make([]datum.Row, rows)
+	for i := range facts {
+		facts[i] = datum.Row{datum.Int(int64(i)), datum.Int(int64(i % groups)), datum.Float(float64(i) * 0.25), datum.String("x")}
+	}
+	dims := make([]datum.Row, groups)
+	for k := range dims {
+		dims[k] = datum.Row{datum.Int(int64(k)), datum.Float(float64(k) * 0.25), datum.String("x")}
+	}
+	if err := db.InsertRows("fact", facts); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.InsertRows("dim", dims); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkRowPipeline measures one execution of each row-pipeline breaker
+// over the 20 000 filtered fact rows: hash aggregation, DISTINCT, the
+// dimension joined to the grouped view (the view is the hash build, as in
+// Table 1's magic plans), a nested-loop (non-equi) join, EXCEPT, and ORDER
+// BY.
+func BenchmarkRowPipeline(b *testing.B) {
+	db := rowPipelineDB(b)
+	for _, c := range []struct{ name, query string }{
+		{"groupby", "SELECT k, SUM(v), COUNT(*) FROM fact WHERE name LIKE 'x%' GROUP BY k"},
+		{"distinct", "SELECT DISTINCT k FROM fact WHERE name LIKE 'x%'"},
+		{"viewjoin", "SELECT d.k, t.total FROM dim d, factTot t WHERE d.k = t.k AND d.name LIKE 'x%'"},
+		{"nonequi", "SELECT d.k, f.id FROM dim d, fact f WHERE d.k < 10 AND f.v < d.w AND f.name LIKE 'x%'"},
+		{"except", "SELECT id FROM fact WHERE name LIKE 'x%' EXCEPT SELECT id FROM fact WHERE name LIKE 'x%' AND k < 75"},
+		{"orderby", "SELECT id, v FROM fact WHERE name LIKE 'x%' ORDER BY k, v DESC"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			// Original keeps the plans as written: no magic set restricts
+			// the view join's build side.
+			p, err := db.Prepare(c.query, engine.Original)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Execute(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

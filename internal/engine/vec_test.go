@@ -333,6 +333,16 @@ func aggOracleQueries(rng *rand.Rand, n int) []string {
 		"SELECT qty + 1, COUNT(*), SUM(amt) FROM fact GROUP BY qty + 1",
 		// Filters ahead of the aggregation.
 		"SELECT k2, COUNT(*), SUM(amt) FROM fact WHERE amt > 20.5 AND (k2 <> 'b' OR qty IS NULL) GROUP BY k2",
+		// Filters over the remaining predicate kernels: negation, column
+		// against column for numbers, strings and booleans, a boolean against
+		// a constant, and a constant disjunct.
+		"SELECT k1, COUNT(*), SUM(amt) FROM fact WHERE NOT flag GROUP BY k1",
+		"SELECT k2, COUNT(*), SUM(qty) FROM fact WHERE qty < k1 GROUP BY k2",
+		"SELECT k1, COUNT(*) FROM fact WHERE k2 = tag GROUP BY k1",
+		"SELECT k1, COUNT(*), MIN(tag) FROM fact WHERE k2 < tag GROUP BY k1",
+		"SELECT k2, COUNT(*), SUM(amt) FROM fact WHERE flag = TRUE GROUP BY k2",
+		"SELECT k1, COUNT(*) FROM fact WHERE flag = flag GROUP BY k1",
+		"SELECT k1, COUNT(*), SUM(qty) FROM fact WHERE qty > 5 OR FALSE GROUP BY k1",
 		// Group-by over a hash-joined select, keys and arguments from both sides.
 		"SELECT d.label, SUM(f.amt), COUNT(*), MAX(d.w), MIN(f.tag) FROM fact f, dim d WHERE f.k1 = d.k1 AND f.qty > 2 GROUP BY d.label",
 		"SELECT f.k2, d.k1, SUM(d.w), AVG(f.amt) FROM fact f, dim d WHERE f.k1 = d.k1 GROUP BY f.k2, d.k1",

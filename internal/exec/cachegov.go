@@ -235,14 +235,3 @@ func (ev *Evaluator) cacheDeleteQuant(q *qgm.Quantifier) {
 		delete(cg.hash, q)
 	}
 }
-
-// clearCacheCharges returns every cached-state reservation to the budget
-// without touching the caches themselves; ResetCaches drops those.
-func (ev *Evaluator) clearCacheCharges() {
-	if cg := ev.cgov; cg != nil {
-		cg.acct.Clear()
-		cg.memo = map[*qgm.Box]int64{}
-		cg.sub = map[*qgm.Quantifier]int64{}
-		cg.hash = map[*qgm.Quantifier]int64{}
-	}
-}

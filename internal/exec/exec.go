@@ -54,10 +54,10 @@ type Evaluator struct {
 	// MaxRows aborts runaway evaluations (0 = unlimited).
 	MaxRows int64
 
-	// NoVec disables the vectorized select operator, forcing every plan
-	// onto the row-at-a-time pipeline. The engine sets it from
-	// Database.SetVectorized; the paired-benchmark harness and the
-	// vectorized-vs-row oracle tests rely on it.
+	// NoVec disables the columnar operators (the vectorized select and
+	// group-by), forcing every plan onto the row-at-a-time pipeline. The
+	// engine sets it from Database.SetVectorized; the vectorized-vs-row
+	// oracle tests rely on it.
 	NoVec bool
 
 	// Params binds the query's positional `?` placeholders for this run,
@@ -71,14 +71,15 @@ type Evaluator struct {
 	// state — join hash tables, sort buffers, DISTINCT/GROUP-BY tables,
 	// set-operation counts, fixpoint seen-sets, nested-loop inners — is
 	// charged against it through per-operator accounts and spills to disk
-	// when a reservation is denied (see spill.go). Budget mode also changes
-	// how build sides are gathered: the streaming executor streams
-	// hash-build inputs instead of materializing them, so peak memory stays
-	// bounded. Memoization caches (box memo, subquery/hash caches, fixpoint
-	// sets) are governed too: see cachegov.go — denied inserts skip caching
-	// and recompute, cached entries are evicted under pressure, and only
-	// resident fixpoint sets can fail the query. Final result rows remain
-	// exempt. Set by the engine; nil means unbounded in-memory execution.
+	// when a reservation is denied (see spill.go); the streaming executor
+	// feeds those containers the same way with or without a budget. A
+	// budget keeps plans off the columnar operators and the flat hash-join
+	// build, which do not spill. Memoization caches (box memo,
+	// subquery/hash caches, fixpoint sets) are governed too: see
+	// cachegov.go — denied inserts skip caching and recompute, cached
+	// entries are evicted under pressure, and only resident fixpoint sets
+	// can fail the query. Final result rows remain exempt. Set by the
+	// engine; nil means unbounded in-memory execution.
 	Mem *resource.Budget
 
 	// cgov charges memoization state to Mem; nil until the first governed
@@ -1035,11 +1036,11 @@ func (ev *Evaluator) evalGroupBy(b *qgm.Box, env Env) ([]datum.Row, error) {
 
 // accumulateGroup folds one input row (already bound in env) into gt: group
 // key, entry lookup/insert, aggregate update, DISTINCT-argument filtering.
-// Shared by the box-at-a-time evaluator and the streaming group-by's
-// byte-keyed path so grouped results agree exactly. The key is evaluated into
-// gt's scratch row and copied only when it starts a new group. gkBuf is a
-// reusable scratch copy of the group key (ev.keyBuf gets reused for the
-// distinct-argument keys); the returned slice is passed back in.
+// Shared by the box-at-a-time evaluator and the streaming group-by so
+// grouped results agree exactly. The key is evaluated into gt's scratch row
+// and copied only when it starts a new group. gkBuf is the reusable byte
+// encoding of the group key (ev.keyBuf is left to the distinct-argument
+// keys); the returned slice is passed back in.
 func (ev *Evaluator) accumulateGroup(gt *groupTable, b *qgm.Box, env Env, gkBuf []byte) ([]byte, error) {
 	if gt.vals == nil {
 		gt.key = make(datum.Row, len(b.GroupBy))
@@ -1052,8 +1053,7 @@ func (ev *Evaluator) accumulateGroup(gt *groupTable, b *qgm.Box, env Env, gkBuf 
 		}
 		gt.key[i] = v
 	}
-	ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], gt.key)
-	gkBuf = append(gkBuf[:0], ev.keyBuf...)
+	gkBuf = datum.AppendKey(gkBuf[:0], gt.key)
 	grp, ok, err := gt.lookup(gkBuf)
 	if err != nil {
 		return gkBuf, err
@@ -1078,8 +1078,7 @@ func (ev *Evaluator) accumulateGroup(gt *groupTable, b *qgm.Box, env Env, gkBuf 
 // updateGroup folds one row's aggregate arguments (vals[i] for b.Aggs[i];
 // ignored for COUNT(*)) into grp: DISTINCT-argument filtering, state
 // updates, and distinct-set growth accounting against the spill table (gkBuf
-// is the entry's byte key for recharging; gt is nil for groups held outside
-// a groupTable).
+// is the entry's byte key for recharging).
 func (ev *Evaluator) updateGroup(gt *groupTable, b *qgm.Box, grp *groupEntry, gkBuf []byte, vals []datum.D) error {
 	var delta int64
 	for i, a := range b.Aggs {
@@ -1099,7 +1098,7 @@ func (ev *Evaluator) updateGroup(gt *groupTable, b *qgm.Box, grp *groupEntry, gk
 			return err
 		}
 	}
-	if delta > 0 && gt != nil {
+	if delta > 0 {
 		grp.memSize += delta
 		if err := gt.recharge(gkBuf, delta); err != nil {
 			return err
@@ -1331,17 +1330,4 @@ func (ev *Evaluator) freeRefs(b *qgm.Box) []corrRef {
 	})
 	ev.free[b] = refs
 	return refs
-}
-
-// ResetCaches clears memoized materializations and re-captures the snapshot
-// view; callers re-executing after data changes must reset. For a live
-// (ReadAll) view this picks up new rows; for a fixed snapshot it re-captures
-// at the same timestamp, which yields identical visibility.
-func (ev *Evaluator) ResetCaches() {
-	ev.view.Refresh()
-	ev.memo = map[*qgm.Box][]datum.Row{}
-	ev.subCache = map[*qgm.Quantifier]map[string][]datum.Row{}
-	ev.free = map[*qgm.Box][]corrRef{}
-	ev.hashCache = map[*qgm.Quantifier]map[string]map[string][]datum.Row{}
-	ev.clearCacheCharges()
 }

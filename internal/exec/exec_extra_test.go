@@ -39,41 +39,6 @@ func TestRegisterKindHandler(t *testing.T) {
 	}
 }
 
-func TestResetCaches(t *testing.T) {
-	cat, store := testDB(t)
-	q, err := sql.ParseQuery("SELECT COUNT(*) FROM employee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := semant.NewBuilder(cat).Build(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := New(store)
-	r1, err := ev.EvalGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Insert another row; without reset the memoized materialization hides
-	// it, after reset it is visible.
-	rel, _ := store.Relation("employee")
-	if err := rel.Insert(datum.Row{datum.Int(999), datum.String("zed"), datum.Int(1), datum.Float(1)}); err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := ev.EvalGraph(g)
-	if r2[0][0].I != r1[0][0].I {
-		t.Fatal("memoization should have hidden the insert")
-	}
-	ev.ResetCaches()
-	r3, err := ev.EvalGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3[0][0].I != r1[0][0].I+1 {
-		t.Errorf("after reset count = %v; want %v", r3[0][0].I, r1[0][0].I+1)
-	}
-}
-
 func TestNAryUnion(t *testing.T) {
 	cat, store := testDB(t)
 	q, err := sql.ParseQuery("SELECT deptno FROM department")
@@ -182,7 +147,7 @@ func TestStorageMissingRelation(t *testing.T) {
 
 // TestFixpointDirect drives the recursive evaluator at the exec level:
 // the same fixpoint root consumed twice must be computed once (memoized),
-// and ResetCaches must force recomputation.
+// and a fresh evaluator over the same store must recompute the same rows.
 func TestFixpointDirect(t *testing.T) {
 	cat, store := testDB(t)
 	if err := cat.AddView(&catalog.View{
@@ -216,8 +181,7 @@ func TestFixpointDirect(t *testing.T) {
 	if ev.Counters.BoxEvals != evals1 {
 		t.Errorf("fixpoint recomputed on memoized evaluator: %d -> %d", evals1, ev.Counters.BoxEvals)
 	}
-	ev.ResetCaches()
-	rows2, err := ev.EvalGraph(g)
+	rows2, err := New(store).EvalGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
-// Spill-to-disk state for budget-governed execution. When an Evaluator has a
-// memory Budget (ev.Mem != nil), every pipeline-breaker structure — join hash
-// tables, DISTINCT/GROUP-BY state, set-operation counts, sort buffers,
-// fixpoint seen-sets, nested-loop inners — is backed by one of the containers
-// here instead of a plain map or slice:
+// The containers of pipeline-breaker state: join hash tables, DISTINCT and
+// GROUP-BY tables, set-operation counts, sort buffers, fixpoint seen-sets
+// and nested-loop inners. Every operator feeds its container the same way;
+// the constructor alone picks the memory mode. Without a budget
+// (ev.Mem == nil) a container is a plain map or slice and charges nothing;
+// under one it charges the operator's Account and spills to disk when a
+// reservation is denied:
 //
 //	pagedTable  — a 64-way partitioned hash table. Inserts charge the
 //	              operator's Account; when a charge is denied the largest
@@ -18,9 +20,7 @@
 //	              so iteration order is file prefix + resident suffix.
 //
 // Spill files hold rows in the lossless datum codec (AppendEncodedRow), not
-// the lossy AppendKey form, so paged-in values round-trip exactly. All
-// containers degrade to plain in-memory maps with zero extra allocation when
-// the evaluator has no budget.
+// the lossy AppendKey form, so paged-in values round-trip exactly.
 package exec
 
 import (
@@ -579,16 +579,34 @@ func bucketCodec() valCodec[*rowBucket] {
 	}
 }
 
-// spillJoin is the grace-style spillable join hash table.
+// spillJoin is a byte-keyed join hash table: key → the build rows with that
+// key, in arrival order. Without a budget it is a plain map to buckets (the
+// map is looked up with string(key), which does not allocate, so a key
+// string is allocated once per distinct key, not per row); under one, the
+// grace-style pagedTable.
 type spillJoin struct {
-	pt *pagedTable[*rowBucket]
+	idx     map[string]int
+	buckets [][]datum.Row
+	pt      *pagedTable[*rowBucket]
 }
 
 func (ev *Evaluator) newSpillJoin(onSpill func(int64)) *spillJoin {
+	if ev.Mem == nil {
+		return &spillJoin{idx: map[string]int{}}
+	}
 	return &spillJoin{pt: newPagedTable(ev, "hashjoin", bucketCodec(), onSpill)}
 }
 
 func (sj *spillJoin) add(key []byte, row datum.Row) error {
+	if sj.pt == nil {
+		if i, ok := sj.idx[string(key)]; ok {
+			sj.buckets[i] = append(sj.buckets[i], row)
+		} else {
+			sj.idx[string(key)] = len(sj.buckets)
+			sj.buckets = append(sj.buckets, []datum.Row{row})
+		}
+		return nil
+	}
 	b, ok, err := sj.pt.get(key)
 	if err != nil {
 		return err
@@ -604,6 +622,12 @@ func (sj *spillJoin) add(key []byte, row datum.Row) error {
 }
 
 func (sj *spillJoin) probe(key []byte) ([]datum.Row, error) {
+	if sj.pt == nil {
+		if i, ok := sj.idx[string(key)]; ok {
+			return sj.buckets[i], nil
+		}
+		return nil, nil
+	}
 	b, ok, err := sj.pt.get(key)
 	if err != nil || !ok {
 		return nil, err
@@ -611,11 +635,16 @@ func (sj *spillJoin) probe(key []byte) ([]datum.Row, error) {
 	return b.rows, nil
 }
 
-func (sj *spillJoin) close() { sj.pt.close() }
+func (sj *spillJoin) close() {
+	if sj.pt != nil {
+		sj.pt.close()
+	}
+	sj.idx, sj.buckets = nil, nil
+}
 
 // spilled reports whether the build left any partition on disk (the trigger
 // for a partition-wise grace probe, see grace.go).
-func (sj *spillJoin) spilled() bool { return sj.pt.spilled() }
+func (sj *spillJoin) spilled() bool { return sj.pt != nil && sj.pt.spilled() }
 
 // partition pages build partition i in and returns its buckets.
 func (sj *spillJoin) partition(i int) (map[string]*rowBucket, error) {
@@ -874,53 +903,63 @@ func (rb *rowBuffer) spillResident() error {
 	return nil
 }
 
-// cursor starts a replay of the buffer from the beginning. Only valid after
-// all adds are done; multiple sequential cursors are allowed.
-func (rb *rowBuffer) cursor() (*rowCursor, error) {
-	c := &rowCursor{rb: rb}
-	if rb.rw != nil {
-		if err := rb.rw.flush(); err != nil {
-			return nil, err
-		}
-		rr, err := newRecordReader(rb.rw.sf)
-		if err != nil {
-			return nil, err
-		}
-		c.rr = rr
-	}
-	return c, nil
-}
-
+// rowCursor replays a rowBuffer in arrival order. Its consumer keeps it and
+// rewinds it once per replay, so replaying a buffer that never spilled
+// neither copies the resident rows nor allocates.
 type rowCursor struct {
 	rb  *rowBuffer
-	rr  *recordReader // nil once the file part is exhausted (or never spilled)
+	rr  *recordReader // the spilled prefix still to read; nil when done or never spilled
 	idx int           // position in the resident suffix
+	dec []datum.Row   // reused batch of decoded spilled rows
 }
 
-// nextBatch returns up to max rows, nil at end. Decoded rows are fresh
-// allocations; resident rows are returned as-is.
+// rewind starts a replay of rb from the beginning. Only valid after all adds
+// are done.
+func (c *rowCursor) rewind(rb *rowBuffer) error {
+	c.rb, c.rr, c.idx = rb, nil, 0
+	if rb.rw == nil {
+		return nil
+	}
+	if err := rb.rw.flush(); err != nil {
+		return err
+	}
+	rr, err := newRecordReader(rb.rw.sf)
+	if err != nil {
+		return err
+	}
+	c.rr = rr
+	return nil
+}
+
+// nextBatch returns up to max rows, empty at end: freshly decoded rows of the
+// spilled prefix first, then windows of the resident suffix as they are.
 func (c *rowCursor) nextBatch(max int) ([]datum.Row, error) {
-	var out []datum.Row
-	for c.rr != nil && len(out) < max {
-		rec, err := c.rr.next()
-		if err == io.EOF {
-			c.rr = nil
-			break
+	if c.rr != nil {
+		out := c.dec[:0]
+		for len(out) < max {
+			rec, err := c.rr.next()
+			if err == io.EOF {
+				c.rr = nil
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			row, _, err := datum.DecodeRow(rec)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, row)
 		}
-		if err != nil {
-			return nil, err
+		c.dec = out
+		if len(out) > 0 {
+			return out, nil
 		}
-		row, _, err := datum.DecodeRow(rec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
 	}
-	for c.idx < len(c.rb.rows) && len(out) < max {
-		out = append(out, c.rb.rows[c.idx])
-		c.idx++
-	}
-	return out, nil
+	end := min(c.idx+max, len(c.rb.rows))
+	batch := c.rb.rows[c.idx:end]
+	c.idx = end
+	return batch, nil
 }
 
 func (rb *rowBuffer) close() {

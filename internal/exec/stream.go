@@ -6,15 +6,16 @@
 // intermediate-result size.
 //
 // The operators reuse the classic evaluator's machinery — expression
-// evaluation, subquery memoization, the join hash build, the shared box
-// memo — so a plan mixing streamed
-// operators with box-eval bridges (correlated or shared subtrees, extension
-// kinds, recursive fixpoints) stays consistent with box-at-a-time results.
+// evaluation, subquery memoization, the shared box memo, the containers of
+// spill.go — so a plan mixing streamed operators with box-eval bridges
+// (correlated or shared subtrees, extension kinds, recursive fixpoints)
+// stays consistent with box-at-a-time results. Each pipeline breaker runs
+// one way: its input streams into its container, which is plain memory
+// without a budget and spills under one.
 package exec
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"starmagic/internal/datum"
@@ -204,79 +205,56 @@ func (r *planRun) build(n *plan.Node) operator {
 	return &instrumented{op: op, st: &r.stats[n.ID]}
 }
 
-// materialize fully evaluates a subtree (for hash build sides, nested-loop
-// inners, and set-operation right inputs). Closed box-rooted subtrees go
-// through — and populate — the evaluator's box memo, so shared work between
-// streamed and bridged parts of a plan is still done once.
+// materialize fully evaluates a subtree for the columnar select's hash
+// stages over a non-scan build side, and for bridges: a bridge node runs
+// through evalBridge and is charged here, since no operator instruments it;
+// any other subtree drains through its streamed operator.
 func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
-	ev := r.ev
-	if n.Kind == plan.OpBoxEval || n.Kind == plan.OpFixpoint {
-		rows, err := r.evalBridge(n)
-		if err != nil {
-			return nil, err
-		}
-		st := &r.stats[n.ID]
-		st.Opens++
-		st.Batches++
-		st.Rows += int64(len(rows))
-		return rows, nil
+	if n.Kind != plan.OpBoxEval && n.Kind != plan.OpFixpoint {
+		return r.drain(n)
 	}
-	if n.Box != nil && !ev.NoSubqueryCache {
+	rows, err := r.evalBridge(n)
+	if err != nil {
+		return nil, err
+	}
+	st := &r.stats[n.ID]
+	st.Opens++
+	st.Batches++
+	st.Rows += int64(len(rows))
+	return rows, nil
+}
+
+// evalBridge materializes a bridge node's box. A shared box carries its own
+// streamed plan below the bridge: the first consumer drains it (vectorized
+// where it can) into the box memo — charged to the memory budget when there
+// is one — which serves every later consumer, bridged or streamed. Only
+// extension kinds and recursive fixpoints evaluate box-at-a-time.
+func (r *planRun) evalBridge(n *plan.Node) ([]datum.Row, error) {
+	ev := r.ev
+	if len(n.Children) != 1 {
+		return ev.EvalBox(n.Box, ev.rootEnv())
+	}
+	if !ev.NoSubqueryCache {
 		if rows, ok := ev.memo[n.Box]; ok {
 			return rows, nil
 		}
 	}
-	// A bare scan materializes to the stored rows themselves — callers
-	// treat the result as read-only, so skip the batch-append copy and
-	// charge the same counters the streamed scan would.
-	if n.Kind == plan.OpScan {
-		rel, err := ev.relation(n.Box.Table)
-		if err != nil {
-			return nil, err
-		}
-		rows := rel.Rows()
-		ev.Counters.BoxEvals++
-		ev.Counters.BaseRows += int64(len(rows))
-		if err := ev.addOutput(len(rows)); err != nil {
-			return nil, err
-		}
-		st := &r.stats[n.ID]
-		st.Opens++
-		if len(rows) > 0 {
-			st.Batches++
-			st.Rows += int64(len(rows))
-		}
-		return rows, nil
-	}
-	rows, err := r.drain(n)
+	rows, err := r.drain(n.Children[0])
 	if err != nil {
 		return nil, err
 	}
-	// Streamed subtrees are closed by construction (lowering bridges
-	// correlated boxes), so the result is safe to memoize.
-	if n.Box != nil && !ev.NoSubqueryCache {
+	if !ev.NoSubqueryCache {
 		ev.memoInsert(n.Box, rows)
 	}
 	return rows, nil
 }
 
-// evalBridge materializes a bridge node's box. A shared box carries its own
-// streamed plan below the bridge: that runs (vectorized where it can) and
-// lands in the box memo — charged to the memory budget when there is one —
-// which serves every later consumer, bridged or streamed. Only extension
-// kinds and recursive fixpoints evaluate box-at-a-time.
-func (r *planRun) evalBridge(n *plan.Node) ([]datum.Row, error) {
-	if len(n.Children) == 1 {
-		return r.materialize(n.Children[0])
-	}
-	return r.ev.EvalBox(n.Box, r.ev.rootEnv())
-}
-
 // scanBuild snapshots the base table of scan node n columnar, for a flat
 // hash-join build: the zero-copy column arrays, the aligned row slice, the
 // visibility selection (nil when every version is visible) and the intern
-// table. It charges exactly what materialize charges for the same node —
-// nothing when a bridged box already scanned (and memoized) the table.
+// table. It charges exactly what a streamed scan of the same node charges —
+// nothing when the classic evaluator already scanned (and memoized) the
+// table.
 func (r *planRun) scanBuild(n *plan.Node) (vec.Table, []datum.Row, []int32, *vec.Intern, error) {
 	ev := r.ev
 	rel, err := ev.relation(n.Box.Table)
@@ -437,31 +415,29 @@ func (o *boxEvalOp) close() error {
 type stageState struct {
 	st *plan.Stage
 
-	child     operator         // AccessStream
-	rel       *storage.RelView // AccessIndex: snapshot-filtered probes
-	probe     datum.Row        // AccessIndex probe buffer
-	lookup    []datum.Row      // AccessIndex: probe-result buffer, reused per binding
-	probed    bool             // lookup holds the result of probing with probe
-	childRows []datum.Row      // materialized child (hash/scan)
-	built     bool
-	ht        map[string][]datum.Row
+	child  operator         // AccessStream
+	rel    *storage.RelView // AccessIndex: snapshot-filtered probes
+	probe  datum.Row        // AccessIndex probe buffer
+	lookup []datum.Row      // AccessIndex: probe-result buffer, reused per binding
+	probed bool             // lookup holds the result of probing with probe
+	built  bool             // AccessHash, AccessScan: the build side is in
 
-	// Flat hash build (see flatKeys): jt replaces ht for a base-table build
-	// side keyed on plain columns — jrows are the rows its ids index, tab the
-	// intern table string probes resolve through, chain the next candidate
-	// for the current outer binding (-1 none).
+	// Flat hash build (see flatKeys): jt keys a base-table build side on
+	// plain columns — jrows are the rows its ids index, tab the intern table
+	// string probes resolve through, chain the next candidate for the
+	// current outer binding (-1 none).
 	flat  []int // key column ordinals; nil when the stage builds byte-keyed
 	jt    *vec.JoinTable
 	jrows []datum.Row
 	tab   *vec.Intern
 	chain int32
 
-	// Budget-mode variants: sht replaces ht (spillable partitioned hash
-	// table), buf replaces childRows (spillable nested-loop inner, replayed
-	// through cur once per outer binding).
+	// The build containers of spill.go, plain memory without a budget: sht
+	// is a byte-keyed hash build, buf a nested-loop inner, replayed through
+	// cur, which is rewound once per outer binding.
 	sht *spillJoin
 	buf *rowBuffer
-	cur *rowCursor
+	cur rowCursor
 
 	rows []datum.Row // current candidate rows for the outer binding
 	idx  int
@@ -495,7 +471,7 @@ type selectPipeOp struct {
 
 	// recycle lets next project into one reused slab instead of a fresh row
 	// per binding. Set by a consumer that keeps no reference to a row past
-	// the following next call (the group-by's flat path).
+	// the following next call (the group-by).
 	recycle bool
 	slab    []datum.D
 	out     []datum.Row
@@ -553,136 +529,52 @@ func (p *selectPipeOp) open() error {
 	return nil
 }
 
-// buildSpillStage streams a hash stage's build side into a spillable
-// partitioned hash table, charging the stage's rows to the query budget
-// instead of materializing them unaccounted. Counter accounting matches the
-// materializing build: the child subtree charges its own counters as it
-// streams, and the build itself charges one HashBuilds.
-func (p *selectPipeOp) buildSpillStage(ss *stageState) error {
-	ev := p.r.ev
-	ev.Counters.HashBuilds++
-	sht := ev.newSpillJoin(p.r.spillNote(p.n))
-	child := p.r.build(ss.st.Child)
-	if err := child.open(); err != nil {
-		child.close()
-		sht.close()
-		return err
-	}
-	q := ss.st.Quant
-	buf := make([]byte, 0, 64)
+// pull runs subtree n to completion through its streamed operator, handing
+// each batch to f.
+func (r *planRun) pull(n *plan.Node, f func([]datum.Row) error) error {
+	return pullOp(r.build(n), f)
+}
+
+// pullOp opens op, hands each of its batches to f, and closes it.
+func pullOp(op operator, f func([]datum.Row) error) error {
 	err := func() error {
+		if err := op.open(); err != nil {
+			return err
+		}
 		for {
-			batch, err := child.next()
+			batch, err := op.next()
 			if err != nil {
 				return err
 			}
 			if len(batch) == 0 {
 				return nil
 			}
-			for _, row := range batch {
-				p.env[q] = row
-				buf = buf[:0]
-				null := false
-				for _, e := range ss.st.KeyMine {
-					v, err := EvalExpr(e, p.env)
-					if err != nil {
-						return err
-					}
-					if v.IsNull() {
-						null = true
-						break
-					}
-					buf = v.AppendKey(buf)
-				}
-				if null {
-					continue // equality never matches NULL
-				}
-				if err := sht.add(buf, row); err != nil {
-					return err
-				}
-			}
-		}
-	}()
-	delete(p.env, q)
-	if cerr := child.close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		sht.close()
-		return err
-	}
-	ss.sht = sht
-	return nil
-}
-
-// buildSpillScan streams a nested-loop inner into a spillable replayable
-// row buffer.
-func (p *selectPipeOp) buildSpillScan(ss *stageState) error {
-	rb := p.r.ev.newRowBuffer("nl-inner", p.r.spillNote(p.n))
-	child := p.r.build(ss.st.Child)
-	if err := child.open(); err != nil {
-		child.close()
-		rb.close()
-		return err
-	}
-	err := func() error {
-		for {
-			batch, err := child.next()
-			if err != nil {
+			if err := f(batch); err != nil {
 				return err
 			}
-			if len(batch) == 0 {
-				return nil
-			}
-			for _, row := range batch {
-				if err := rb.add(row); err != nil {
-					return err
-				}
-			}
 		}
 	}()
-	if cerr := child.close(); err == nil {
+	if cerr := op.close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		rb.close()
-		return err
-	}
-	ss.buf = rb
-	return nil
+	return err
 }
 
-// flatKeys returns the key column ordinals of a hash stage that can build a
-// flat vec.JoinTable straight from its base table's columnar snapshot, or
-// nil when it must build byte-keyed: the same conditions as the vectorized
-// select (no memory budget, vectorization on), a base-table scan as the
-// build side, and at most vec.MaxKeyCols plain-column keys whose probe
-// expressions are of the same comparability class wherever their type is
-// known statically (probes of unknown type are classed per row).
-func (p *selectPipeOp) flatKeys(st *plan.Stage) []int {
-	ev := p.r.ev
-	if ev.Mem != nil || ev.NoVec || st.Child.Kind != plan.OpScan || len(st.KeyMine) > vec.MaxKeyCols {
+// drain runs subtree n to completion through its streamed operator and
+// returns its rows.
+func (r *planRun) drain(n *plan.Node) ([]datum.Row, error) {
+	var rows []datum.Row
+	err := r.pull(n, func(batch []datum.Row) error {
+		rows = append(rows, batch...)
 		return nil
-	}
-	cols := st.Child.Box.Table.Columns
-	ords := make([]int, len(st.KeyMine))
-	for j, m := range st.KeyMine {
-		cr, ok := m.(*qgm.ColRef)
-		if !ok || cr.Q != st.Quant || cr.Ord >= len(cols) {
-			return nil
-		}
-		mine := vecClass(cols[cr.Ord].Type)
-		if other := vecClass(qgm.TypeOf(st.KeyOther[j])); mine == 0 || other != 0 && other != mine {
-			return nil
-		}
-		ords[j] = cr.Ord
-	}
-	return ords
+	})
+	return rows, err
 }
 
 // buildHash builds a hash stage's table: flat from the build table's column
-// arrays when flatKeys allows, byte-keyed over the materialized child
-// otherwise.
+// arrays when flatKeys allows, otherwise by streaming the build side into a
+// byte-keyed spillJoin. The build charges one HashBuilds; a streamed child
+// charges its own counters.
 func (p *selectPipeOp) buildHash(ss *stageState) error {
 	ev := p.r.ev
 	ev.Counters.HashBuilds++
@@ -699,13 +591,74 @@ func (p *selectPipeOp) buildHash(ss *stageState) error {
 		ss.jt, ss.jrows, ss.tab = vec.BuildJoinTable(cols, tbl.N, vis), rows, tab
 		return nil
 	}
-	rows, err := p.r.materialize(ss.st.Child)
-	if err != nil {
-		return err
-	}
-	ss.childRows = rows
-	ss.ht, err = ev.buildHashTable(ss.st.Quant, ss.st.KeyMine, rows, p.env)
+	// Installed before the build, so close releases it on an error too.
+	ss.sht = ev.newSpillJoin(p.r.spillNote(p.n))
+	q := ss.st.Quant
+	key := make([]byte, 0, 64)
+	err := p.r.pull(ss.st.Child, func(batch []datum.Row) error {
+	rows:
+		for _, row := range batch {
+			p.env[q] = row
+			key = key[:0]
+			for _, e := range ss.st.KeyMine {
+				v, err := EvalExpr(e, p.env)
+				if err != nil {
+					return err
+				}
+				if v.IsNull() {
+					continue rows // equality never matches NULL
+				}
+				key = v.AppendKey(key)
+			}
+			if err := ss.sht.add(key, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	delete(p.env, q)
 	return err
+}
+
+// buildScan streams a nested-loop inner into its replayable row buffer.
+func (p *selectPipeOp) buildScan(ss *stageState) error {
+	ss.built = true
+	ss.buf = p.r.ev.newRowBuffer("nl-inner", p.r.spillNote(p.n))
+	return p.r.pull(ss.st.Child, func(batch []datum.Row) error {
+		for _, row := range batch {
+			if err := ss.buf.add(row); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// flatKeys returns the key column ordinals of a hash stage that can build a
+// flat vec.JoinTable straight from its base table's columnar snapshot, or
+// nil when it must build byte-keyed: no memory budget (the flat table does
+// not spill), a base-table scan as the build side, and at most
+// vec.MaxKeyCols plain-column keys whose probe expressions are of the same
+// comparability class wherever their type is known statically (probes of
+// unknown type are classed per row).
+func (p *selectPipeOp) flatKeys(st *plan.Stage) []int {
+	if p.r.ev.Mem != nil || st.Child.Kind != plan.OpScan || len(st.KeyMine) > vec.MaxKeyCols {
+		return nil
+	}
+	cols := st.Child.Box.Table.Columns
+	ords := make([]int, len(st.KeyMine))
+	for j, m := range st.KeyMine {
+		cr, ok := m.(*qgm.ColRef)
+		if !ok || cr.Q != st.Quant || cr.Ord >= len(cols) {
+			return nil
+		}
+		mine := vecClass(cols[cr.Ord].Type)
+		if other := vecClass(qgm.TypeOf(st.KeyOther[j])); mine == 0 || other != 0 && other != mine {
+			return nil
+		}
+		ords[j] = cr.Ord
+	}
+	return ords
 }
 
 // probeFlat positions a flat hash stage on the chain matching the current
@@ -775,20 +728,15 @@ func (p *selectPipeOp) resetStage(i int) error {
 		return fmt.Errorf("exec: internal error: no index on %s%v", ss.st.Quant.Ranges.Table.Name, ss.st.IndexCols)
 	case plan.AccessHash:
 		if !ss.built {
-			if ev.Mem != nil {
-				if err := p.buildSpillStage(ss); err != nil {
-					return err
-				}
-				ss.built = true
-				if p.graceShape(i) && ss.sht.spilled() {
-					// The build spilled: per-probe lookups would fault
-					// partitions in and out once per outer row. Switch to
-					// the partition-wise grace join; next() notices p.grace
-					// and emits its merge.
-					return p.graceRun(ss)
-				}
-			} else if err := p.buildHash(ss); err != nil {
+			if err := p.buildHash(ss); err != nil {
 				return err
+			}
+			if ss.sht != nil && ss.sht.spilled() && p.graceShape(i) {
+				// The build spilled: per-probe lookups would fault
+				// partitions in and out once per outer row. Switch to the
+				// partition-wise grace join; next() notices p.grace and
+				// emits its merge.
+				return p.graceRun(ss)
 			}
 		}
 		if ss.jt != nil {
@@ -807,40 +755,20 @@ func (p *selectPipeOp) resetStage(i int) error {
 			ev.keyBuf = v.AppendKey(ev.keyBuf)
 		}
 		ev.Counters.HashProbes++
-		if ss.sht != nil {
-			rows, err := ss.sht.probe(ev.keyBuf)
-			if err != nil {
-				return err
-			}
-			ss.rows = rows
-		} else {
-			ss.rows = ss.ht[string(ev.keyBuf)]
+		rows, err := ss.sht.probe(ev.keyBuf)
+		if err != nil {
+			return err
 		}
+		ss.rows = rows
 	case plan.AccessScan:
 		if !ss.built {
-			if ev.Mem != nil {
-				if err := p.buildSpillScan(ss); err != nil {
-					return err
-				}
-			} else {
-				rows, err := p.r.materialize(ss.st.Child)
-				if err != nil {
-					return err
-				}
-				ss.childRows = rows
-			}
-			ss.built = true
-		}
-		if ss.buf != nil {
-			cur, err := ss.buf.cursor()
-			if err != nil {
+			if err := p.buildScan(ss); err != nil {
 				return err
 			}
-			ss.cur = cur
-			ss.rows = nil
-		} else {
-			ss.rows = ss.childRows
 		}
+		// advanceStage pulls the replay's batches.
+		ss.rows = nil
+		return ss.cur.rewind(ss.buf)
 	case plan.AccessCorr:
 		rows, err := ev.EvalBox(ss.st.Quant.Ranges, p.env)
 		if err != nil {
@@ -874,27 +802,21 @@ func (p *selectPipeOp) advanceStage(i int) (bool, error) {
 			row = ss.rows[ss.idx]
 			ss.idx++
 		} else {
-			if ss.st.Access == plan.AccessStream {
-				batch, err := ss.child.next()
-				if err != nil {
-					return false, err
-				}
-				if len(batch) > 0 {
-					ss.rows = batch
-					ss.idx = 0
-					continue
-				}
+			var batch []datum.Row
+			var err error
+			switch {
+			case ss.child != nil:
+				batch, err = ss.child.next()
+			case ss.buf != nil:
+				batch, err = ss.cur.nextBatch(streamBatch)
 			}
-			if ss.cur != nil {
-				batch, err := ss.cur.nextBatch(streamBatch)
-				if err != nil {
-					return false, err
-				}
-				if len(batch) > 0 {
-					ss.rows = batch
-					ss.idx = 0
-					continue
-				}
+			if err != nil {
+				return false, err
+			}
+			if len(batch) > 0 {
+				ss.rows = batch
+				ss.idx = 0
+				continue
 			}
 			delete(p.env, q)
 			return false, nil
@@ -1214,125 +1136,22 @@ type groupByOp struct {
 }
 
 func (g *groupByOp) open() error {
-	ev := g.r.ev
-	b := g.n.Box
 	if g.n.BoxRoot {
-		ev.Counters.BoxEvals++
+		g.r.ev.Counters.BoxEvals++
 	}
 	child := g.r.build(g.n.Children[0])
-	if err := child.open(); err != nil {
-		child.close()
-		return err
+	// Grouping keeps no reference to an input row — a new group copies its
+	// key, aggregate states hold values — so a select child may recycle its
+	// projected rows between batches.
+	if sp, ok := child.(*instrumented).op.(*selectPipeOp); ok {
+		sp.recycle = true
 	}
-	var err error
-	if keyOrds, argOrds := groupOrds(b); keyOrds != nil && ev.Mem == nil && !ev.NoVec {
-		// Nothing below keeps a reference to an input row, so a select child
-		// may recycle its projected rows between batches.
-		if sp, ok := child.(*instrumented).op.(*selectPipeOp); ok {
-			sp.recycle = true
-		}
-		err = g.drainFlat(child, keyOrds, argOrds)
-	} else {
-		err = g.drainKeyed(child)
-	}
-	if cerr := child.close(); err == nil {
-		err = cerr
-	}
-	return err
+	return g.drainKeyed(child)
 }
 
-// groupOrds resolves b's group keys and aggregate arguments to ordinals of
-// its input row (-1 for COUNT(*)). It returns nil, nil unless every one is a
-// plain column of the input quantifier — what semant emits — and the key
-// fits a fixed-width vec.RowKey.
-func groupOrds(b *qgm.Box) (keyOrds, argOrds []int) {
-	if len(b.GroupBy) > vec.MaxKeyCols {
-		return nil, nil
-	}
-	ord := func(e qgm.Expr) int {
-		if cr, ok := e.(*qgm.ColRef); ok && cr.Q == b.Quantifiers[0] {
-			return cr.Ord
-		}
-		return -1
-	}
-	keyOrds = make([]int, len(b.GroupBy))
-	for i, ge := range b.GroupBy {
-		if keyOrds[i] = ord(ge); keyOrds[i] < 0 {
-			return nil, nil
-		}
-	}
-	argOrds = make([]int, len(b.Aggs))
-	for i, a := range b.Aggs {
-		argOrds[i] = -1
-		if a.Arg != nil {
-			if argOrds[i] = ord(a.Arg); argOrds[i] < 0 {
-				return nil, nil
-			}
-		}
-	}
-	return keyOrds, argOrds
-}
-
-// drainFlat groups the child's rows through a flat fixed-width key table:
-// keys and arguments are read by ordinal — no Env binding, no expression
-// interpreter, no byte-key encoding — and a row that lands in an existing
-// group allocates nothing. Group ids are dense in first-seen order, so
-// entries is the emission order.
-func (g *groupByOp) drainFlat(child operator, keyOrds, argOrds []int) error {
-	ev := g.r.ev
-	b := g.n.Box
-	keyer := vec.NewRowKeyer()
-	gt := vec.NewGroupTable()
-	var entries []*groupEntry
-	key := make(datum.Row, len(keyOrds))
-	vals := make([]datum.D, len(argOrds))
-	for {
-		batch, err := child.next()
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 {
-			break
-		}
-		for _, row := range batch {
-			if err := ev.tick(); err != nil {
-				return err
-			}
-			for i, ord := range keyOrds {
-				key[i] = row[ord]
-			}
-			rk, ok := keyer.Key(key)
-			if !ok {
-				return fmt.Errorf("exec: group key %v has no fixed-width encoding", key)
-			}
-			gid, fresh := gt.Find(&rk)
-			if fresh {
-				entries = append(entries, newGroupEntry(append(datum.Row(nil), key...), b.Aggs))
-			}
-			for i, ord := range argOrds {
-				if ord >= 0 {
-					vals[i] = row[ord]
-				}
-			}
-			if err := ev.updateGroup(nil, b, entries[gid], nil, vals); err != nil {
-				return err
-			}
-		}
-	}
-	if len(entries) == 0 && len(b.GroupBy) == 0 {
-		g.out = []datum.Row{emptyAggRow(b)}
-		return nil
-	}
-	g.out = make([]datum.Row, len(entries))
-	for i, e := range entries {
-		g.out[i] = e.row(len(b.Output))
-	}
-	return nil
-}
-
-// drainKeyed groups through the byte-keyed, spill-capable groupTable with
-// full expression evaluation: the path for memory-budgeted runs, keys wider
-// than vec.MaxKeyCols, computed keys or arguments, and NoVec.
+// drainKeyed groups the child's rows through the byte-keyed groupTable (plain
+// memory without a budget, spillable under one), evaluating keys and
+// arguments with the expression interpreter.
 func (g *groupByOp) drainKeyed(child operator) error {
 	ev := g.r.ev
 	b := g.n.Box
@@ -1341,25 +1160,22 @@ func (g *groupByOp) drainKeyed(child operator) error {
 	defer gt.close()
 	env := ev.rootEnv()
 	var gkBuf []byte
-	for {
-		batch, err := child.next()
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 {
-			break
-		}
+	err := pullOp(child, func(batch []datum.Row) error {
 		for _, row := range batch {
 			if err := ev.tick(); err != nil {
 				return err
 			}
 			env[inQ] = row
+			var err error
 			if gkBuf, err = ev.accumulateGroup(gt, b, env, gkBuf); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	var err error
 	g.out, err = emitGroups(gt, b)
 	return err
 }
@@ -1435,8 +1251,8 @@ func (u *unionOp) close() error {
 }
 
 // setOpOp implements INTERSECT/EXCEPT (ALL and DISTINCT): the right input
-// is materialized into multiplicity counts, the left input streams through
-// the multiset filter.
+// streams into multiplicity counts, the left input streams through the
+// multiset filter.
 type setOpOp struct {
 	r      *planRun
 	n      *plan.Node
@@ -1452,48 +1268,17 @@ func (s *setOpOp) open() error {
 		ev.Counters.BoxEvals++
 	}
 	s.counts = ev.newCountTable("setop", s.r.spillNote(s.n))
-	if ev.Mem != nil {
-		// Budget mode streams the right input straight into the governed
-		// count table instead of materializing it into the memo.
-		right := s.r.build(s.n.Children[1])
-		if err := right.open(); err != nil {
-			right.close()
-			return err
-		}
-		err := func() error {
-			for {
-				batch, err := right.next()
-				if err != nil {
-					return err
-				}
-				if len(batch) == 0 {
-					return nil
-				}
-				for _, row := range batch {
-					ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], row)
-					if err := s.counts.inc(ev.keyBuf); err != nil {
-						return err
-					}
-				}
-			}
-		}()
-		if cerr := right.close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		right, err := s.r.materialize(s.n.Children[1])
-		if err != nil {
-			return err
-		}
-		for _, row := range right {
+	err := s.r.pull(s.n.Children[1], func(batch []datum.Row) error {
+		for _, row := range batch {
 			ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], row)
 			if err := s.counts.inc(ev.keyBuf); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	s.seen = ev.newSeenSet("setop-seen", s.r.spillNote(s.n))
 	s.left = s.r.build(s.n.Children[0])
@@ -1601,8 +1386,6 @@ type distinctOp struct {
 	n     *plan.Node
 	child operator
 	seen  *seenSet
-	keyer *vec.RowKeyer
-	fast  map[vec.RowKey]struct{}
 	out   []datum.Row
 }
 
@@ -1612,13 +1395,6 @@ func (d *distinctOp) open() error {
 		ev.Counters.BoxEvals++
 	}
 	d.seen = ev.newSeenSet("distinct", d.r.spillNote(d.n))
-	// Keyable rows dedupe through a fixed-width RowKey set instead of
-	// byte-encoded keys; wide or non-encodable rows keep the byte path.
-	// Equal rows always classify the same way, so the two sets agree.
-	if ev.Mem == nil && !ev.NoVec {
-		d.keyer = vec.NewRowKeyer()
-		d.fast = map[vec.RowKey]struct{}{}
-	}
 	return d.child.open()
 }
 
@@ -1634,16 +1410,6 @@ func (d *distinctOp) next() ([]datum.Row, error) {
 		}
 		d.out = d.out[:0]
 		for _, row := range batch {
-			if d.keyer != nil {
-				if rk, ok := d.keyer.Key(row); ok {
-					if _, dup := d.fast[rk]; dup {
-						continue
-					}
-					d.fast[rk] = struct{}{}
-					d.out = append(d.out, row)
-					continue
-				}
-			}
 			ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], row)
 			dup, err := d.seen.checkAndAdd(ev.keyBuf)
 			if err != nil {
@@ -1676,94 +1442,40 @@ func (d *distinctOp) close() error {
 }
 
 // sortOp is a pipeline breaker implementing top-level ORDER BY with the
-// same stable comparator as the materializing evaluator. Under a memory
-// budget it runs as an external merge sort (extSorter): when Lower's EstMem
-// estimate already exceeds the budget, run flushing is eager (bounded-size
-// runs) rather than waiting for the first denial.
+// same stable comparator as the materializing evaluator: open streams the
+// input into an extSorter, an in-memory stable sort without a budget and an
+// external merge sort under one. When Lower's EstMem estimate already
+// exceeds the budget, run flushing is eager (bounded-size runs) rather than
+// waiting for the first denial.
 type sortOp struct {
 	r      *planRun
 	n      *plan.Node
 	child  operator
-	rows   []datum.Row
-	pos    int
 	sorter *extSorter
 }
 
 func (s *sortOp) open() error {
 	ev := s.r.ev
-	if ev.Mem != nil {
-		s.sorter = ev.newExtSorter(s.n.OrderBy, s.r.spillNote(s.n))
-		if lim := ev.Mem.Limit(); lim > 0 && s.n.EstMem > float64(lim) {
-			eager := lim / 4
-			if q := ev.Mem.Quantum(); eager < q {
-				eager = q
-			}
-			s.sorter.eager = eager
-		}
+	s.sorter = ev.newExtSorter(s.n.OrderBy, s.r.spillNote(s.n))
+	if lim := ev.Mem.Limit(); lim > 0 && s.n.EstMem > float64(lim) {
+		s.sorter.eager = max(lim/4, ev.Mem.Quantum())
 	}
-	if err := s.child.open(); err != nil {
-		s.child.close()
-		return err
-	}
-	err := func() error {
-		for {
-			batch, err := s.child.next()
-			if err != nil {
+	err := pullOp(s.child, func(batch []datum.Row) error {
+		for _, row := range batch {
+			if err := s.sorter.add(row); err != nil {
 				return err
 			}
-			if len(batch) == 0 {
-				return nil
-			}
-			if s.sorter != nil {
-				for _, row := range batch {
-					if err := s.sorter.add(row); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			s.rows = append(s.rows, batch...)
 		}
-	}()
-	if cerr := s.child.close(); err == nil {
-		err = cerr
-	}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	if s.sorter != nil {
-		return s.sorter.finish()
-	}
-	specs := s.n.OrderBy
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		for _, spec := range specs {
-			c := datum.SortCompare(s.rows[i][spec.Ord], s.rows[j][spec.Ord])
-			if spec.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return nil
+	return s.sorter.finish()
 }
 
 func (s *sortOp) next() ([]datum.Row, error) {
-	if s.sorter != nil {
-		return s.sorter.next(streamBatch)
-	}
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	end := s.pos + streamBatch
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	batch := s.rows[s.pos:end]
-	s.pos = end
-	return batch, nil
+	return s.sorter.next(streamBatch)
 }
 
 func (s *sortOp) close() error {
@@ -1771,7 +1483,6 @@ func (s *sortOp) close() error {
 		s.sorter.close()
 		s.sorter = nil
 	}
-	s.rows = nil
 	return nil
 }
 

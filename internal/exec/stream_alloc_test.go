@@ -110,9 +110,10 @@ func planAllocs(t *testing.T, cat *catalog.Catalog, store *storage.Store, query 
 // TestGroupByAllocsDoNotScaleWithInput is the allocation ceiling of both
 // group-by paths: O(groups) plus a constant, whatever the input size. The
 // vectorized path folds column batches into typed accumulators; the row path
-// (forced by a LIKE filter no kernel compiles) reads a recycled projection
-// slab by ordinal and allocates only when a row starts a new group — zero
-// allocations for a row that updates an existing one.
+// (forced by a LIKE filter no kernel compiles) groups a recycled projection
+// slab through the byte-keyed group table and allocates only when a row
+// starts a new group — zero allocations for a row that updates an existing
+// one.
 func TestGroupByAllocsDoNotScaleWithInput(t *testing.T) {
 	const groups = 150
 	for _, tc := range []struct {
@@ -166,5 +167,52 @@ func TestFlatHashBuildAllocs(t *testing.T) {
 		if allocs > 120 {
 			t.Errorf("%s: building over 20000 distinct keys allocates %.0f times, want at most 120", tc.name, allocs)
 		}
+	}
+}
+
+// TestNestedLoopReplayAllocs: an unbudgeted nested-loop inner is buffered
+// once and replayed per outer binding in place — no copy of its rows and no
+// allocation per binding — so a join that returns nothing costs the same
+// allocations over 100 outer rows as over 400.
+func TestNestedLoopReplayAllocs(t *testing.T) {
+	var allocs [2]float64
+	for i, n := range []int{100, 400} {
+		cat := catalog.New()
+		store := storage.NewStore()
+		for _, tc := range []struct {
+			name string
+			rows int
+		}{{"outer_t", n}, {"inner_t", 50}} {
+			tb := &catalog.Table{Name: tc.name, Columns: []catalog.Column{{Name: "id", Type: datum.TInt}}}
+			if err := cat.AddTable(tb); err != nil {
+				t.Fatal(err)
+			}
+			rel := store.Create(tb)
+			for r := 0; r < tc.rows; r++ {
+				if err := rel.Insert(datum.Row{datum.Int(int64(r))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		a, rows, p, _ := planAllocs(t, cat, store, "SELECT o.id FROM outer_t o, inner_t i WHERE o.id < i.id - 1000")
+		if rows != 0 {
+			t.Fatalf("%d outer rows: %d rows, want 0", n, rows)
+		}
+		var inner string
+		for _, node := range p.Nodes {
+			for _, st := range node.Stages {
+				if st.Access == plan.AccessScan {
+					inner = st.Child.Box.Table.Name
+				}
+			}
+		}
+		if inner != "inner_t" {
+			t.Fatalf("nested-loop inner is %q, want inner_t:\n%s", inner, p)
+		}
+		allocs[i] = a
+	}
+	t.Logf("%.0f allocations over 100 outer rows, %.0f over 400", allocs[0], allocs[1])
+	if allocs[1] > allocs[0]+8 {
+		t.Errorf("allocations grow with the outer rows: %.0f over 100, %.0f over 400", allocs[0], allocs[1])
 	}
 }

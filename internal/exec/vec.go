@@ -1526,33 +1526,6 @@ func lookupRun(jt *vec.JoinTable, words [][]uint64, nulls []uint8, miss []bool, 
 	return probes
 }
 
-// drain runs subtree n to completion through its streamed operator and
-// returns its rows: the row pipeline's streaming stage pulls the same
-// operator, so the counters match.
-func (r *planRun) drain(n *plan.Node) ([]datum.Row, error) {
-	op := r.build(n)
-	var rows []datum.Row
-	err := func() error {
-		if err := op.open(); err != nil {
-			return err
-		}
-		for {
-			batch, err := op.next()
-			if err != nil {
-				return err
-			}
-			if len(batch) == 0 {
-				return nil
-			}
-			rows = append(rows, batch...)
-		}
-	}()
-	if cerr := op.close(); err == nil {
-		err = cerr
-	}
-	return rows, err
-}
-
 // refill returns the filter survivors of the next vecBatch chunk of the scan
 // (possibly none); false means the scan is exhausted. Counter accounting per
 // chunk matches scanOp per batch: BaseRows and the scan box's output budget
@@ -1885,9 +1858,10 @@ func (o *vecSelectOp) probeWords(ps *probeSrc, in [][]int32, words []uint64, nul
 // buildStage keys a hash stage's build side into its join table. A
 // base-table child is keyed from the relation's columnar snapshot (see
 // planRun.scanBuild); any other child materializes through
-// planRun.materialize for exact counter/memo parity with the row pipeline
-// and is keyed row by row, interning string keys through the shared engine
-// table. Either way a probe-side Lookup miss proves no build key matches.
+// planRun.materialize — charging the counters the row pipeline's streamed
+// build charges, a bridge reading the box memo — and is keyed row by row,
+// interning string keys through the shared engine table. Either way a
+// probe-side Lookup miss proves no build key matches.
 func (o *vecSelectOp) buildStage(vs *vecStage) error {
 	o.ev.Counters.HashBuilds++
 	vs.built = true

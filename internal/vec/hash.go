@@ -18,7 +18,7 @@ func mix(h, w uint64) uint64 {
 }
 
 func (k *RowKey) hash() uint64 {
-	h := uint64(k.Tags)<<8 | uint64(k.Nulls)
+	h := uint64(k.Nulls)
 	for i := 0; i < int(k.N); i++ {
 		h = mix(h, k.V[i])
 	}
@@ -30,7 +30,7 @@ func (k *RowKey) hash() uint64 {
 // both sides.
 func (k *RowKey) equal(o *RowKey) bool {
 	return k.V[0] == o.V[0] && k.V[1] == o.V[1] && k.V[2] == o.V[2] && k.V[3] == o.V[3] &&
-		k.Tags == o.Tags && k.Nulls == o.Nulls && k.N == o.N
+		k.Nulls == o.Nulls && k.N == o.N
 }
 
 // NormCol writes the normalized key word of c's value at ids[k] to words[k]

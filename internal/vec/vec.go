@@ -241,60 +241,12 @@ type Key struct {
 // to the AppendKey byte encoding.
 const MaxKeyCols = 4
 
-// RowKey is a fixed-width grouping/distinct key over a whole row: normalized
-// words plus a null mask (SQL groups NULLs together, so NULL participates in
-// the key rather than vetoing it) and a per-position class tag guarding
-// against mixed-type columns.
+// RowKey is a fixed-width group key: normalized words plus a null mask (SQL
+// groups NULLs together, so NULL participates in the key rather than
+// vetoing it). A key position's columns are statically of one class, so no
+// type tags are kept.
 type RowKey struct {
 	V     [4]uint64
-	Tags  uint16 // 2 bits per position: 0 none, 1 numeric, 2 string, 3 bool
 	Nulls uint8
 	N     uint8
-}
-
-// RowKeyer builds RowKeys for transient rows (DISTINCT, set operations,
-// group keys), interning strings through a private table so ad-hoc computed
-// strings never pollute the engine-wide table. Ids from the private table
-// are only compared with each other, which is all keying needs.
-type RowKeyer struct {
-	tab *Intern
-}
-
-// NewRowKeyer returns a keyer with a fresh private intern table.
-func NewRowKeyer() *RowKeyer { return &RowKeyer{tab: NewIntern()} }
-
-// Key returns the fixed-width key of row. ok is false when the row is too
-// wide or holds a type the fixed encoding cannot represent; callers fall
-// back to datum.AppendKey.
-func (k *RowKeyer) Key(row datum.Row) (RowKey, bool) {
-	if len(row) > MaxKeyCols {
-		return RowKey{}, false
-	}
-	var out RowKey
-	out.N = uint8(len(row))
-	for i, d := range row {
-		if d.IsNull() {
-			out.Nulls |= 1 << i
-			continue
-		}
-		var tag uint16
-		switch d.T {
-		case datum.TInt:
-			out.V[i] = NormNum(float64(d.I))
-			tag = 1
-		case datum.TFloat:
-			out.V[i] = NormNum(d.F)
-			tag = 1
-		case datum.TString:
-			out.V[i] = uint64(k.tab.Intern(d.S))
-			tag = 2
-		case datum.TBool:
-			out.V[i] = NormBool(d.B)
-			tag = 3
-		default:
-			return RowKey{}, false
-		}
-		out.Tags |= tag << (2 * uint(i))
-	}
-	return out, true
 }

@@ -1,7 +1,6 @@
 package vec
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -88,7 +87,7 @@ func TestInternLookupAndStability(t *testing.T) {
 
 // TestColNullVsEmptyString: NULL travels in the null mask, never through the
 // intern table, so a NULL string cell and an interned empty string stay
-// distinct — in the mask, in the table's contents, and in row keys.
+// distinct — in the mask and in the table's contents.
 func TestColNullVsEmptyString(t *testing.T) {
 	tab := NewIntern()
 	c := NewCol(datum.TString)
@@ -102,18 +101,6 @@ func TestColNullVsEmptyString(t *testing.T) {
 	}
 	if st := tab.Stats(); st.Strings != 1 {
 		t.Fatalf("NULL must not intern: table holds %d strings, want 1 (empty string)", st.Strings)
-	}
-	k := NewRowKeyer()
-	kn, ok := k.Key(datum.Row{datum.NullOf(datum.TString)})
-	if !ok {
-		t.Fatal("keyer rejected NULL row")
-	}
-	ke, ok := k.Key(datum.Row{datum.String("")})
-	if !ok {
-		t.Fatal("keyer rejected empty string row")
-	}
-	if kn == ke {
-		t.Fatal("RowKey of NULL equals RowKey of empty string")
 	}
 }
 
@@ -251,57 +238,6 @@ func TestKernelsMatchCompareTV(t *testing.T) {
 	}
 }
 
-// TestRowKeyerMatchesAppendKey: two rows key equal under RowKeyer exactly
-// when their datum.AppendKey byte encodings are equal — the fixed-width key
-// is a drop-in for the byte key in grouping/distinct maps.
-func TestRowKeyerMatchesAppendKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	keyer := NewRowKeyer()
-	types := []datum.Type{datum.TInt, datum.TFloat, datum.TString, datum.TBool}
-	var rowsList []datum.Row
-	var byteKeys [][]byte
-	var fixedKeys []RowKey
-	for i := 0; i < 400; i++ {
-		width := 1 + rng.Intn(MaxKeyCols)
-		row := make(datum.Row, width)
-		for j := range row {
-			row[j] = randDatum(rng, types[rng.Intn(len(types))])
-		}
-		var bk []byte
-		for _, d := range row {
-			bk = d.AppendKey(bk)
-		}
-		fk, ok := keyer.Key(row)
-		if !ok {
-			t.Fatalf("keyer rejected %v", row)
-		}
-		rowsList = append(rowsList, row)
-		byteKeys = append(byteKeys, bk)
-		fixedKeys = append(fixedKeys, fk)
-	}
-	for i := range rowsList {
-		for j := i + 1; j < len(rowsList); j++ {
-			if len(rowsList[i]) != len(rowsList[j]) {
-				continue
-			}
-			be := bytes.Equal(byteKeys[i], byteKeys[j])
-			fe := fixedKeys[i] == fixedKeys[j]
-			if be != fe {
-				t.Fatalf("rows %v and %v: byte keys equal=%v but RowKeys equal=%v",
-					rowsList[i], rowsList[j], be, fe)
-			}
-		}
-	}
-	// Wider than MaxKeyCols must fall back, not truncate.
-	wide := make(datum.Row, MaxKeyCols+1)
-	for j := range wide {
-		wide[j] = datum.Int(int64(j))
-	}
-	if _, ok := keyer.Key(wide); ok {
-		t.Fatal("keyer accepted a row wider than MaxKeyCols")
-	}
-}
-
 // TestFilterTrue pins the selection-compaction contract: only True survives
 // (False and Unknown drop — SQL WHERE semantics), order preserved, and
 // NotTV keeps Unknown as Unknown.
@@ -348,15 +284,5 @@ func TestKernelAllocs(t *testing.T) {
 		CmpIDConstEQ(ids, nulls, 7, true, false, sel, tvs)
 	}); a != 0 {
 		t.Errorf("CmpIDConstEQ allocates %v per batch, want 0", a)
-	}
-	keyer := NewRowKeyer()
-	row := datum.Row{datum.Int(7), datum.String("alice"), datum.Float(1.5)}
-	keyer.Key(row) // warm the private intern table
-	if a := testing.AllocsPerRun(50, func() {
-		if _, ok := keyer.Key(row); !ok {
-			t.Fatal("keyer rejected row")
-		}
-	}); a != 0 {
-		t.Errorf("RowKeyer.Key allocates %v per row, want 0", a)
 	}
 }
