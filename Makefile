@@ -30,12 +30,14 @@ cover:
 	$(GO) test -cover ./...
 
 # Full verification gate: formatting, build, vet, tests, the race detector
-# (engine includes the crash-recovery suite in durable_test.go), the fast
-# answer gate, vet and tests of the benchmark module (its own go.mod, so the
-# root build never compiles it), and the benchmark's self-agreement check:
-# every workload's timed pass twice, answers against the frozen digests,
-# metrics within BENCHMARK.json's bounds.
-check: fmt-check build test race answers
+# (engine includes the crash-recovery suite in durable_test.go), the
+# examples (each exits non-zero on a wrong answer, so the extension-kind
+# example runs its bridge end to end), the fast answer gate, vet and tests
+# of the benchmark module (its own go.mod, so the root build never compiles
+# it), and the benchmark's self-agreement check: every workload's timed pass
+# twice, answers against the frozen digests, metrics within BENCHMARK.json's
+# bounds.
+check: fmt-check build test race examples answers
 	cd benchmark && $(GO) vet ./... && $(GO) test .
 	bash benchmark/run.sh --agree
 

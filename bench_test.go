@@ -249,32 +249,22 @@ func earlyExitDB(b *testing.B) *engine.Database {
 	return db
 }
 
-// runEarlyExit benchmarks one query streaming versus materialized: the
-// streaming side stops pulling at the first decisive row, the materialized
-// baseline reads the full 100k-row table every execution.
+// runEarlyExit benchmarks one query whose streamed plan stops pulling at
+// its first decisive rows.
 func runEarlyExit(b *testing.B, db *engine.Database, query string) {
-	cases := []struct {
-		name string
-		opts []engine.QueryOption
-	}{
-		{"streaming", nil},
-		{"materialized", []engine.QueryOption{engine.WithMaterialized()}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			p, err := db.PrepareContext(context.Background(), query, c.opts...)
-			if err != nil {
+	b.Run("streaming", func(b *testing.B) {
+		b.ReportAllocs()
+		p, err := db.PrepareContext(context.Background(), query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Execute(); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Execute(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkExistsEarlyExit measures the semi-join short-circuit: an

@@ -10,7 +10,7 @@
 //   - a LEFT OUTER JOIN box kind (NMQ: inserting a magic quantifier with
 //     plain join semantics would cancel the NULL-extension, but a
 //     restriction on an outer-side column may pass into the outer input);
-//   - its executor;
+//   - its executor, which receives the rows of its two inputs;
 //   - its NMQ mapping for EMST.
 //
 // The example then builds a query over the new box by hand (the SQL front
@@ -29,7 +29,7 @@ import (
 	"starmagic/internal/core"
 	"starmagic/internal/datum"
 	"starmagic/internal/exec"
-	"starmagic/internal/opt"
+	"starmagic/internal/plan"
 	"starmagic/internal/qgm"
 	"starmagic/internal/storage"
 )
@@ -56,17 +56,11 @@ func registerOuterJoin() {
 	})
 }
 
-// evalLeftOuterJoin is a straightforward nested-loop left outer join.
-func evalLeftOuterJoin(ev *exec.Evaluator, b *qgm.Box, env exec.Env) ([]datum.Row, error) {
+// evalLeftOuterJoin is a straightforward nested-loop left outer join over
+// the rows of its outer and inner inputs.
+func evalLeftOuterJoin(b *qgm.Box, inputs [][]datum.Row, env exec.Env) ([]datum.Row, error) {
 	outerQ, innerQ := b.Quantifiers[0], b.Quantifiers[1]
-	outerRows, err := ev.EvalBox(outerQ.Ranges, env)
-	if err != nil {
-		return nil, err
-	}
-	innerRows, err := ev.EvalBox(innerQ.Ranges, env)
-	if err != nil {
-		return nil, err
-	}
+	outerRows, innerRows := inputs[0], inputs[1]
 	nInner := len(innerQ.Ranges.Output)
 	var out []datum.Row
 	cur := exec.Env{}
@@ -197,8 +191,7 @@ func main() {
 	}
 
 	// Reference result before optimization.
-	ref := g.CloneGraph()
-	refRows, err := exec.New(store).EvalGraph(ref)
+	refRows, _, err := exec.New(store).EvalPlan(plan.Lower(g.CloneGraph()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -207,9 +200,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt.Optimize(res.Graph)
-	ev := exec.New(store)
-	rows, err := ev.EvalGraph(res.Graph)
+	rows, _, err := exec.New(store).EvalPlan(res.Physical)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"starmagic/internal/datum"
 	"starmagic/internal/engine"
 	"starmagic/internal/exec"
+	"starmagic/internal/plan"
 )
 
 // testConfig is a reduced size that keeps tests fast while preserving the
@@ -779,7 +780,7 @@ func TestAblations(t *testing.T) {
 				t.Fatal(err)
 			}
 			ev := newEval(db)
-			got, err := ev.EvalGraph(g)
+			got, _, err := ev.EvalPlan(plan.Lower(g))
 			if err != nil {
 				t.Fatalf("%s: %v", v.Name, err)
 			}

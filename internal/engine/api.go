@@ -27,11 +27,10 @@ import (
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	strategy     Strategy
-	tracer       obs.Tracer
-	rowLimit     int64
-	snapshots    bool
-	materialized bool
+	strategy  Strategy
+	tracer    obs.Tracer
+	rowLimit  int64
+	snapshots bool
 	// args are the values bound to the query's `?` placeholders; hasArgs
 	// records that WithArgs was used (so a binding-count mismatch fails at
 	// prepare time rather than on first execute); argsErr carries a WithArgs
@@ -142,15 +141,6 @@ func WithAdmission(enabled bool) QueryOption {
 // actually saved. EMST strategy only; other strategies ignore it.
 func WithForceEMST() QueryOption {
 	return func(c *queryConfig) { c.forceEMST = true }
-}
-
-// WithMaterialized executes through the classic box-at-a-time evaluator
-// instead of the streaming physical plan. Results are identical; the
-// materialized path computes every intermediate relation in full, so it is
-// the baseline the streaming executor's early-exit behavior is measured
-// against (and an escape hatch should a physical plan misbehave).
-func WithMaterialized() QueryOption {
-	return func(c *queryConfig) { c.materialized = true }
 }
 
 func newQueryConfig(opts []QueryOption) queryConfig {
@@ -358,7 +348,6 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 	}
 	p := &Prepared{
 		db:        db,
-		graph:     g,
 		phys:      res.Physical,
 		columns:   cols,
 		numParams: numParams,
@@ -394,10 +383,10 @@ func planInfo(strategy Strategy, res *core.Result, start time.Time) PlanInfo {
 // Counters in the returned Result are this run's alone (they reset between
 // executions), so repeated runs are directly comparable. The streaming
 // executor runs the lowered physical plan and the result carries
-// per-operator counters; WithMaterialized falls back to box-at-a-time
-// evaluation. Optional args bind the query's `?` placeholders for this run
-// only, overriding WithArgs values captured at prepare time; the run uses
-// the plan made for the binding's selectivity class when the text has one.
+// per-operator counters. Optional args bind the query's `?` placeholders
+// for this run only, overriding WithArgs values captured at prepare time;
+// the run uses the plan made for the binding's selectivity class when the
+// text has one.
 func (p *Prepared) ExecuteContext(ctx context.Context, args ...any) (*Result, error) {
 	r, err := p.ExecuteRows(ctx, args...)
 	if err != nil {

@@ -521,8 +521,8 @@ type PlanInfo struct {
 }
 
 // Physical renders the physical operator tree with this run's per-operator
-// rows/batches/time (EXPLAIN ANALYZE). It is empty for materialized
-// (box-at-a-time) runs and before the run finalizes.
+// rows/batches/time (EXPLAIN ANALYZE). It is empty before the run
+// finalizes.
 func (p PlanInfo) Physical() string {
 	if p.phys == nil || p.stats == nil {
 		return ""
@@ -531,8 +531,7 @@ func (p PlanInfo) Physical() string {
 }
 
 // Operators is the run's per-operator report (depth-first), the structured
-// form of Physical, built on demand; empty for materialized (box-at-a-time)
-// runs and before the run finalizes.
+// form of Physical, built on demand; empty before the run finalizes.
 func (p PlanInfo) Operators() []plan.OpReport {
 	if p.phys == nil || p.stats == nil {
 		return nil
@@ -569,7 +568,6 @@ func (db *Database) QueryWith(query string, strategy Strategy) (*Result, error) 
 // counters reset between runs.
 type Prepared struct {
 	db      *Database
-	graph   *qgm.Graph
 	phys    *plan.Plan
 	columns []string
 	// numParams is the number of `?` placeholders; every execution must

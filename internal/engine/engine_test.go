@@ -1,10 +1,16 @@
 package engine
 
 import (
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"starmagic/internal/datum"
+	"starmagic/internal/semant"
+	"starmagic/internal/sql"
+	"starmagic/internal/storage"
+	"starmagic/internal/testutil"
 )
 
 // paperDDL sets up the paper's schema through SQL DDL.
@@ -53,6 +59,50 @@ func rowsAsStrings(res *Result) []string {
 		out = append(out, strings.Join(parts, "|"))
 	}
 	return out
+}
+
+// referenceRows answers query with the naive reference evaluator
+// (testutil.Reference) on its bound graph, before any rewrite, reading view,
+// or a snapshot of the committed state when view is nil.
+func referenceRows(t *testing.T, db *Database, view *storage.View, query string) []datum.Row {
+	t.Helper()
+	q, err := sql.ParseQuery(query)
+	if err != nil {
+		t.Fatalf("%q: %v", query, err)
+	}
+	g, err := semant.NewBuilder(db.cat).Build(q)
+	if err != nil {
+		t.Fatalf("%q: %v", query, err)
+	}
+	if view == nil {
+		ts := db.retainSnapshot()
+		defer db.releaseSnapshot(ts)
+		view = db.store.NewView(storage.Snap{TS: ts})
+	}
+	rows, err := testutil.Reference(g, view, nil)
+	if err != nil {
+		t.Fatalf("%q (reference): %v", query, err)
+	}
+	return rows
+}
+
+// bag renders rows as one string, order-insensitively. A FLOAT renders to
+// 12 significant digits: a sum's last bits depend on the order its
+// evaluator adds the rows in, and the reference joins in FROM order.
+func bag(rows []datum.Row) string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		parts := make([]string, len(r))
+		for j, d := range r {
+			parts[j] = d.Format()
+			if d.T == datum.TFloat && !d.IsNull() {
+				parts[j] = strconv.FormatFloat(d.F, 'g', 12, 64)
+			}
+		}
+		out[i] = strings.Join(parts, "|")
+	}
+	sort.Strings(out)
+	return strings.Join(out, ";")
 }
 
 func TestEndToEndQueryD(t *testing.T) {

@@ -43,11 +43,8 @@ type Rows struct {
 	// made for its binding's class.
 	phys *plan.Plan
 
-	// Exactly one of iter (streaming physical plan) or mat (materialized
-	// box-at-a-time fallback) feeds the cursor.
-	iter   *exec.PlanIter
-	mat    []datum.Row
-	matPos int
+	// iter streams the physical plan's batches into the cursor.
+	iter *exec.PlanIter
 
 	batch []datum.Row
 	bi    int
@@ -107,7 +104,7 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 		return nil, err
 	}
 	run := cur.bindingPlan(ctx, bound)
-	graph, r := run.graph, &Rows{p: p, ctx: ctx, phys: run.phys, info: run.info}
+	r := &Rows{p: p, ctx: ctx, phys: run.phys, info: run.info}
 	// Admission control gates execution only — the plan is already prepared
 	// at this point, so a queued execution never holds plan-cache state (in
 	// particular it cannot interact with a single-flight cold prepare).
@@ -159,22 +156,13 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 	r.sp = obs.Start(p.cfg.tracer, "execute")
 	r.start = time.Now()
 
-	if p.cfg.materialized {
-		rows, err := ev.EvalGraph(graph)
-		if err != nil {
-			r.fail(err)
-			return nil, err
-		}
-		r.mat = rows
-	} else {
-		it, err := ev.OpenPlan(r.phys)
-		if err != nil {
-			r.iter = it // may carry partial stats
-			r.fail(err)
-			return nil, err
-		}
-		r.iter = it
+	it, err := ev.OpenPlan(r.phys)
+	if err != nil {
+		r.iter = it // may carry partial stats
+		r.fail(err)
+		return nil, err
 	}
+	r.iter = it
 	return r, nil
 }
 
@@ -206,11 +194,6 @@ func (r *Rows) Next() bool {
 		}
 		r.batch, r.bi = batch, 1
 		r.cur = batch[0]
-		return true
-	}
-	if r.matPos < len(r.mat) {
-		r.cur = r.mat[r.matPos]
-		r.matPos++
 		return true
 	}
 	r.finish(nil)
@@ -392,7 +375,6 @@ func (r *Rows) finish(execErr error) {
 		r.release = nil
 	}
 	r.batch = nil
-	r.mat = nil
 }
 
 // opCounters hands a finished run's per-operator counters to the metrics

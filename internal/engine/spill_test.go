@@ -51,11 +51,12 @@ func spillDB(t *testing.T) *Database {
 	return db
 }
 
-// TestSpillOracleMatchesMaterialized re-runs the streaming-vs-materialized
-// random-query oracle with a memory budget small enough to force spilling:
-// rows must still match in content AND order, no run may exceed its budget
-// (the governor's accounting asserts it), and the workload as a whole must
-// actually spill — otherwise the budget was too generous to test anything.
+// TestSpillOracleMatchesMaterialized re-runs the random-query oracle with a
+// memory budget small enough to force spilling: rows must still match the
+// unlimited run in content AND order, the unlimited run must match the
+// reference evaluator, no run may exceed its budget (the governor's
+// accounting asserts it), and the workload as a whole must actually spill —
+// otherwise the budget was too generous to test anything.
 func TestSpillOracleMatchesMaterialized(t *testing.T) {
 	db := spillDB(t)
 	const limit = 64 << 10
@@ -68,33 +69,30 @@ func TestSpillOracleMatchesMaterialized(t *testing.T) {
 	var spills int64
 	for i := 0; i < n; i++ {
 		query := gen.query()
-		ref, err := db.QueryContext(ctx, query, WithMaterialized())
+		ref, err := db.QueryContext(ctx, query)
 		if err != nil {
-			t.Fatalf("query %d %q: materialized unlimited: %v", i, query, err)
+			t.Fatalf("query %d %q: unlimited: %v", i, query, err)
 		}
-		for _, mode := range []string{"streaming", "materialized"} {
-			opts := []QueryOption{WithMemoryLimit(limit)}
-			if mode == "materialized" {
-				opts = append(opts, WithMaterialized())
-			}
-			res, err := db.QueryContext(ctx, query, opts...)
-			if err != nil {
-				t.Fatalf("query %d %q: %s under %d-byte budget: %v", i, query, mode, limit, err)
-			}
-			got := strings.Join(rowsAsStrings(res), ";")
-			want := strings.Join(rowsAsStrings(ref), ";")
-			if got != want {
-				t.Fatalf("query %d %q: %s under budget disagrees with unlimited\ngot  %s\nwant %s",
-					i, query, mode, got, want)
-			}
-			if peak := res.Plan.Mem.PeakBytes; peak > limit {
-				t.Fatalf("query %d %q: %s peak %d exceeds budget %d", i, query, mode, peak, limit)
-			}
-			if res.Plan.Mem.LimitBytes != limit {
-				t.Fatalf("query %d %q: Mem.LimitBytes = %d, want %d", i, query, res.Plan.Mem.LimitBytes, limit)
-			}
-			spills += res.Plan.Mem.Spills
+		if got, want := bag(ref.Rows), bag(referenceRows(t, db, nil, query)); got != want {
+			t.Fatalf("query %d %q: unlimited disagrees with the reference\ngot  %s\nwant %s", i, query, got, want)
 		}
+		res, err := db.QueryContext(ctx, query, WithMemoryLimit(limit))
+		if err != nil {
+			t.Fatalf("query %d %q: under %d-byte budget: %v", i, query, limit, err)
+		}
+		got := strings.Join(rowsAsStrings(res), ";")
+		want := strings.Join(rowsAsStrings(ref), ";")
+		if got != want {
+			t.Fatalf("query %d %q: under budget disagrees with unlimited\ngot  %s\nwant %s",
+				i, query, got, want)
+		}
+		if peak := res.Plan.Mem.PeakBytes; peak > limit {
+			t.Fatalf("query %d %q: peak %d exceeds budget %d", i, query, peak, limit)
+		}
+		if res.Plan.Mem.LimitBytes != limit {
+			t.Fatalf("query %d %q: Mem.LimitBytes = %d, want %d", i, query, res.Plan.Mem.LimitBytes, limit)
+		}
+		spills += res.Plan.Mem.Spills
 	}
 	if spills == 0 {
 		t.Fatalf("no query spilled under a %d-byte budget; the oracle exercised nothing", limit)
@@ -139,7 +137,7 @@ func TestSpillCountersSurface(t *testing.T) {
 
 // TestMemoryExceededTyped checks graceful failure: state that cannot spill
 // below the budget (a single row larger than the whole budget) surfaces
-// resource.ErrMemoryExceeded instead of OOM-ing, on both executors.
+// resource.ErrMemoryExceeded instead of OOM-ing.
 func TestMemoryExceededTyped(t *testing.T) {
 	db := New()
 	if _, err := db.Exec(`CREATE TABLE blob (id INT, body STRING);`); err != nil {
@@ -154,18 +152,12 @@ func TestMemoryExceededTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	const query = `SELECT DISTINCT body FROM blob ORDER BY body`
-	for _, mode := range []string{"streaming", "materialized"} {
-		opts := []QueryOption{WithMemoryLimit(4 << 10)}
-		if mode == "materialized" {
-			opts = append(opts, WithMaterialized())
-		}
-		_, err := db.QueryContext(context.Background(), query, opts...)
-		if err == nil {
-			t.Fatalf("%s: 64KB rows under a 4KB budget succeeded, want error", mode)
-		}
-		if !errors.Is(err, resource.ErrMemoryExceeded) {
-			t.Fatalf("%s: got %v, want resource.ErrMemoryExceeded", mode, err)
-		}
+	_, err := db.QueryContext(context.Background(), query, WithMemoryLimit(4<<10))
+	if err == nil {
+		t.Fatal("64KB rows under a 4KB budget succeeded, want error")
+	}
+	if !errors.Is(err, resource.ErrMemoryExceeded) {
+		t.Fatalf("got %v, want resource.ErrMemoryExceeded", err)
 	}
 	// The same query under no budget (or a sufficient one) succeeds.
 	if _, err := db.Query(query); err != nil {

@@ -11,10 +11,9 @@ import (
 	"starmagic/internal/datum"
 )
 
-// TestStreamingMatchesMaterialized pits the streaming physical-plan executor
-// against the box-at-a-time evaluator on random queries: rows must match in
-// content AND order (streaming is designed to reproduce the materializing
-// emission order exactly, so LIMIT without ORDER BY stays deterministic).
+// TestStreamingMatchesMaterialized pits the executor against the reference
+// evaluator (testutil.Reference, run on the bound graph before any rewrite)
+// on random queries under every strategy: rows must match as bags.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	db := newDB(t)
 	if _, err := db.Exec(`
@@ -39,10 +38,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	for _, strategy := range []Strategy{EMST, Original, Correlated} {
 		for i := 0; i < n; i++ {
 			query := gen.query()
-			ref, err := db.QueryContext(ctx, query, WithStrategy(strategy), WithMaterialized())
-			if err != nil {
-				t.Fatalf("query %d %q: materialized: %v", i, query, err)
-			}
+			want := bag(referenceRows(t, db, nil, query))
 			res, err := db.QueryContext(ctx, query, WithStrategy(strategy))
 			if err != nil {
 				t.Fatalf("query %d %q: streaming: %v", i, query, err)
@@ -50,13 +46,8 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			if res.Plan.Physical() == "" {
 				t.Fatalf("query %d %q: streaming run reports no physical plan", i, query)
 			}
-			if ref.Plan.Physical() != "" {
-				t.Fatalf("query %d %q: materialized run reports a physical plan", i, query)
-			}
-			got := strings.Join(rowsAsStrings(res), ";")
-			want := strings.Join(rowsAsStrings(ref), ";")
-			if got != want {
-				t.Fatalf("query %d %q (%v): streaming disagrees with materialized\ngot  %s\nwant %s",
+			if got := bag(res.Rows); got != want {
+				t.Fatalf("query %d %q (%v): streaming disagrees with the reference\ngot  %s\nwant %s",
 					i, query, strategy, got, want)
 			}
 		}
@@ -85,9 +76,8 @@ func streamBenchDB(t testing.TB, rows int) *Database {
 }
 
 // TestSemiJoinShortCircuit is the issue's regression test: an EXISTS probe
-// against a 100k-row build side must stop at the first witness. The
-// streaming run's row counters stay orders of magnitude below the
-// materializing baseline, which reads all 100k rows.
+// against a 100k-row build side must stop at the first witness, so the
+// run's row counters stay orders of magnitude below the build side's size.
 func TestSemiJoinShortCircuit(t *testing.T) {
 	const rows = 100_000
 	db := streamBenchDB(t, rows)
@@ -97,23 +87,13 @@ func TestSemiJoinShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := db.QueryContext(context.Background(), query, WithMaterialized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stream.Rows) != 3 || len(mat.Rows) != 3 {
-		t.Fatalf("rows: stream=%d materialized=%d, want 3", len(stream.Rows), len(mat.Rows))
-	}
-	if got := mat.Plan.Counters.BaseRows; got < rows {
-		t.Fatalf("materialized baseline read %d base rows, want >= %d", got, rows)
+	if len(stream.Rows) != 3 {
+		t.Fatalf("rows: stream=%d, want 3", len(stream.Rows))
 	}
 	// The streaming probe needs one batch of the build side to find its
 	// witness; anything near the table size means the early exit is broken.
 	if got := stream.Plan.Counters.BaseRows; got > rows/100 {
 		t.Fatalf("streaming EXISTS read %d base rows, want far below %d", got, rows)
-	}
-	if got, baseline := stream.Plan.Counters.OutputRows, mat.Plan.Counters.OutputRows; got >= baseline {
-		t.Fatalf("streaming produced %d rows, want below materialized %d", got, baseline)
 	}
 }
 
@@ -129,15 +109,9 @@ func TestLimitPushdownShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := db.QueryContext(context.Background(), query, WithMaterialized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Join(rowsAsStrings(stream), ";"), strings.Join(rowsAsStrings(mat), ";"); got != want {
+	ref := referenceRows(t, db, nil, query)
+	if got, want := strings.Join(rowsAsStrings(stream), ";"), strings.Join(rowsAsStrings(&Result{Rows: ref}), ";"); got != want {
 		t.Fatalf("limit results disagree: got %s want %s", got, want)
-	}
-	if got := mat.Plan.Counters.BaseRows; got < rows {
-		t.Fatalf("materialized baseline read %d base rows, want >= %d", got, rows)
 	}
 	if got := stream.Plan.Counters.BaseRows; got > rows/100 {
 		t.Fatalf("streaming LIMIT read %d base rows, want far below %d", got, rows)

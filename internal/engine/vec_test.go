@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"starmagic/internal/datum"
+	"starmagic/internal/storage"
 )
 
 // TestVectorizedSmoke proves the vectorized select operator actually
@@ -102,12 +103,12 @@ func TestVectorizedInternMetrics(t *testing.T) {
 }
 
 // TestVectorizedOracle is the correctness net for the vectorized executor:
-// a few hundred random queries run under all three strategies, three ways
-// each — vectorized streaming (the default), row-at-a-time streaming
-// (SetVectorized(false)), and the materialized box-at-a-time evaluator
-// (WithMaterialized). All three must return the exact same rows in the
-// exact same order: the vec operator mirrors the row pipeline's iteration
-// order, and the streaming executor mirrors the materialized one.
+// a few hundred random queries run under all three strategies, two ways
+// each — vectorized streaming (the default) and row-at-a-time streaming
+// (SetVectorized(false)) — which must return the exact same rows in the
+// exact same order (the vec operator mirrors the row pipeline's iteration
+// order), and the same bag of rows as the reference evaluator
+// (testutil.Reference).
 func TestVectorizedOracle(t *testing.T) {
 	db := newDB(t)
 	if _, err := db.Exec(`
@@ -134,6 +135,7 @@ func TestVectorizedOracle(t *testing.T) {
 	sawVectorized := false
 	for i := 0; i < n; i++ {
 		query := gen.query()
+		ref := bag(referenceRows(t, db, nil, query))
 		for _, s := range strategies {
 			vec, err := db.QueryContext(ctx, query, WithStrategy(s))
 			if err != nil {
@@ -157,13 +159,9 @@ func TestVectorizedOracle(t *testing.T) {
 					i, query, s, want, got)
 			}
 
-			mat, err := db.QueryContext(ctx, query, WithStrategy(s), WithMaterialized())
-			if err != nil {
-				t.Fatalf("query %d %q %v (materialized): %v", i, query, s, err)
-			}
-			if got := strings.Join(rowsAsStrings(mat), ";"); got != want {
-				t.Fatalf("query %d %q %v: materialized disagrees with vectorized\nvec %s\nmat %s",
-					i, query, s, want, got)
+			if got := bag(vec.Rows); got != ref {
+				t.Fatalf("query %d %q %v: the reference disagrees with vectorized\nvec %s\nref %s",
+					i, query, s, got, ref)
 			}
 		}
 	}
@@ -511,10 +509,11 @@ func groupByVectorized(res *Result) bool {
 
 // TestVectorizedAggOracle is TestVectorizedOracle for aggregation: every
 // grouped shape returns the same rows in the same order — float sums
-// bit-identical, groups in first-seen order — from the vectorized group-by,
-// the row pipeline (SetVectorized(false)) and the materialized evaluator,
-// under all three strategies; and again inside a transaction whose
-// uncommitted writes make the scans run over a visibility selection.
+// bit-identical, groups in first-seen order — from the vectorized group-by
+// and the row pipeline (SetVectorized(false)), and the same bag of rows as
+// the reference evaluator, under all three strategies; and again inside a
+// transaction whose uncommitted writes make the scans run over a
+// visibility selection.
 func TestVectorizedAggOracle(t *testing.T) {
 	db := aggOracleDB(t)
 	n := 60
@@ -525,10 +524,12 @@ func TestVectorizedAggOracle(t *testing.T) {
 	ctx := context.Background()
 
 	type runner func(query string, opts ...QueryOption) (*Result, error)
-	check := func(label string, run runner) {
+	// view is what run reads, for the reference; nil for the committed state.
+	check := func(label string, run runner, view *storage.View) {
 		t.Helper()
 		sawVec, sawMagic, sawIndex := false, false, false
 		for i, query := range queries {
+			ref := bag(referenceRows(t, db, view, query))
 			for _, s := range []Strategy{Original, Correlated, EMST} {
 				vec, err := run(query, WithStrategy(s))
 				if err != nil {
@@ -552,13 +553,9 @@ func TestVectorizedAggOracle(t *testing.T) {
 					t.Fatalf("%s query %d %q %v: row pipeline disagrees with vectorized\nvec %s\nrow %s",
 						label, i, query, s, want, got)
 				}
-				mat, err := run(query, WithStrategy(s), WithMaterialized())
-				if err != nil {
-					t.Fatalf("%s query %d %q %v (materialized): %v", label, i, query, s, err)
-				}
-				if got := strings.Join(rowsAsStrings(mat), ";"); got != want {
-					t.Fatalf("%s query %d %q %v: materialized disagrees with vectorized\nvec %s\nmat %s",
-						label, i, query, s, want, got)
+				if got := bag(vec.Rows); got != ref {
+					t.Fatalf("%s query %d %q %v: the reference disagrees with vectorized\nvec %s\nref %s",
+						label, i, query, s, got, ref)
 				}
 			}
 		}
@@ -575,7 +572,7 @@ func TestVectorizedAggOracle(t *testing.T) {
 
 	check("committed", func(query string, opts ...QueryOption) (*Result, error) {
 		return db.QueryContext(ctx, query, opts...)
-	})
+	}, nil)
 
 	// The shapes that must, and must not, take the columnar path.
 	for _, tc := range []struct {
@@ -595,13 +592,8 @@ func TestVectorizedAggOracle(t *testing.T) {
 		if got := groupByVectorized(res); got != tc.vec {
 			t.Errorf("%q: group-by vectorized = %v, want %v\n%s", tc.query, got, tc.vec, res.Plan.Physical())
 		}
-		want := strings.Join(rowsAsStrings(res), ";")
-		mat, err := db.QueryContext(ctx, tc.query, WithStrategy(Original), WithMaterialized())
-		if err != nil {
-			t.Fatalf("%q (materialized): %v", tc.query, err)
-		}
-		if got := strings.Join(rowsAsStrings(mat), ";"); got != want {
-			t.Errorf("%q: materialized disagrees\nvec %s\nmat %s", tc.query, want, got)
+		if got, ref := bag(res.Rows), bag(referenceRows(t, db, nil, tc.query)); got != ref {
+			t.Errorf("%q: the reference disagrees\nvec %s\nref %s", tc.query, got, ref)
 		}
 	}
 
@@ -622,7 +614,7 @@ func TestVectorizedAggOracle(t *testing.T) {
 	}
 	check("in-transaction", func(query string, opts ...QueryOption) (*Result, error) {
 		return txn.QueryContext(ctx, query, opts...)
-	})
+	}, txn.view)
 }
 
 // indexSnapDB loads the fixture of TestIndexStageSnapshots: 3 000 items in
@@ -664,9 +656,10 @@ func indexSnapDB(t *testing.T) *Database {
 // probes, including while a writer and vacuum run concurrently.
 func TestIndexStageSnapshots(t *testing.T) {
 	const query = `SELECT g.label, i.id, i.val, i.name FROM g, item i WHERE g.grp = i.grp AND i.val > 10.5`
-	// agree runs query vectorized, on the row path and materialized through
-	// run, which must all see one snapshot, and requires one answer.
-	agree := func(t *testing.T, db *Database, label string, run func(opts ...QueryOption) (*Result, error)) {
+	// agree runs query vectorized and on the row path through run, and the
+	// reference over view (nil: the committed state), which must all see
+	// one snapshot, and requires one answer.
+	agree := func(t *testing.T, db *Database, label string, run func(opts ...QueryOption) (*Result, error), view *storage.View) {
 		t.Helper()
 		vec, err := run()
 		if err != nil {
@@ -685,12 +678,8 @@ func TestIndexStageSnapshots(t *testing.T) {
 		if got := strings.Join(rowsAsStrings(row), ";"); got != want {
 			t.Fatalf("%s: row path disagrees with vectorized\nvec %s\nrow %s", label, want, got)
 		}
-		mat, err := run(WithMaterialized())
-		if err != nil {
-			t.Fatalf("%s (materialized): %v", label, err)
-		}
-		if got := strings.Join(rowsAsStrings(mat), ";"); got != want {
-			t.Fatalf("%s: materialized disagrees with vectorized\nvec %s\nmat %s", label, want, got)
+		if got, ref := bag(vec.Rows), bag(referenceRows(t, db, view, query)); got != ref {
+			t.Fatalf("%s: the reference disagrees with vectorized\nvec %s\nref %s", label, got, ref)
 		}
 	}
 	inTxn := func(tx *Txn) func(opts ...QueryOption) (*Result, error) {
@@ -704,7 +693,7 @@ func TestIndexStageSnapshots(t *testing.T) {
 		}
 		tx := db.Begin()
 		defer tx.Rollback()
-		agree(t, db, "dead versions in the buckets", inTxn(tx))
+		agree(t, db, "dead versions in the buckets", inTxn(tx), tx.view)
 	})
 	t.Run("deleted and inserted after the snapshot", func(t *testing.T) {
 		db := indexSnapDB(t)
@@ -714,7 +703,7 @@ func TestIndexStageSnapshots(t *testing.T) {
 			INSERT INTO item VALUES (5000, 3, 50.5, 'late'), (5001, 4, 60.5, 'later')`); err != nil {
 			t.Fatal(err)
 		}
-		agree(t, db, "writes committed after the snapshot", inTxn(tx))
+		agree(t, db, "writes committed after the snapshot", inTxn(tx), tx.view)
 	})
 	t.Run("own uncommitted writes", func(t *testing.T) {
 		db := indexSnapDB(t)
@@ -724,7 +713,7 @@ func TestIndexStageSnapshots(t *testing.T) {
 			INSERT INTO item VALUES (5000, 3, 50.5, 'mine'), (5001, NULL, 60.5, 'nokey')`); err != nil {
 			t.Fatal(err)
 		}
-		agree(t, db, "the transaction's own insert and delete", inTxn(tx))
+		agree(t, db, "the transaction's own insert and delete", inTxn(tx), tx.view)
 	})
 	t.Run("vacuum between capture and probe", func(t *testing.T) {
 		db := indexSnapDB(t)
@@ -738,10 +727,10 @@ func TestIndexStageSnapshots(t *testing.T) {
 		if got := db.Vacuum(); got == 0 {
 			t.Fatal("vacuum reclaimed nothing")
 		}
-		agree(t, db, "a capture older than the vacuum", inTxn(tx))
+		agree(t, db, "a capture older than the vacuum", inTxn(tx), tx.view)
 		agree(t, db, "a capture after the vacuum", func(opts ...QueryOption) (*Result, error) {
 			return db.QueryContext(context.Background(), query, opts...)
-		})
+		}, nil)
 	})
 	t.Run("concurrent writer and vacuum", func(t *testing.T) {
 		db := indexSnapDB(t)
@@ -765,7 +754,7 @@ func TestIndexStageSnapshots(t *testing.T) {
 		}()
 		for i := 0; i < 20; i++ {
 			tx := db.Begin()
-			agree(t, db, fmt.Sprintf("round %d", i), inTxn(tx))
+			agree(t, db, fmt.Sprintf("round %d", i), inTxn(tx), tx.view)
 			tx.Rollback()
 		}
 		close(stop)

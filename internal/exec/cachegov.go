@@ -1,11 +1,11 @@
 // Governed memoization: the evaluator's caches — the closed-box memo,
-// correlated subquery caches, cached join hash tables, and recursive
-// fixpoint sets — charge the query's memory budget like any other resident
-// state. Insertion is opportunistic: a denied charge (after cross-operator
-// reclaim) skips caching and the evaluator recomputes on the next
-// reference. The one exception is fixpoint sets, which the recursion body
-// re-enters through the memo every round and therefore must stay resident;
-// when even reclaim cannot make room for one, the query fails with
+// correlated subquery caches, and recursive fixpoint sets — charge the
+// query's memory budget like any other resident state. Insertion is
+// opportunistic: a denied charge (after cross-operator reclaim) skips
+// caching and the evaluator recomputes on the next reference. The one
+// exception is fixpoint sets, which the recursion body re-enters through
+// the memo every round and therefore must stay resident; when even reclaim
+// cannot make room for one, the query fails with
 // resource.ErrMemoryExceeded rather than exceeding the budget. Under
 // pressure from other operators the governor is itself a spillable:
 // reclaimOne drops the largest droppable cached entry.
@@ -18,14 +18,13 @@ import (
 )
 
 // cacheGov tracks the budget bytes charged for each cached entry. Sizes are
-// approximations (rows shared between a memo entry and a hash table built
-// over it are counted in both), which errs on the safe side of the cap.
+// approximations (rows shared between a memo entry and a subquery cache
+// are counted in both), which errs on the safe side of the cap.
 type cacheGov struct {
 	ev   *Evaluator
 	acct *resource.Account
 	memo map[*qgm.Box]int64        // charged bytes per memo entry
 	sub  map[*qgm.Quantifier]int64 // charged bytes per subquery cache
-	hash map[*qgm.Quantifier]int64 // charged bytes per hash-table cache
 }
 
 // cg returns the evaluator's cache governor, nil when no budget is
@@ -41,7 +40,6 @@ func (ev *Evaluator) cg() *cacheGov {
 			acct: ev.Mem.OpenAccount(),
 			memo: map[*qgm.Box]int64{},
 			sub:  map[*qgm.Quantifier]int64{},
-			hash: map[*qgm.Quantifier]int64{},
 		}
 		ev.spillables = append(ev.spillables, ev.cgov)
 	}
@@ -69,13 +67,13 @@ func (cg *cacheGov) charge(n int64) error {
 }
 
 // reclaimOne implements spillable: drop the largest droppable cached entry.
-// Memo entries of boxes currently evaluating (inProgress) or mid-fixpoint
-// (recActive) are pinned — the evaluation re-enters them.
+// Memo entries of boxes mid-fixpoint (recActive) are pinned — the
+// iteration re-enters them.
 func (cg *cacheGov) reclaimOne() (int64, error) {
 	var best int64
 	var drop func()
 	for b, n := range cg.memo {
-		if cg.ev.recActive[b] || cg.ev.inProgress[b] {
+		if cg.ev.recActive[b] {
 			continue
 		}
 		if n > best {
@@ -93,16 +91,6 @@ func (cg *cacheGov) reclaimOne() (int64, error) {
 			}
 		}
 	}
-	for q, n := range cg.hash {
-		if n > best {
-			q := q
-			best, drop = n, func() {
-				delete(cg.ev.hashCache, q)
-				cg.acct.Shrink(n)
-				delete(cg.hash, q)
-			}
-		}
-	}
 	if drop == nil {
 		return cg.acct.ReleaseIdle(), nil
 	}
@@ -116,15 +104,6 @@ func rowsMemBytes(rows []datum.Row) int64 {
 	n := int64(24 + 8*len(rows))
 	for _, r := range rows {
 		n += datum.RowMemBytes(r)
-	}
-	return n
-}
-
-// htMemBytes approximates a cached join hash table's footprint.
-func htMemBytes(ht map[string][]datum.Row) int64 {
-	n := int64(48)
-	for k, rows := range ht {
-		n += keyMemBytes(len(k)) + rowsMemBytes(rows)
 	}
 	return n
 }
@@ -200,38 +179,14 @@ func (ev *Evaluator) subInsert(q *qgm.Quantifier, cache map[string][]datum.Row, 
 	cache[key] = rows
 }
 
-// hashInsert records a reusable join hash table for q under keySig,
-// skipping on a denied charge.
-func (ev *Evaluator) hashInsert(q *qgm.Quantifier, keySig string, ht map[string][]datum.Row) {
-	cg := ev.cg()
-	if cg != nil {
-		n := keyMemBytes(len(keySig)) + htMemBytes(ht)
-		if cg.charge(n) != nil {
-			return
-		}
-		cg.hash[q] += n
-	}
-	byKey := ev.hashCache[q]
-	if byKey == nil {
-		byKey = map[string]map[string][]datum.Row{}
-		ev.hashCache[q] = byKey
-	}
-	byKey[keySig] = ht
-}
-
-// cacheDeleteQuant drops q's subquery and hash-table caches and uncharges
-// them (fixpoint SCC invalidation between rounds).
+// cacheDeleteQuant drops q's subquery cache and uncharges it (fixpoint SCC
+// invalidation between rounds).
 func (ev *Evaluator) cacheDeleteQuant(q *qgm.Quantifier) {
-	delete(ev.hashCache, q)
 	delete(ev.subCache, q)
 	if cg := ev.cgov; cg != nil {
 		if n := cg.sub[q]; n > 0 {
 			cg.acct.Shrink(n)
 		}
 		delete(cg.sub, q)
-		if n := cg.hash[q]; n > 0 {
-			cg.acct.Shrink(n)
-		}
-		delete(cg.hash, q)
 	}
 }

@@ -1,13 +1,15 @@
-// Package exec evaluates QGM graphs: a box-at-a-time interpreter with
-// pipelined nested-loop/hash joins inside select boxes, memoized
-// materialization of shared (common-subexpression) boxes, index lookups on
-// base tables, and the E/A/S quantifier semantics of subqueries.
+// Package exec executes lowered physical plans (internal/plan): streamed
+// operators over row batches (stream.go), their columnar forms (vec.go,
+// vecagg.go), and the bridges that materialize a box from its own lowered
+// subtree — memoized shared boxes, correlated subtrees re-opened per outer
+// binding, subquery inputs, recursive fixpoints and extension kinds (this
+// file).
 //
 // The executor is deliberately strategy-agnostic: the three execution
 // strategies compared in the paper's Table 1 (Original, Correlated, EMST)
-// are different QGM graphs produced by the rewrite layers, evaluated by this
-// same engine. The only strategy knob here is NoSubqueryCache, which models
-// tuple-at-a-time correlated re-execution (the "Correlated" column).
+// are different QGM graphs produced by the rewrite layers, lowered and run
+// by this same engine. The only strategy knob here is NoSubqueryCache, which
+// models tuple-at-a-time correlated re-execution (the "Correlated" column).
 package exec
 
 import (
@@ -17,6 +19,7 @@ import (
 
 	"starmagic/internal/catalog"
 	"starmagic/internal/datum"
+	"starmagic/internal/plan"
 	"starmagic/internal/qgm"
 	"starmagic/internal/resource"
 	"starmagic/internal/storage"
@@ -26,7 +29,7 @@ import (
 // them to validate cost shapes deterministically.
 type Counters struct {
 	BaseRows      int64 // rows read from base relations
-	BoxEvals      int64 // box materializations (excluding memo hits)
+	BoxEvals      int64 // box evaluations: box-root operator opens, extension-kind runs (memo hits excluded)
 	SubqueryEvals int64 // subquery evaluations for E/A/S quantifiers
 	HashBuilds    int64 // transient join hash tables built
 	HashProbes    int64 // probes into transient join hash tables
@@ -47,8 +50,8 @@ type Evaluator struct {
 
 	// NoSubqueryCache disables memoization of correlated evaluations,
 	// modeling tuple-at-a-time correlated execution (Table 1's "Correlated"
-	// strategy). Box-level materialization of closed boxes is also
-	// disabled so every use re-evaluates.
+	// strategy). The box memo of closed bridges is also disabled so every
+	// use re-evaluates.
 	NoSubqueryCache bool
 
 	// MaxRows aborts runaway evaluations (0 = unlimited).
@@ -64,7 +67,7 @@ type Evaluator struct {
 	// slot i holding the value of parameter ordinal i. Bindings are constant
 	// for the whole evaluation, so box memoization and subquery caches stay
 	// valid; they enter expression evaluation through the paramsQ sentinel
-	// binding every root environment carries (see rootEnv).
+	// binding every root environment carries (see planRun.rootEnv).
 	Params datum.Row
 
 	// Mem, when non-nil, is the query's memory budget. Pipeline-breaker
@@ -74,8 +77,8 @@ type Evaluator struct {
 	// when a reservation is denied (see spill.go); the streaming executor
 	// feeds those containers the same way with or without a budget. A
 	// budget keeps plans off the columnar operators and the flat hash-join
-	// build, which do not spill. Memoization caches (box memo,
-	// subquery/hash caches, fixpoint sets) are governed too: see
+	// build, which do not spill. Memoization caches (box memo, subquery
+	// caches, fixpoint sets) are governed too: see
 	// cachegov.go — denied inserts skip caching and recompute, cached
 	// entries are evicted under pressure, and only resident fixpoint sets
 	// can fail the query. Final result rows remain exempt. Set by the
@@ -105,15 +108,13 @@ type Evaluator struct {
 	// scan/join hot loops within benchmark noise.
 	ticks int
 
-	memo       map[*qgm.Box][]datum.Row
-	subCache   map[*qgm.Quantifier]map[string][]datum.Row
-	free       map[*qgm.Box][]corrRef
-	hashCache  map[*qgm.Quantifier]map[string]map[string][]datum.Row
-	inProgress map[*qgm.Box]bool
-	recActive  map[*qgm.Box]bool
+	memo      map[*qgm.Box][]datum.Row
+	subCache  map[*qgm.Quantifier]map[string][]datum.Row
+	free      map[*qgm.Box][]corrRef
+	recActive map[*qgm.Box]bool
 
 	// keyBuf is the evaluator's reusable row-key buffer. Every hash-keyed
-	// path (joins, grouping, dedupe, set ops, memo keys, recursion deltas)
+	// path (joins, grouping, distinct, set ops, memo keys, recursion deltas)
 	// encodes into it with datum.AppendKey and indexes maps with
 	// string(keyBuf), which Go compiles to an allocation-free lookup; a key
 	// string is materialized only when it must be stored.
@@ -135,7 +136,7 @@ func New(store *storage.Store) *Evaluator {
 		memo:      map[*qgm.Box][]datum.Row{},
 		subCache:  map[*qgm.Quantifier]map[string][]datum.Row{},
 		free:      map[*qgm.Box][]corrRef{},
-		hashCache: map[*qgm.Quantifier]map[string]map[string][]datum.Row{},
+		recActive: map[*qgm.Box]bool{},
 	}
 }
 
@@ -186,8 +187,10 @@ func (ev *Evaluator) ctxErr() error {
 	}
 }
 
-// KindHandler evaluates an extension box kind.
-type KindHandler func(ev *Evaluator, b *qgm.Box, env Env) ([]datum.Row, error)
+// KindHandler evaluates an extension box kind: inputs[i] holds the rows of
+// b.Quantifiers[i]'s box, and env the outer bindings (and `?` parameters)
+// its expressions may reference. The handler must not modify env.
+type KindHandler func(b *qgm.Box, inputs [][]datum.Row, env Env) ([]datum.Row, error)
 
 var kindHandlers = map[qgm.BoxKind]KindHandler{}
 
@@ -196,95 +199,145 @@ var kindHandlers = map[qgm.BoxKind]KindHandler{}
 // operation supplies its evaluation alongside its AMQ/NMQ declaration.
 func RegisterKind(k qgm.BoxKind, h KindHandler) { kindHandlers[k] = h }
 
-// EvalGraph evaluates the whole query: the top box plus top-level ORDER BY
-// and LIMIT.
-func (ev *Evaluator) EvalGraph(g *qgm.Graph) ([]datum.Row, error) {
-	if err := ev.ctxErr(); err != nil {
-		return nil, err
+func errRowBudget(n int64) error {
+	return fmt.Errorf("exec: row budget exceeded (%d rows)", n)
+}
+
+// relation resolves base table t through the evaluation's view. A plan runs
+// only against the tables it was made for: the view's relation must carry t
+// itself as its metadata. A table dropped and re-created after the plan was
+// made, or after a transaction's snapshot was taken, fails the query rather
+// than feeding rows of another shape (or without the plan's indexes) to it.
+func (ev *Evaluator) relation(t *catalog.Table) (*storage.RelView, error) {
+	rel, ok := ev.view.Relation(t.Name)
+	if !ok {
+		return nil, fmt.Errorf("exec: no storage for table %q", t.Name)
 	}
-	rows, err := ev.EvalBox(g.Top, ev.rootEnv())
+	if rel.Meta != t {
+		return nil, fmt.Errorf("exec: table %q was replaced after the plan or the snapshot was made", t.Name)
+	}
+	return rel, nil
+}
+
+// evalBridge materializes bridge node n's box. A fixpoint iterates its body,
+// and an extension kind, whose children are its quantifiers' subtrees, runs
+// its handler over their rows. Any other bridge the plan streams through (a
+// shared box, a closed input of a fixpoint body, a closed subquery) is
+// closed: it drains its own subtree into the box memo, which serves every
+// later consumer and every later round, unless NoSubqueryCache re-evaluates
+// each use.
+func (r *planRun) evalBridge(n *plan.Node) ([]datum.Row, error) {
+	ev := r.ev
+	switch {
+	case n.Kind == plan.OpFixpoint:
+		return r.fixpoint(n)
+	case len(n.Children) == 0 || n.Children[0].Box != n.Box:
+		return r.extension(n)
+	}
+	if !ev.NoSubqueryCache {
+		if rows, ok := ev.memo[n.Box]; ok {
+			return rows, nil
+		}
+	}
+	rows, err := r.drain(n.Children[0])
 	if err != nil {
 		return nil, err
 	}
-	if len(g.OrderBy) > 0 {
-		sorted := make([]datum.Row, len(rows))
-		copy(sorted, rows)
-		sort.SliceStable(sorted, func(i, j int) bool {
-			for _, spec := range g.OrderBy {
-				c := datum.SortCompare(sorted[i][spec.Ord], sorted[j][spec.Ord])
-				if spec.Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-		rows = sorted
-	}
-	if g.Limit >= 0 && int64(len(rows)) > g.Limit {
-		rows = rows[:g.Limit]
-	}
-	if g.HiddenCols > 0 {
-		trimmed := make([]datum.Row, len(rows))
-		for i, r := range rows {
-			trimmed[i] = r[:len(r)-g.HiddenCols]
-		}
-		rows = trimmed
+	if !ev.NoSubqueryCache {
+		ev.memoInsert(n.Box, rows)
 	}
 	return rows, nil
 }
 
-// EvalBox evaluates one box under the environment. Closed boxes (no free
-// references) are materialized once and memoized, implementing QGM common
-// subexpressions; correlated boxes evaluate per call.
-func (ev *Evaluator) EvalBox(b *qgm.Box, env Env) ([]datum.Row, error) {
-	if b.Recursive {
-		return ev.evalRecursive(b, env)
-	}
-	closed := len(ev.freeRefs(b)) == 0
-	if closed && !ev.NoSubqueryCache {
-		if rows, ok := ev.memo[b]; ok {
-			return rows, nil
-		}
-	}
-	// A closed box re-entered during its own evaluation is a cycle that was
-	// not marked Recursive (those take the fixpoint path above): a malformed
-	// graph, reported rather than looped on.
-	if closed {
-		if ev.inProgress == nil {
-			ev.inProgress = map[*qgm.Box]bool{}
-		}
-		if ev.inProgress[b] {
-			return nil, fmt.Errorf("exec: cyclic (recursive) query graph at box %q", b.Name)
-		}
-		ev.inProgress[b] = true
-		defer delete(ev.inProgress, b)
-	}
-	rows, err := ev.evalBoxNow(b, env)
+// bridgeUnder evaluates bridge n's box for one outer binding: its subtree
+// is drained with env's bindings as the outer bindings of every operator in
+// it. Correlated stages and subquery inputs evaluate this way.
+func (r *planRun) bridgeUnder(n *plan.Node, env Env) ([]datum.Row, error) {
+	sub := &planRun{ev: r.ev, stats: r.stats, outer: env}
+	rows, err := sub.drain(n.Children[0])
 	if err != nil {
 		return nil, err
 	}
-	if closed && !ev.NoSubqueryCache {
-		ev.memoInsert(b, rows)
-	}
+	st := &r.stats[n.ID]
+	st.Opens++
+	st.Rows += int64(len(rows))
 	return rows, nil
+}
+
+// evalSubquery evaluates the subquery of quantifier q through its bridge n
+// under the current bindings, memoizing per distinct correlation values
+// unless disabled; a closed subquery is memoized per box.
+func (r *planRun) evalSubquery(n *plan.Node, q *qgm.Quantifier, cur Env) ([]datum.Row, error) {
+	ev := r.ev
+	if ev.NoSubqueryCache {
+		ev.Counters.SubqueryEvals++
+		return r.bridgeUnder(n, cur)
+	}
+	refs := ev.freeRefs(q.Ranges)
+	if len(refs) == 0 {
+		return r.materialize(n)
+	}
+	if err := ev.corrKeyBuf(refs, cur); err != nil {
+		return nil, err
+	}
+	cache := ev.subCache[q]
+	if cache == nil {
+		cache = map[string][]datum.Row{}
+		ev.subCache[q] = cache
+	}
+	// Memo hit: string(keyBuf) indexes without allocating.
+	if rows, ok := cache[string(ev.keyBuf)]; ok {
+		return rows, nil
+	}
+	// Miss: materialize the key string before the drain, which reuses
+	// keyBuf.
+	key := string(ev.keyBuf)
+	ev.Counters.SubqueryEvals++
+	rows, err := r.bridgeUnder(n, cur)
+	if err != nil {
+		return nil, err
+	}
+	ev.subInsert(q, cache, key, rows)
+	return rows, nil
+}
+
+// extension runs an extension kind's registered handler over the rows of
+// its quantifiers' subtrees, the bridge's children.
+func (r *planRun) extension(n *plan.Node) ([]datum.Row, error) {
+	ev := r.ev
+	h, ok := kindHandlers[n.Box.Kind]
+	if !ok {
+		return nil, fmt.Errorf("exec: no handler for box kind %s", n.Box.Kind)
+	}
+	ev.Counters.BoxEvals++
+	inputs := make([][]datum.Row, len(n.Children))
+	for i, c := range n.Children {
+		rows, err := r.materialize(c)
+		if err != nil {
+			return nil, err
+		}
+		inputs[i] = rows
+	}
+	rows, err := h(n.Box, inputs, r.rootEnv())
+	if err != nil {
+		return nil, err
+	}
+	return rows, ev.addOutput(len(rows))
 }
 
 // maxRecursion bounds the rounds of a recursive view's fixpoint iteration.
 const maxRecursion = 1000
 
-// evalRecursive iterates a recursive view's fixpoint root to a fixpoint:
-// each round re-evaluates the body with the previous round's accumulated
-// set visible through the root's memo entry, accumulating new rows under
-// set semantics until no round adds one.
-func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
-	if ev.recActive == nil {
-		ev.recActive = map[*qgm.Box]bool{}
-	}
-	if ev.recActive[b] {
-		// Re-entry from within the body: the previous round's set.
+// fixpoint iterates a recursive view's fixpoint root n to a fixpoint: each
+// round re-opens the body (n's child) with the previous round's accumulated
+// set visible through the root's memo entry, which the body's childless
+// fixpoint leaves read, accumulating new rows under set semantics until no
+// round adds one.
+func (r *planRun) fixpoint(n *plan.Node) ([]datum.Row, error) {
+	ev := r.ev
+	b := n.Box
+	if ev.recActive[b] || len(n.Children) == 0 {
+		// A leaf of the body: the previous round's set.
 		return ev.memo[b], nil
 	}
 	if rows, ok := ev.memo[b]; ok {
@@ -313,7 +366,7 @@ func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 			return nil, err
 		}
 		ev.invalidateSCC(b, scc)
-		rows, err := ev.evalBoxNow(b, env)
+		rows, err := r.drain(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
@@ -322,14 +375,14 @@ func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 		// membership test is allocation-free; a key string materializes
 		// only for genuinely new rows.
 		grew := false
-		for _, r := range rows {
-			ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], r)
+		for _, row := range rows {
+			ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], row)
 			dup, serr := seen.checkAndAdd(ev.keyBuf)
 			if serr != nil {
 				return nil, serr
 			}
 			if !dup {
-				cur = append(cur, r)
+				cur = append(cur, row)
 				grew = true
 			}
 		}
@@ -397,8 +450,9 @@ func (ev *Evaluator) sccMembers(b *qgm.Box) []*qgm.Box {
 	return members
 }
 
-// invalidateSCC clears per-round caches of the recursive component so each
-// fixpoint round re-evaluates against the updated set.
+// invalidateSCC clears the memo entries and subquery caches of b's
+// recursive component so each fixpoint round re-evaluates against the
+// updated set.
 func (ev *Evaluator) invalidateSCC(b *qgm.Box, scc []*qgm.Box) {
 	inSCC := map[*qgm.Box]bool{b: true}
 	for _, x := range scc {
@@ -418,493 +472,6 @@ func (ev *Evaluator) invalidateSCC(b *qgm.Box, scc []*qgm.Box) {
 	for _, x := range scc {
 		clearQuants(x)
 	}
-}
-
-func (ev *Evaluator) evalBoxNow(b *qgm.Box, env Env) ([]datum.Row, error) {
-	// Correlated (tuple-at-a-time) plans re-enter here once per outer row,
-	// so this checkpoint also bounds cancellation latency for plans whose
-	// inner loops are many small box evaluations.
-	if err := ev.tick(); err != nil {
-		return nil, err
-	}
-	ev.Counters.BoxEvals++
-	var rows []datum.Row
-	var err error
-	switch b.Kind {
-	case qgm.KindBaseTable:
-		rows, err = ev.evalBase(b)
-	case qgm.KindSelect:
-		rows, err = ev.evalSelect(b, env)
-	case qgm.KindGroupBy:
-		rows, err = ev.evalGroupBy(b, env)
-	case qgm.KindUnion:
-		rows, err = ev.evalUnion(b, env)
-	case qgm.KindIntersect, qgm.KindExcept:
-		rows, err = ev.evalIntersectExcept(b, env)
-	default:
-		h, ok := kindHandlers[b.Kind]
-		if !ok {
-			return nil, fmt.Errorf("exec: no handler for box kind %s", b.Kind)
-		}
-		rows, err = h(ev, b, env)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ev.Counters.OutputRows += int64(len(rows))
-	if ev.MaxRows > 0 && ev.Counters.OutputRows > ev.MaxRows {
-		return nil, errRowBudget(ev.Counters.OutputRows)
-	}
-	return rows, nil
-}
-
-func errRowBudget(n int64) error {
-	return fmt.Errorf("exec: row budget exceeded (%d rows)", n)
-}
-
-// relation resolves base table t through the evaluation's view. A plan runs
-// only against the tables it was made for: the view's relation must carry t
-// itself as its metadata. A table dropped and re-created after the plan was
-// made, or after a transaction's snapshot was taken, fails the query rather
-// than feeding rows of another shape (or without the plan's indexes) to it.
-func (ev *Evaluator) relation(t *catalog.Table) (*storage.RelView, error) {
-	rel, ok := ev.view.Relation(t.Name)
-	if !ok {
-		return nil, fmt.Errorf("exec: no storage for table %q", t.Name)
-	}
-	if rel.Meta != t {
-		return nil, fmt.Errorf("exec: table %q was replaced after the plan or the snapshot was made", t.Name)
-	}
-	return rel, nil
-}
-
-func (ev *Evaluator) evalBase(b *qgm.Box) ([]datum.Row, error) {
-	rel, err := ev.relation(b.Table)
-	if err != nil {
-		return nil, err
-	}
-	rows := rel.Rows()
-	ev.Counters.BaseRows += int64(len(rows))
-	return rows, nil
-}
-
-// selectPlan is the per-box execution plan computed once per evaluation:
-// which predicates run at which join stage, and which subquery quantifiers
-// are checked at the end.
-type selectPlan struct {
-	fQuants []*qgm.Quantifier
-	sQuants []*qgm.Quantifier // Scalar
-	qQuants []*qgm.Quantifier // Exists / ForAll
-	// stagePreds[i] holds predicates evaluable once fQuants[:i] are bound.
-	stagePreds [][]qgm.Expr
-	// postPreds are evaluated after scalar quantifiers are bound.
-	postPreds []qgm.Expr
-	// matchPreds[q] are the match predicates of subquery quantifier q.
-	matchPreds map[*qgm.Quantifier][]qgm.Expr
-}
-
-func buildSelectPlan(b *qgm.Box, outer Env) *selectPlan {
-	p := &selectPlan{matchPreds: map[*qgm.Quantifier][]qgm.Expr{}}
-	for _, q := range b.OrderedQuantifiers() {
-		switch q.Type {
-		case qgm.ForEach:
-			p.fQuants = append(p.fQuants, q)
-		case qgm.Scalar:
-			p.sQuants = append(p.sQuants, q)
-		default:
-			p.qQuants = append(p.qQuants, q)
-		}
-	}
-	p.stagePreds = make([][]qgm.Expr, len(p.fQuants)+1)
-
-	local := map[*qgm.Quantifier]int{} // F quantifier -> position+1
-	for i, q := range p.fQuants {
-		local[q] = i + 1
-	}
-	subq := map[*qgm.Quantifier]bool{}
-	for _, q := range p.sQuants {
-		subq[q] = true
-	}
-	eaq := map[*qgm.Quantifier]bool{}
-	for _, q := range p.qQuants {
-		eaq[q] = true
-	}
-
-	for _, pred := range b.Preds {
-		var ea *qgm.Quantifier
-		stage := 0
-		needsScalar := false
-		unbound := false
-		qgm.VisitRefs(pred, func(c *qgm.ColRef) {
-			switch {
-			case eaq[c.Q]:
-				ea = c.Q
-			case subq[c.Q]:
-				needsScalar = true
-			case local[c.Q] > 0:
-				if local[c.Q] > stage {
-					stage = local[c.Q]
-				}
-			default:
-				if _, ok := outer[c.Q]; !ok {
-					unbound = true
-				}
-			}
-		})
-		switch {
-		case unbound:
-			// Reference to an outer quantifier not bound in this call:
-			// schedule last; evaluation will error with a clear message.
-			p.postPreds = append(p.postPreds, pred)
-		case ea != nil:
-			p.matchPreds[ea] = append(p.matchPreds[ea], pred)
-		case needsScalar:
-			p.postPreds = append(p.postPreds, pred)
-		default:
-			p.stagePreds[stage] = append(p.stagePreds[stage], pred)
-		}
-	}
-	return p
-}
-
-func (ev *Evaluator) evalSelect(b *qgm.Box, env Env) ([]datum.Row, error) {
-	plan := buildSelectPlan(b, env)
-	var out []datum.Row
-
-	// Stage-0 predicates (constants and outer-only): if any is not TRUE the
-	// box is empty.
-	for _, pred := range plan.stagePreds[0] {
-		tv, err := EvalPred(pred, env)
-		if err != nil {
-			return nil, err
-		}
-		if tv != datum.True {
-			return nil, nil
-		}
-	}
-
-	cur := env.clone()
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(plan.fQuants) {
-			ok, err := ev.finishRow(b, plan, cur)
-			if err == nil && ok {
-				// Scalar-quantifier bindings stay live for the projection.
-				var row datum.Row
-				row, err = ev.projectRow(b, cur)
-				if err == nil {
-					out = append(out, row)
-				}
-			}
-			for _, sq := range plan.sQuants {
-				delete(cur, sq)
-			}
-			return err
-		}
-		q := plan.fQuants[i]
-		return ev.joinStage(b, plan, q, i, cur, func() error { return rec(i + 1) })
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-
-	if b.Distinct != qgm.DistinctPreserve {
-		var err error
-		out, err = ev.dedupe(out)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// joinStage binds quantifier q (stage i) to each qualifying row and calls
-// next. It picks an access path: base-table index lookup, transient hash
-// join, or nested-loop scan with filters.
-func (ev *Evaluator) joinStage(b *qgm.Box, plan *selectPlan, q *qgm.Quantifier, i int, cur Env, next func() error) error {
-	preds := plan.stagePreds[i+1]
-
-	// Split stage predicates into equality keys usable for hashing/index
-	// and residual filters.
-	type eqKey struct {
-		mine  qgm.Expr // references only q (+ outer constants)
-		other qgm.Expr // references already-bound quantifiers
-	}
-	var keys []eqKey
-	var residual []qgm.Expr
-	isMine := func(e qgm.Expr) bool {
-		found, onlyQ := false, true
-		qgm.VisitRefs(e, func(c *qgm.ColRef) {
-			if c.Q == q {
-				found = true
-			} else if _, bound := cur[c.Q]; !bound {
-				onlyQ = false
-			}
-		})
-		return found && onlyQ
-	}
-	isBound := func(e qgm.Expr) bool {
-		ok := true
-		qgm.VisitRefs(e, func(c *qgm.ColRef) {
-			if c.Q == q {
-				ok = false
-			} else if _, bound := cur[c.Q]; !bound {
-				ok = false
-			}
-		})
-		return ok
-	}
-	for _, pred := range preds {
-		if cmp, okc := pred.(*qgm.Cmp); okc && cmp.Op == datum.EQ {
-			switch {
-			case isMine(cmp.L) && isBound(cmp.R):
-				keys = append(keys, eqKey{mine: cmp.L, other: cmp.R})
-				continue
-			case isMine(cmp.R) && isBound(cmp.L):
-				keys = append(keys, eqKey{mine: cmp.R, other: cmp.L})
-				continue
-			}
-		}
-		residual = append(residual, pred)
-	}
-
-	emit := func(row datum.Row) (bool, error) {
-		if err := ev.tick(); err != nil {
-			return false, err
-		}
-		cur[q] = row
-		for _, pred := range residual {
-			tv, err := EvalPred(pred, cur)
-			if err != nil {
-				return false, err
-			}
-			if tv != datum.True {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-
-	// Access path 1: base-table index lookup when every key is a plain
-	// column of an indexed column set.
-	if q.Ranges.Kind == qgm.KindBaseTable && len(keys) > 0 {
-		cols := make([]int, 0, len(keys))
-		plain := true
-		for _, k := range keys {
-			cr, okc := k.mine.(*qgm.ColRef)
-			if !okc || cr.Q != q {
-				plain = false
-				break
-			}
-			cols = append(cols, cr.Ord)
-		}
-		if plain {
-			rel, err := ev.relation(q.Ranges.Table)
-			if err != nil {
-				return err
-			}
-			probe := make(datum.Row, len(keys))
-			for j, k := range keys {
-				v, err := EvalExpr(k.other, cur)
-				if err != nil {
-					return err
-				}
-				probe[j] = v
-			}
-			if rows, used := rel.Lookup(cols, probe); used {
-				ev.Counters.IndexLookups++
-				for _, row := range rows {
-					ok, err := emit(row)
-					if err != nil {
-						return err
-					}
-					if ok {
-						if err := next(); err != nil {
-							return err
-						}
-					}
-				}
-				delete(cur, q)
-				return nil
-			}
-		}
-	}
-
-	// Materialize the child rows.
-	rows, err := ev.EvalBox(q.Ranges, cur)
-	if err != nil {
-		return err
-	}
-
-	// Access path 2: transient hash join on the equality keys, taken only
-	// when the table is reusable across outer bindings: the child is closed
-	// (materialized once) and the key expressions reference only q, so the
-	// table is cached per (quantifier, key set). A table that cannot be
-	// cached would be built over every child row to serve one probe; the
-	// scan below does the same work without the build.
-	cacheable := len(keys) > 0 && len(rows) > 4 &&
-		!ev.NoSubqueryCache && len(ev.freeRefs(q.Ranges)) == 0
-	keySig := ""
-	for j := 0; cacheable && j < len(keys); j++ {
-		qgm.VisitRefs(keys[j].mine, func(c *qgm.ColRef) {
-			if c.Q != q {
-				cacheable = false
-			}
-		})
-		keySig += keys[j].mine.String() + "|"
-	}
-	if cacheable {
-		ht := ev.hashCache[q][keySig]
-		if ht == nil {
-			ev.Counters.HashBuilds++
-			mines := make([]qgm.Expr, len(keys))
-			for j, k := range keys {
-				mines[j] = k.mine
-			}
-			var err error
-			ht, err = ev.buildHashTable(q, mines, rows, cur)
-			if err != nil {
-				return err
-			}
-			ev.hashInsert(q, keySig, ht)
-		}
-		delete(cur, q)
-
-		ev.keyBuf = ev.keyBuf[:0]
-		for _, k := range keys {
-			v, err := EvalExpr(k.other, cur)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				return nil // equality never matches NULL
-			}
-			ev.keyBuf = v.AppendKey(ev.keyBuf)
-		}
-		ev.Counters.HashProbes++
-		for _, row := range ht[string(ev.keyBuf)] {
-			ok, err := emit(row)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := next(); err != nil {
-					return err
-				}
-			}
-		}
-		delete(cur, q)
-		return nil
-	}
-
-	// Access path 3: nested-loop scan with all predicates as filters.
-	for _, k := range keys {
-		residual = append(residual, &qgm.Cmp{Op: datum.EQ, L: k.mine, R: k.other})
-	}
-	for _, row := range rows {
-		ok, err := emit(row)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if err := next(); err != nil {
-				return err
-			}
-		}
-	}
-	delete(cur, q)
-	return nil
-}
-
-// buildHashTable builds the transient join hash table for quantifier q over
-// rows, keyed by keyExprs evaluated with q bound to each row; rows with a NULL
-// key component are left out, and buckets keep the input row order. Buckets
-// are found through an index map during the build because a map lookup with
-// string(buf) does not allocate while a map assignment does: a key string is
-// allocated once per distinct key, not per row.
-func (ev *Evaluator) buildHashTable(q *qgm.Quantifier, keyExprs []qgm.Expr, rows []datum.Row, cur Env) (map[string][]datum.Row, error) {
-	env := cur.clone()
-	idx := make(map[string]int, len(rows))
-	var buckets [][]datum.Row
-	buf := make([]byte, 0, 64)
-	for _, row := range rows {
-		env[q] = row
-		buf = buf[:0]
-		null := false
-		for _, e := range keyExprs {
-			v, err := EvalExpr(e, env)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			buf = v.AppendKey(buf)
-		}
-		if null {
-			continue // equality never matches NULL
-		}
-		if i, ok := idx[string(buf)]; ok {
-			buckets[i] = append(buckets[i], row)
-		} else {
-			idx[string(buf)] = len(buckets)
-			buckets = append(buckets, []datum.Row{row})
-		}
-	}
-	ht := make(map[string][]datum.Row, len(idx))
-	for k, i := range idx {
-		ht[k] = buckets[i]
-	}
-	return ht, nil
-}
-
-// finishRow binds scalar quantifiers, evaluates post-predicates, and checks
-// E/A quantifiers. It reports whether the current binding qualifies.
-func (ev *Evaluator) finishRow(b *qgm.Box, plan *selectPlan, cur Env) (bool, error) {
-	for _, q := range plan.sQuants {
-		rows, err := ev.evalSubquery(q, cur)
-		if err != nil {
-			return false, err
-		}
-		switch {
-		case len(rows) == 0:
-			null := make(datum.Row, len(q.Ranges.Output))
-			for i := range null {
-				null[i] = datum.NullOf(q.Ranges.Output[i].Type)
-			}
-			cur[q] = null
-		case len(rows) == 1:
-			cur[q] = rows[0]
-		default:
-			return false, fmt.Errorf("exec: scalar subquery returned %d rows", len(rows))
-		}
-	}
-	for _, pred := range plan.postPreds {
-		tv, err := EvalPred(pred, cur)
-		if err != nil {
-			return false, err
-		}
-		if tv != datum.True {
-			return false, nil
-		}
-	}
-
-	for _, q := range plan.qQuants {
-		rows, err := ev.evalSubquery(q, cur)
-		if err != nil {
-			return false, err
-		}
-		match := plan.matchPreds[q]
-		pass, err := ev.checkQuantifier(q, match, rows, cur)
-		if err != nil {
-			return false, err
-		}
-		if !pass {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // checkQuantifier applies E/A semantics: Exists passes iff some subquery row
@@ -950,40 +517,6 @@ func (ev *Evaluator) checkQuantifier(q *qgm.Quantifier, match []qgm.Expr, rows [
 	return true, nil
 }
 
-// evalSubquery evaluates the subquery of quantifier q under the current
-// bindings, memoizing per distinct correlation values unless disabled.
-func (ev *Evaluator) evalSubquery(q *qgm.Quantifier, cur Env) ([]datum.Row, error) {
-	refs := ev.freeRefs(q.Ranges)
-	if ev.NoSubqueryCache {
-		ev.Counters.SubqueryEvals++
-		return ev.EvalBox(q.Ranges, cur)
-	}
-	if len(refs) == 0 {
-		return ev.EvalBox(q.Ranges, cur) // memoized at box level
-	}
-	if err := ev.corrKeyBuf(refs, cur); err != nil {
-		return nil, err
-	}
-	cache := ev.subCache[q]
-	if cache == nil {
-		cache = map[string][]datum.Row{}
-		ev.subCache[q] = cache
-	}
-	// Memo hit: string(keyBuf) indexes without allocating.
-	if rows, ok := cache[string(ev.keyBuf)]; ok {
-		return rows, nil
-	}
-	// Miss: materialize the key string before EvalBox, which reuses keyBuf.
-	key := string(ev.keyBuf)
-	ev.Counters.SubqueryEvals++
-	rows, err := ev.EvalBox(q.Ranges, cur)
-	if err != nil {
-		return nil, err
-	}
-	ev.subInsert(q, cache, key, rows)
-	return rows, nil
-}
-
 // corrKeyBuf encodes the correlation values of refs into ev.keyBuf.
 func (ev *Evaluator) corrKeyBuf(refs []corrRef, env Env) error {
 	ev.keyBuf = ev.keyBuf[:0]
@@ -1009,35 +542,9 @@ func (ev *Evaluator) projectRow(b *qgm.Box, cur Env) (datum.Row, error) {
 	return row, nil
 }
 
-func (ev *Evaluator) evalGroupBy(b *qgm.Box, env Env) ([]datum.Row, error) {
-	inQ := b.Quantifiers[0]
-	rows, err := ev.EvalBox(inQ.Ranges, env)
-	if err != nil {
-		return nil, err
-	}
-	gt := ev.newGroupTable("group-by", nil)
-	defer gt.close()
-
-	cur := env.clone()
-	var gkBuf []byte
-	for _, row := range rows {
-		if err := ev.tick(); err != nil {
-			return nil, err
-		}
-		cur[inQ] = row
-		gkBuf, err = ev.accumulateGroup(gt, b, cur, gkBuf)
-		if err != nil {
-			return nil, err
-		}
-	}
-	delete(cur, inQ)
-	return emitGroups(gt, b)
-}
-
 // accumulateGroup folds one input row (already bound in env) into gt: group
 // key, entry lookup/insert, aggregate update, DISTINCT-argument filtering.
-// Shared by the box-at-a-time evaluator and the streaming group-by so
-// grouped results agree exactly. The key is evaluated into gt's scratch row
+// The key is evaluated into gt's scratch row
 // and copied only when it starts a new group. gkBuf is the reusable byte
 // encoding of the group key (ev.keyBuf is left to the distinct-argument
 // keys); the returned slice is passed back in.
@@ -1150,119 +657,6 @@ func emitGroups(gt *groupTable, b *qgm.Box) ([]datum.Row, error) {
 	out := make([]datum.Row, len(srows))
 	for i, sr := range srows {
 		out[i] = sr.row
-	}
-	return out, nil
-}
-
-func (ev *Evaluator) evalUnion(b *qgm.Box, env Env) ([]datum.Row, error) {
-	var out []datum.Row
-	for _, q := range b.Quantifiers {
-		rows, err := ev.EvalBox(q.Ranges, env)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
-	}
-	if b.Distinct != qgm.DistinctPreserve {
-		var err error
-		out, err = ev.dedupe(out)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (ev *Evaluator) evalIntersectExcept(b *qgm.Box, env Env) ([]datum.Row, error) {
-	left, err := ev.EvalBox(b.Quantifiers[0].Ranges, env)
-	if err != nil {
-		return nil, err
-	}
-	right, err := ev.EvalBox(b.Quantifiers[1].Ranges, env)
-	if err != nil {
-		return nil, err
-	}
-	counts := ev.newCountTable("setop", nil)
-	defer counts.close()
-	for _, row := range right {
-		ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], row)
-		if err := counts.inc(ev.keyBuf); err != nil {
-			return nil, err
-		}
-	}
-	distinct := b.Distinct != qgm.DistinctPreserve
-	var out []datum.Row
-	seen := ev.newSeenSet("setop-seen", nil)
-	defer seen.close()
-	for _, row := range left {
-		ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], row)
-		c, err := counts.count(ev.keyBuf)
-		if err != nil {
-			return nil, err
-		}
-		inRight := c > 0
-		switch b.Kind {
-		case qgm.KindIntersect:
-			if !inRight {
-				continue
-			}
-			if distinct {
-				dup, err := seen.checkAndAdd(ev.keyBuf)
-				if err != nil {
-					return nil, err
-				}
-				if dup {
-					continue
-				}
-			} else {
-				// INTERSECT ALL: min of multiplicities.
-				if err := counts.dec(ev.keyBuf); err != nil {
-					return nil, err
-				}
-			}
-			out = append(out, row)
-		case qgm.KindExcept:
-			if distinct {
-				if inRight {
-					continue
-				}
-				dup, err := seen.checkAndAdd(ev.keyBuf)
-				if err != nil {
-					return nil, err
-				}
-				if dup {
-					continue
-				}
-				out = append(out, row)
-			} else {
-				if inRight {
-					// EXCEPT ALL: subtract multiplicities.
-					if err := counts.dec(ev.keyBuf); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				out = append(out, row)
-			}
-		}
-	}
-	return out, nil
-}
-
-func (ev *Evaluator) dedupe(rows []datum.Row) ([]datum.Row, error) {
-	seen := ev.newSeenSet("dedupe", nil)
-	defer seen.close()
-	out := rows[:0:0]
-	for _, row := range rows {
-		ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], row)
-		dup, err := seen.checkAndAdd(ev.keyBuf)
-		if err != nil {
-			return nil, err
-		}
-		if dup {
-			continue
-		}
-		out = append(out, row)
 	}
 	return out, nil
 }

@@ -7,10 +7,18 @@ import (
 
 	"starmagic/internal/catalog"
 	"starmagic/internal/datum"
+	"starmagic/internal/plan"
+	"starmagic/internal/qgm"
 	"starmagic/internal/semant"
 	"starmagic/internal/sql"
 	"starmagic/internal/storage"
 )
+
+// evalGraph lowers g and runs its plan on ev.
+func evalGraph(ev *Evaluator, g *qgm.Graph) ([]datum.Row, error) {
+	rows, _, err := ev.EvalPlan(plan.Lower(g))
+	return rows, err
+}
 
 // testDB wires up the paper's schema with small deterministic data:
 //
@@ -104,7 +112,7 @@ func runQuery(t *testing.T, cat *catalog.Catalog, store *storage.Store, query st
 		t.Fatalf("build %q: %v", query, err)
 	}
 	ev := New(store)
-	rows, err := ev.EvalGraph(g)
+	rows, err := evalGraph(ev, g)
 	if err != nil {
 		t.Fatalf("eval %q: %v", query, err)
 	}
@@ -135,7 +143,7 @@ func runOrdered(t *testing.T, cat *catalog.Catalog, store *storage.Store, query 
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	rows, err := New(store).EvalGraph(g)
+	rows, err := evalGraph(New(store), g)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -351,7 +359,7 @@ func TestScalarSubqueryMultiRowErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(store).EvalGraph(g); err == nil || !strings.Contains(err.Error(), "scalar subquery") {
+	if _, err := evalGraph(New(store), g); err == nil || !strings.Contains(err.Error(), "scalar subquery") {
 		t.Errorf("want scalar subquery error, got %v", err)
 	}
 }
@@ -453,7 +461,7 @@ func TestDivisionByZeroErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(store).EvalGraph(g); err == nil {
+	if _, err := evalGraph(New(store), g); err == nil {
 		t.Error("division by zero should error at runtime")
 	}
 }
@@ -469,7 +477,7 @@ func TestSharedViewMaterializedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := New(store)
-	if _, err := ev.EvalGraph(g); err != nil {
+	if _, err := evalGraph(ev, g); err != nil {
 		t.Fatal(err)
 	}
 	// employee is scanned exactly once: the shared view blob is memoized.
@@ -490,12 +498,12 @@ func TestNoSubqueryCacheReevaluates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached := New(store)
-	if _, err := cached.EvalGraph(g); err != nil {
+	if _, err := evalGraph(cached, g); err != nil {
 		t.Fatal(err)
 	}
 	uncached := New(store)
 	uncached.NoSubqueryCache = true
-	if _, err := uncached.EvalGraph(g); err != nil {
+	if _, err := evalGraph(uncached, g); err != nil {
 		t.Fatal(err)
 	}
 	// 7 employees, 4 distinct workdept values (incl NULL): cached mode runs
@@ -530,7 +538,7 @@ func TestIndexLookupUsed(t *testing.T) {
 		t.Fatal("unexpected quantifier order")
 	}
 	ev := New(store)
-	rows, err := ev.EvalGraph(g)
+	rows, err := evalGraph(ev, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +589,7 @@ func TestMaxRowsBudget(t *testing.T) {
 	}
 	ev := New(store)
 	ev.MaxRows = 10
-	if _, err := ev.EvalGraph(g); err == nil || !strings.Contains(err.Error(), "budget") {
+	if _, err := evalGraph(ev, g); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Errorf("want budget error, got %v", err)
 	}
 }

@@ -19,19 +19,13 @@ type Env map[*qgm.Quantifier]datum.Row
 var paramsQ = &qgm.Quantifier{Name: "?params"}
 
 // BindParams returns an environment carrying only parameter bindings.
-// Evaluators seed their root environments with it via rootEnv; it is
-// exported for callers evaluating expressions outside a box evaluation.
+// A plan's run seeds its root environments with it (planRun.rootEnv); it is
+// exported for callers evaluating expressions outside a plan.
 func BindParams(params datum.Row) Env {
 	if params == nil {
 		return Env{}
 	}
 	return Env{paramsQ: params}
-}
-
-// rootEnv is the environment every top-level box evaluation starts from:
-// empty except for the run's parameter bindings.
-func (ev *Evaluator) rootEnv() Env {
-	return BindParams(ev.Params)
 }
 
 // clone returns a copy of the environment.

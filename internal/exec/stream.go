@@ -5,13 +5,13 @@
 // group-by state, sort buffers, fixpoint deltas) rather than by
 // intermediate-result size.
 //
-// The operators reuse the classic evaluator's machinery — expression
-// evaluation, subquery memoization, the shared box memo, the containers of
-// spill.go — so a plan mixing streamed operators with box-eval bridges
-// (correlated or shared subtrees, extension kinds, recursive fixpoints)
-// stays consistent with box-at-a-time results. Each pipeline breaker runs
-// one way: its input streams into its container, which is plain memory
-// without a budget and spills under one.
+// A box that is materialized rather than streamed — shared, correlated, a
+// subquery input, a recursive fixpoint, an extension kind — is a bridge
+// operator whose children are ordinary operator subtrees (see evalBridge):
+// a correlated subtree is re-opened for each outer binding, with that
+// binding as its operators' outer environment. Each pipeline breaker runs
+// one way: its input streams into its container (spill.go), which is plain
+// memory without a budget and spills under one.
 package exec
 
 import (
@@ -41,10 +41,9 @@ type operator interface {
 // EvalPlan executes a physical plan and returns the result rows plus
 // per-operator statistics indexed by plan node ID. It is the materializing
 // form of OpenPlan: the whole result is drained into one slice. Counters
-// accounting matches the box-at-a-time evaluator's shape (BoxEvals and
-// OutputRows once per box, BaseRows for rows actually read — which streaming
-// makes smaller under early exit), and MaxRows/context cancellation are
-// enforced at batch granularity.
+// count BoxEvals and OutputRows once per box evaluation and BaseRows for
+// rows actually read (which early exit makes smaller), and MaxRows/context
+// cancellation are enforced at batch granularity.
 func (ev *Evaluator) EvalPlan(p *plan.Plan) ([]datum.Row, []plan.OpStats, error) {
 	it, err := ev.OpenPlan(p)
 	if err != nil {
@@ -139,7 +138,7 @@ func (it *PlanIter) Close() error {
 func (it *PlanIter) Stats() []plan.OpStats { return it.run.stats }
 
 // addOutput accounts rows produced by a box-root operator and enforces the
-// row budget, mirroring evalBoxNow's accounting.
+// row budget.
 func (ev *Evaluator) addOutput(n int) error {
 	ev.Counters.OutputRows += int64(n)
 	if ev.MaxRows > 0 && ev.Counters.OutputRows > ev.MaxRows {
@@ -150,10 +149,24 @@ func (ev *Evaluator) addOutput(n int) error {
 
 // planRun is one execution of a plan: the operator instances and their
 // per-node statistics (plans are shared across concurrent executions; all
-// mutable state lives here and in the evaluator).
+// mutable state lives here and in the evaluator). A correlated subtree runs
+// in a planRun of its own per outer binding, sharing the statistics.
 type planRun struct {
 	ev    *Evaluator
 	stats []plan.OpStats
+	// outer holds the outer bindings (and the parameters) of a correlated
+	// subtree's run; nil for the plan's own run.
+	outer Env
+}
+
+// rootEnv is the environment every operator of the run starts from: the
+// run's parameter bindings, plus the outer bindings of a correlated
+// subtree's run.
+func (r *planRun) rootEnv() Env {
+	if r.outer == nil {
+		return BindParams(r.ev.Params)
+	}
+	return r.outer.clone()
 }
 
 // spillNote returns the spill-event callback for node n, attributing spill
@@ -190,16 +203,16 @@ func (r *planRun) build(n *plan.Node) operator {
 	case plan.OpIntersect, plan.OpExcept:
 		op = &setOpOp{r: r, n: n}
 	case plan.OpDistinct:
-		op = &distinctOp{r: r, n: n, child: r.build(n.Children[0])}
+		d := &distinctOp{r: r, n: n, child: r.build(n.Children[0])}
+		d.clone = recycle(d.child)
+		op = d
 	case plan.OpSort:
 		op = &sortOp{r: r, n: n, child: r.build(n.Children[0])}
 	case plan.OpLimit:
 		op = &limitOp{r: r, n: n, child: r.build(n.Children[0])}
 	case plan.OpTrim:
 		op = &trimOp{r: r, n: n, child: r.build(n.Children[0])}
-	case plan.OpBoxEval, plan.OpFixpoint:
-		op = &boxEvalOp{r: r, n: n}
-	default:
+	default: // plan.OpBoxEval, plan.OpFixpoint
 		op = &boxEvalOp{r: r, n: n}
 	}
 	return &instrumented{op: op, st: &r.stats[n.ID]}
@@ -224,65 +237,39 @@ func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
 	return rows, nil
 }
 
-// evalBridge materializes a bridge node's box. A shared box carries its own
-// streamed plan below the bridge: the first consumer drains it (vectorized
-// where it can) into the box memo — charged to the memory budget when there
-// is one — which serves every later consumer, bridged or streamed. Only
-// extension kinds and recursive fixpoints evaluate box-at-a-time.
-func (r *planRun) evalBridge(n *plan.Node) ([]datum.Row, error) {
-	ev := r.ev
-	if len(n.Children) != 1 {
-		return ev.EvalBox(n.Box, ev.rootEnv())
-	}
-	if !ev.NoSubqueryCache {
-		if rows, ok := ev.memo[n.Box]; ok {
-			return rows, nil
-		}
-	}
-	rows, err := r.drain(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	if !ev.NoSubqueryCache {
-		ev.memoInsert(n.Box, rows)
-	}
-	return rows, nil
-}
-
 // scanBuild snapshots the base table of scan node n columnar, for a flat
 // hash-join build: the zero-copy column arrays, the aligned row slice, the
 // visibility selection (nil when every version is visible) and the intern
-// table. It charges exactly what a streamed scan of the same node charges —
-// nothing when the classic evaluator already scanned (and memoized) the
-// table.
+// table. It charges exactly what a streamed scan of the same node charges.
 func (r *planRun) scanBuild(n *plan.Node) (vec.Table, []datum.Row, []int32, *vec.Intern, error) {
-	ev := r.ev
-	rel, err := ev.relation(n.Box.Table)
+	rel, err := r.ev.relation(n.Box.Table)
 	if err != nil {
 		return vec.Table{}, nil, nil, nil, err
 	}
 	tbl, rows, vis, tab := rel.Vec()
-	if !ev.NoSubqueryCache {
-		if _, ok := ev.memo[n.Box]; ok {
-			return tbl, rows, vis, tab, nil
-		}
-	}
 	visible := tbl.N
 	if vis != nil {
 		visible = len(vis)
 	}
-	ev.Counters.BoxEvals++
-	ev.Counters.BaseRows += int64(visible)
-	if err := ev.addOutput(visible); err != nil {
+	if err := r.chargeScan(n, visible); err != nil {
 		return vec.Table{}, nil, nil, nil, err
 	}
+	return tbl, rows, vis, tab, nil
+}
+
+// chargeScan charges what a streamed scan of node n charges for reading
+// visible rows in one go.
+func (r *planRun) chargeScan(n *plan.Node, visible int) error {
+	ev := r.ev
+	ev.Counters.BoxEvals++
+	ev.Counters.BaseRows += int64(visible)
 	st := &r.stats[n.ID]
 	st.Opens++
 	if visible > 0 {
 		st.Batches++
 		st.Rows += int64(visible)
 	}
-	return tbl, rows, vis, tab, nil
+	return ev.addOutput(visible)
 }
 
 // instrumented wraps an operator with per-node counters: opens, batches,
@@ -372,10 +359,9 @@ func (s *scanOp) close() error {
 }
 
 // boxEvalOp materializes a box and streams the result out in batches:
-// OpBoxEval (shared, extension kind) and OpFixpoint (recursive) nodes go
-// through evalBridge — for a shared box its own streamed plan, otherwise the
-// classic evaluator's EvalBox, which handles memoization and naive fixpoint
-// iteration. All Counters accounting happens inside those.
+// OpBoxEval (shared, fixpoint input, extension kind) and OpFixpoint
+// (recursive) nodes go through evalBridge, which handles memoization and
+// naive fixpoint iteration. All Counters accounting happens inside it.
 type boxEvalOp struct {
 	r    *planRun
 	n    *plan.Node
@@ -470,8 +456,8 @@ type selectPipeOp struct {
 	grace *graceJoin
 
 	// recycle lets next project into one reused slab instead of a fresh row
-	// per binding. Set by a consumer that keeps no reference to a row past
-	// the following next call (the group-by).
+	// per binding. Set through recycle by a consumer that keeps no reference
+	// to a row past the following next call, or copies the rows it keeps.
 	recycle bool
 	slab    []datum.D
 	out     []datum.Row
@@ -482,7 +468,7 @@ func (p *selectPipeOp) open() error {
 	if p.n.BoxRoot {
 		ev.Counters.BoxEvals++
 	}
-	p.env = ev.rootEnv()
+	p.env = p.r.rootEnv()
 	p.done = false
 	p.grace = nil
 	p.oneShot = len(p.n.Stages) == 0
@@ -621,9 +607,19 @@ func (p *selectPipeOp) buildHash(ss *stageState) error {
 }
 
 // buildScan streams a nested-loop inner into its replayable row buffer.
+// Without a budget, a base-table inner adopts the scan's visible rows in
+// place, charged as a streamed scan of them is.
 func (p *selectPipeOp) buildScan(ss *stageState) error {
 	ss.built = true
 	ss.buf = p.r.ev.newRowBuffer("nl-inner", p.r.spillNote(p.n))
+	if child := ss.st.Child; child.Kind == plan.OpScan && p.r.ev.Mem == nil {
+		rel, err := p.r.ev.relation(child.Box.Table)
+		if err != nil {
+			return err
+		}
+		ss.buf.rows = rel.Rows()
+		return p.r.chargeScan(child, len(ss.buf.rows))
+	}
 	return p.r.pull(ss.st.Child, func(batch []datum.Row) error {
 		for _, row := range batch {
 			if err := ss.buf.add(row); err != nil {
@@ -770,14 +766,11 @@ func (p *selectPipeOp) resetStage(i int) error {
 		ss.rows = nil
 		return ss.cur.rewind(ss.buf)
 	case plan.AccessCorr:
-		rows, err := ev.EvalBox(ss.st.Quant.Ranges, p.env)
+		rows, err := p.r.bridgeUnder(ss.st.Child, p.env)
 		if err != nil {
 			return err
 		}
 		ss.rows = rows
-		st := &p.r.stats[ss.st.Child.ID]
-		st.Opens++
-		st.Rows += int64(len(rows))
 	}
 	return nil
 }
@@ -846,9 +839,10 @@ func (p *selectPipeOp) advanceStage(i int) (bool, error) {
 // post-predicates, and semi/anti-join checks. Scalar bindings stay live for
 // the projection; the caller clears them.
 func (p *selectPipeOp) finishRow() (bool, error) {
-	ev := p.r.ev
-	for _, q := range p.n.Scalars {
-		rows, err := ev.evalSubquery(q, p.env)
+	for i := range p.n.Scalars {
+		sq := &p.n.Scalars[i]
+		q := sq.Quant
+		rows, err := p.r.evalSubquery(sq.Child, q, p.env)
 		if err != nil {
 			return false, err
 		}
@@ -890,7 +884,7 @@ func (p *selectPipeOp) checkSubq(i int) (bool, error) {
 	ev := p.r.ev
 	sq := &p.n.Subqs[i]
 	if sq.Mode == plan.SubqBridge {
-		rows, err := ev.evalSubquery(sq.Quant, p.env)
+		rows, err := p.r.evalSubquery(sq.Child, sq.Quant, p.env)
 		if err != nil {
 			return false, err
 		}
@@ -985,8 +979,8 @@ func (p *selectPipeOp) next() ([]datum.Row, error) {
 			}
 			out = append(out, row)
 		}
-		for _, q := range p.n.Scalars {
-			delete(p.env, q)
+		for _, sq := range p.n.Scalars {
+			delete(p.env, sq.Quant)
 		}
 		if p.n.BoxRoot && len(out) > 0 {
 			if err := ev.addOutput(len(out)); err != nil {
@@ -1032,8 +1026,8 @@ func (p *selectPipeOp) next() ([]datum.Row, error) {
 		if pass {
 			row, err = p.project(len(out))
 		}
-		for _, q := range p.n.Scalars {
-			delete(p.env, q)
+		for _, sq := range p.n.Scalars {
+			delete(p.env, sq.Quant)
 		}
 		if err != nil {
 			return nil, err
@@ -1102,6 +1096,32 @@ func (p *selectPipeOp) close() error {
 	return err
 }
 
+// recycle lets child, when it is a row-path select, project into its reused
+// slab (see selectPipeOp.recycle), and reports whether it does: the
+// consumer must then copy every row it keeps past the following next call.
+func recycle(child operator) bool {
+	sp, ok := child.(*instrumented).op.(*selectPipeOp)
+	if ok {
+		sp.recycle = true
+	}
+	return ok
+}
+
+// cloneRows copies rows kept from a recycled batch into one fresh backing
+// array, so they outlive the batch at one allocation per batch.
+func cloneRows(rows []datum.Row) {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	slab := make([]datum.D, 0, n)
+	for i, r := range rows {
+		start := len(slab)
+		slab = append(slab, r...)
+		rows[i] = slab[start:len(slab):len(slab)]
+	}
+}
+
 // groupOut streams a finished group-by's result rows; both group-by
 // operators fill out at open.
 type groupOut struct {
@@ -1141,11 +1161,8 @@ func (g *groupByOp) open() error {
 	}
 	child := g.r.build(g.n.Children[0])
 	// Grouping keeps no reference to an input row — a new group copies its
-	// key, aggregate states hold values — so a select child may recycle its
-	// projected rows between batches.
-	if sp, ok := child.(*instrumented).op.(*selectPipeOp); ok {
-		sp.recycle = true
-	}
+	// key, aggregate states hold values.
+	recycle(child)
 	return g.drainKeyed(child)
 }
 
@@ -1158,7 +1175,7 @@ func (g *groupByOp) drainKeyed(child operator) error {
 	inQ := b.Quantifiers[0]
 	gt := ev.newGroupTable("group-by", g.r.spillNote(g.n))
 	defer gt.close()
-	env := ev.rootEnv()
+	env := g.r.rootEnv()
 	var gkBuf []byte
 	err := pullOp(child, func(batch []datum.Row) error {
 		for _, row := range batch {
@@ -1257,6 +1274,7 @@ type setOpOp struct {
 	r      *planRun
 	n      *plan.Node
 	left   operator
+	clone  bool // left recycles its rows: copy the kept ones
 	counts *countTable
 	seen   *seenSet
 	out    []datum.Row
@@ -1268,7 +1286,10 @@ func (s *setOpOp) open() error {
 		ev.Counters.BoxEvals++
 	}
 	s.counts = ev.newCountTable("setop", s.r.spillNote(s.n))
-	err := s.r.pull(s.n.Children[1], func(batch []datum.Row) error {
+	// The right input is only counted: its rows may be recycled.
+	right := s.r.build(s.n.Children[1])
+	recycle(right)
+	err := pullOp(right, func(batch []datum.Row) error {
 		for _, row := range batch {
 			ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], row)
 			if err := s.counts.inc(ev.keyBuf); err != nil {
@@ -1282,6 +1303,7 @@ func (s *setOpOp) open() error {
 	}
 	s.seen = ev.newSeenSet("setop-seen", s.r.spillNote(s.n))
 	s.left = s.r.build(s.n.Children[0])
+	s.clone = recycle(s.left)
 	return s.left.open()
 }
 
@@ -1355,6 +1377,9 @@ func (s *setOpOp) next() ([]datum.Row, error) {
 		if len(s.out) == 0 {
 			continue
 		}
+		if s.clone {
+			cloneRows(s.out)
+		}
 		if s.n.BoxRoot {
 			if err := ev.addOutput(len(s.out)); err != nil {
 				return nil, err
@@ -1380,11 +1405,12 @@ func (s *setOpOp) close() error {
 }
 
 // distinctOp filters duplicates with a streaming seen-set, keeping the
-// first occurrence — matching the materializing evaluator's dedupe order.
+// first occurrence.
 type distinctOp struct {
 	r     *planRun
 	n     *plan.Node
 	child operator
+	clone bool // child recycles its rows: copy the kept ones
 	seen  *seenSet
 	out   []datum.Row
 }
@@ -1423,6 +1449,9 @@ func (d *distinctOp) next() ([]datum.Row, error) {
 		if len(d.out) == 0 {
 			continue
 		}
+		if d.clone {
+			cloneRows(d.out)
+		}
 		if d.n.BoxRoot {
 			if err := ev.addOutput(len(d.out)); err != nil {
 				return nil, err
@@ -1441,10 +1470,10 @@ func (d *distinctOp) close() error {
 	return err
 }
 
-// sortOp is a pipeline breaker implementing top-level ORDER BY with the
-// same stable comparator as the materializing evaluator: open streams the
-// input into an extSorter, an in-memory stable sort without a budget and an
-// external merge sort under one. When Lower's EstMem estimate already
+// sortOp is a pipeline breaker implementing top-level ORDER BY with a
+// stable comparator: open streams the input into an extSorter, an
+// in-memory stable sort without a budget and an external merge sort under
+// one. When Lower's EstMem estimate already
 // exceeds the budget, run flushing is eager (bounded-size runs) rather than
 // waiting for the first denial.
 type sortOp struct {

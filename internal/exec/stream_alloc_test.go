@@ -12,22 +12,24 @@ import (
 	"starmagic/internal/storage"
 )
 
-// TestHashProbeAllocs pins the transient hash-join probe to zero
+// TestHashProbeAllocs pins the row pipeline's hash-join probe to zero
 // allocations per probe: the key is encoded into the evaluator's reused
-// buffer and the bucket is read with the map-index string(buf) pattern,
-// which Go compiles without materializing a string.
+// buffer and the unbudgeted (plain-map) spillJoin is read with the
+// map-index string(buf) pattern, which Go compiles without materializing a
+// string.
 func TestHashProbeAllocs(t *testing.T) {
 	ev := New(storage.NewStore())
-	inner := &qgm.Quantifier{Name: "i"}
+	sj := ev.newSpillJoin(nil)
+	defer sj.close()
+	var key []byte
+	for i := 0; i < 256; i++ {
+		row := datum.Row{datum.Int(int64(i % 32)), datum.Int(int64(i))}
+		key = row[0].AppendKey(key[:0])
+		if err := sj.add(key, row); err != nil {
+			t.Fatal(err)
+		}
+	}
 	outer := &qgm.Quantifier{Name: "o"}
-	rows := make([]datum.Row, 256)
-	for i := range rows {
-		rows[i] = datum.Row{datum.Int(int64(i % 32)), datum.Int(int64(i))}
-	}
-	ht, err := ev.buildHashTable(inner, []qgm.Expr{&qgm.ColRef{Q: inner, Ord: 0}}, rows, Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	probeKey := []qgm.Expr{&qgm.ColRef{Q: outer, Ord: 0}}
 	env := Env{outer: datum.Row{datum.Int(7), datum.Int(0)}}
 
@@ -41,7 +43,11 @@ func TestHashProbeAllocs(t *testing.T) {
 			}
 			ev.keyBuf = v.AppendKey(ev.keyBuf)
 		}
-		matched = len(ht[string(ev.keyBuf)])
+		rows, err := sj.probe(ev.keyBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched = len(rows)
 	}); avg > 0 {
 		t.Errorf("hash probe allocates %.1f times per run, want 0", avg)
 	}

@@ -1248,7 +1248,7 @@ func (o *vecSelectOp) open() error {
 	if o.n.BoxRoot {
 		ev.Counters.BoxEvals++
 	}
-	o.env = ev.rootEnv()
+	o.env = o.r.rootEnv()
 	o.done = false
 	o.acquire()
 	for _, pred := range o.n.ConstPreds {

@@ -60,8 +60,7 @@ type ExecSample struct {
 	ExecNanos int64
 	// Exec is the executor counter snapshot of this run.
 	Exec ExecStats
-	// Operators lists the per-physical-operator counters when the run used
-	// the streaming executor (nil for materialized box-at-a-time runs).
+	// Operators lists the run's per-physical-operator counters.
 	Operators OpCounters
 	// Mem is the memory-governance footprint of the run; the zero value
 	// means the run executed without a budget.

@@ -2,6 +2,8 @@ package plan
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"starmagic/internal/datum"
@@ -11,11 +13,13 @@ import (
 
 // Lower turns an optimized QGM graph into a physical plan. Each box becomes
 // an operator subtree; select boxes consume the optimizer's JoinOrder to lay
-// out pipeline stages with explicit access paths. Boxes the streaming
-// executor cannot (or should not) stream — correlated subtrees, shared
-// common subexpressions, extension kinds, recursive fixpoints — lower to
-// bridge operators that evaluate through the classic box-at-a-time
-// evaluator, so every graph the evaluator accepts has a plan.
+// out pipeline stages with explicit access paths. A box that is materialized
+// rather than streamed — a correlated subtree, a shared common
+// subexpression, an extension kind, a recursive fixpoint — lowers to a
+// bridge operator over its own lowered subtree (an extension kind: over its
+// quantifiers' subtrees), which the executor drains per evaluation. A
+// correlated subtree is lowered with the outer quantifiers it references
+// bound, as `?` parameters are.
 func Lower(g *qgm.Graph) *Plan {
 	return LowerWith(g, opt.NewEstimator())
 }
@@ -27,7 +31,7 @@ func LowerWith(g *qgm.Graph, est *opt.Estimator) *Plan {
 		p:         &Plan{Graph: g},
 		est:       est,
 		uses:      map[*qgm.Box]int{},
-		freeCache: map[*qgm.Box]bool{},
+		freeCache: map[*qgm.Box]map[*qgm.Quantifier]bool{},
 	}
 	for _, b := range g.Boxes {
 		for _, q := range b.Quantifiers {
@@ -73,12 +77,17 @@ type lowerer struct {
 	p         *Plan
 	est       *opt.Estimator
 	uses      map[*qgm.Box]int
-	freeCache map[*qgm.Box]bool
+	freeCache map[*qgm.Box]map[*qgm.Quantifier]bool
+	// bound holds the outer quantifiers of the correlated subtree being
+	// lowered: the executor binds them before it opens the subtree.
+	bound map[*qgm.Quantifier]bool
+	// fix holds the recursive roots whose bodies are being lowered.
+	fix []*qgm.Box
 }
 
-// hasFree reports whether b's subtree references quantifiers declared
-// outside it (correlation). Mirrors the evaluator's closedness test.
-func (lw *lowerer) hasFree(b *qgm.Box) bool {
+// free returns the quantifiers declared outside b's subtree that it
+// references (its correlation). Mirrors the executor's closedness test.
+func (lw *lowerer) free(b *qgm.Box) map[*qgm.Quantifier]bool {
 	if v, ok := lw.freeCache[b]; ok {
 		return v
 	}
@@ -98,14 +107,17 @@ func (lw *lowerer) hasFree(b *qgm.Box) bool {
 	}
 	collect(b)
 
-	free := false
+	var free map[*qgm.Quantifier]bool
 	check := func(e qgm.Expr) {
-		if e == nil || free {
+		if e == nil {
 			return
 		}
 		qgm.VisitRefs(e, func(c *qgm.ColRef) {
 			if !owned[c.Q] {
-				free = true
+				if free == nil {
+					free = map[*qgm.Quantifier]bool{}
+				}
+				free[c.Q] = true
 			}
 		})
 	}
@@ -127,14 +139,54 @@ func (lw *lowerer) hasFree(b *qgm.Box) bool {
 	return free
 }
 
-// bridge creates a box-eval operator: the box is materialized through the
-// classic evaluator (memoized when closed).
-func (lw *lowerer) bridge(b *qgm.Box, reason string) *Node {
+// hasFree reports whether b's subtree references quantifiers declared
+// outside it (correlation).
+func (lw *lowerer) hasFree(b *qgm.Box) bool { return len(lw.free(b)) > 0 }
+
+// bridge creates a box-eval operator: box b is materialized from its
+// children (its own lowered subtree, or an extension kind's inputs) and
+// memoized when closed.
+func (lw *lowerer) bridge(b *qgm.Box, reason string, children ...*Node) *Node {
 	n := lw.p.newNode(OpBoxEval, b, "materialize "+boxName(b))
 	n.Detail = reason
 	n.EstRows = lw.est.Card(b)
 	n.EstMem = n.EstRows * estWidth(b)
+	n.Children = children
 	return n
+}
+
+// lowerInput lowers the input of a subquery or correlated-stage bridge: b's
+// own subtree, with the outer quantifiers it references bound.
+func (lw *lowerer) lowerInput(b *qgm.Box) *Node {
+	saved := lw.bound
+	lw.bound = lw.free(b)
+	defer func() { lw.bound = saved }()
+	return lw.lowerRoot(b)
+}
+
+// inComponent reports whether b reaches one of the recursive roots whose
+// bodies are being lowered: its rows change from one round to the next.
+func (lw *lowerer) inComponent(b *qgm.Box) bool {
+	seen := map[*qgm.Box]bool{}
+	var reach func(x *qgm.Box) bool
+	reach = func(x *qgm.Box) bool {
+		if x == nil || seen[x] {
+			return false
+		}
+		seen[x] = true
+		for _, r := range lw.fix {
+			if x == r {
+				return true
+			}
+		}
+		for _, q := range x.Quantifiers {
+			if reach(q.Ranges) {
+				return true
+			}
+		}
+		return reach(x.MagicBox)
+	}
+	return reach(b)
 }
 
 // estWidth is a coarse per-row byte estimate (datum struct size per output
@@ -147,27 +199,55 @@ func estWidth(b *qgm.Box) float64 {
 	return float64(24 + 48*cols)
 }
 
-// lowerBox lowers b as one consumer's input. Correlated boxes never reach
-// it: lowerSelect bridges them as AccessCorr stage children or as subquery
-// and scalar inputs. A recursive cycle stops at its fixpoint node.
+// lowerBox lowers b as one consumer's input. Correlated boxes reach it only
+// inside a correlated subtree (see lowerInput). A closed box is bridged when
+// it is shared, so it is evaluated once and its rows serve every consumer,
+// and inside a fixpoint body when it lies outside the recursive component,
+// so its rows serve every round; a reference back to a root whose body is
+// being lowered is a leaf that reads the round's rows. A recursive root is
+// never bridged: its fixpoint memoizes its own set.
 func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
-	switch {
-	case b.Recursive:
-		n := lw.p.newNode(OpFixpoint, b, "fixpoint "+boxName(b))
-		n.Detail = "naive iteration"
-		n.EstRows = lw.est.Card(b)
-		n.EstMem = n.EstRows * estWidth(b)
-		return n
-	case lw.uses[b] > 1 && b.Kind != qgm.KindBaseTable:
-		// A shared box is evaluated once and its rows serve every consumer.
-		// Its own streamed plan hangs below each bridge; the consumer that
-		// runs first drains it into the evaluator's box memo, the others
-		// read the memo and leave their copy unopened.
-		n := lw.bridge(b, "shared")
-		n.Children = []*Node{lw.lowerOwn(b)}
-		return n
+	if slices.Contains(lw.fix, b) {
+		return lw.fixpoint(b, "current round")
 	}
-	return lw.lowerOwn(b)
+	shared := lw.uses[b] > 1 && b.Kind != qgm.KindBaseTable
+	if b.Recursive || !shared && len(lw.fix) == 0 || lw.hasFree(b) || len(lw.fix) > 0 && lw.inComponent(b) {
+		return lw.lowerRoot(b)
+	}
+	// The consumer that runs first drains a bridge's subtree into the
+	// executor's box memo; the others read the memo and leave their copy
+	// unopened. A bridged input of a fixpoint body is outside the recursive
+	// component, so nothing below it reads a round's rows.
+	reason := "shared"
+	if !shared {
+		reason = "fixpoint input"
+	}
+	fix := lw.fix
+	lw.fix = nil
+	defer func() { lw.fix = fix }()
+	return lw.bridge(b, reason, lw.lowerRoot(b))
+}
+
+// lowerRoot lowers b's own subtree; a recursive root becomes a fixpoint
+// over its body, which the executor re-opens each round.
+func (lw *lowerer) lowerRoot(b *qgm.Box) *Node {
+	if !b.Recursive {
+		return lw.lowerOwn(b)
+	}
+	n := lw.fixpoint(b, "naive iteration")
+	lw.fix = append(lw.fix, b)
+	n.Children = []*Node{lw.lowerOwn(b)}
+	lw.fix = lw.fix[:len(lw.fix)-1]
+	return n
+}
+
+// fixpoint creates a fixpoint operator for recursive root b.
+func (lw *lowerer) fixpoint(b *qgm.Box, detail string) *Node {
+	n := lw.p.newNode(OpFixpoint, b, "fixpoint "+boxName(b))
+	n.Detail = detail
+	n.EstRows = lw.est.Card(b)
+	n.EstMem = n.EstRows * estWidth(b)
+	return n
 }
 
 // lowerOwn lowers b itself to a streamed operator subtree, whatever its
@@ -198,7 +278,11 @@ func (lw *lowerer) lowerOwn(b *qgm.Box) *Node {
 		n.Detail = setDetail(b)
 		n.Children = []*Node{lw.lowerBox(b.Quantifiers[0].Ranges), lw.lowerBox(b.Quantifiers[1].Ranges)}
 	default:
-		return lw.bridge(b, "extension kind")
+		n = lw.bridge(b, "extension kind")
+		for _, q := range b.Quantifiers {
+			n.Children = append(n.Children, lw.lowerBox(q.Ranges))
+		}
+		return n
 	}
 	n.EstRows = lw.est.Card(b)
 	n.EstMem = n.EstRows * estWidth(b)
@@ -218,9 +302,11 @@ func (lw *lowerer) lowerOwn(b *qgm.Box) *Node {
 	return n
 }
 
-// lowerSelect lays out a select box's join pipeline: predicate staging and
-// equality-key extraction mirror the evaluator's per-box planning, but are
-// resolved once at lowering time against the optimizer's join order.
+// lowerSelect lays out a select box's join pipeline against the optimizer's
+// join order: each predicate runs at the first stage that binds everything
+// it references (stage 0 when it references only outer bindings of a
+// correlated subtree), and an equality between a stage's own columns and
+// earlier or outer bindings keys an index or hash stage.
 func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 	n := lw.p.newNode(OpSelect, b, "select "+boxName(b))
 
@@ -267,6 +353,9 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 				if pos[c.Q] > stage {
 					stage = pos[c.Q]
 				}
+			case lw.bound[c.Q]:
+				// An outer binding of a correlated subtree: known before
+				// any stage runs.
 			default:
 				unbound = true
 			}
@@ -298,6 +387,7 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 		var residual []qgm.Expr
 		if !corr {
 			earlier := map[*qgm.Quantifier]bool{}
+			maps.Copy(earlier, lw.bound)
 			for _, eq := range fQ[:i] {
 				earlier[eq] = true
 			}
@@ -347,7 +437,7 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 		case corr:
 			st.Access = AccessCorr
 			st.Residual = preds
-			st.Child = lw.bridge(childBox, "correlated")
+			st.Child = lw.bridge(childBox, "correlated", lw.lowerInput(childBox))
 		case indexable:
 			st.Access = AccessIndex
 			st.Residual = residual
@@ -371,14 +461,14 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 		detail = append(detail, q.Name+":"+st.Access.String())
 	}
 
-	n.Scalars = sQ
 	for _, q := range sQ {
 		reason := "scalar, memoized"
 		if lw.hasFree(q.Ranges) {
 			reason = "scalar, correlated"
 		}
-		child := lw.bridge(q.Ranges, reason)
-		n.Children = append(n.Children, child)
+		sq := Subquery{Quant: q, Mode: SubqBridge, Child: lw.bridge(q.Ranges, reason, lw.lowerInput(q.Ranges))}
+		n.Scalars = append(n.Scalars, sq)
+		n.Children = append(n.Children, sq.Child)
 		detail = append(detail, q.Name+":scalar")
 	}
 
@@ -408,7 +498,7 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 			if !closed {
 				reason = kind + "-join, correlated"
 			}
-			sq.Child = lw.bridge(q.Ranges, reason)
+			sq.Child = lw.bridge(q.Ranges, reason, lw.lowerInput(q.Ranges))
 			detail = append(detail, q.Name+":"+kind)
 		}
 		n.Subqs = append(n.Subqs, sq)

@@ -4,9 +4,10 @@
 // tree: scans, join-pipeline stages with explicit access paths, semi/anti
 // subquery checks, group-by, set operations, distinct, sort, limit, and the
 // recursive fixpoint. The streaming executor (internal/exec) interprets the
-// tree with an Open/Next/Close iterator protocol over small row batches;
-// shapes the lowering cannot stream fall back to a box-eval bridge operator
-// that materializes through the classic evaluator.
+// tree with an Open/Next/Close iterator protocol over small row batches; a
+// box that is materialized rather than streamed (shared, correlated,
+// recursive, an extension kind) is a bridge operator over its own lowered
+// subtree, which the executor drains.
 //
 // The split mirrors the architecture transformation-based optimizers assume
 // (a logical rewrite graph above an explicit physical operator tree) and is
@@ -52,12 +53,16 @@ const (
 	// OpTrim drops trailing hidden ORDER BY support columns.
 	OpTrim
 	// OpFixpoint evaluates a recursive view by naive iteration (a pipeline
-	// breaker: each round re-evaluates the whole body against the
-	// accumulated set) and streams the fixpoint out.
+	// breaker: each round re-opens its child, the body, against the
+	// accumulated set) and streams the fixpoint out. Inside the body, a
+	// childless OpFixpoint reads the accumulated set of the current round.
 	OpFixpoint
-	// OpBoxEval bridges to the classic evaluator: the box is materialized
-	// (and memoized when closed) rather than streamed. Used for correlated
-	// subtrees, shared common subexpressions, and extension box kinds.
+	// OpBoxEval materializes a box (memoized when closed) rather than
+	// streaming it: its child is the box's own lowered subtree, drained per
+	// evaluation. Used for correlated subtrees, subquery inputs, shared
+	// common subexpressions and closed inputs of a fixpoint body; an
+	// extension box kind's bridge has one child per quantifier and runs the
+	// kind's registered handler over their rows.
 	OpBoxEval
 )
 
@@ -106,8 +111,8 @@ const (
 	// AccessScan rescans the materialized child rows per outer binding
 	// (nested loop).
 	AccessScan
-	// AccessCorr re-evaluates a correlated child box per outer binding
-	// through the classic evaluator.
+	// AccessCorr re-evaluates a correlated child box per outer binding: the
+	// child bridge's subtree is drained under the binding.
 	AccessCorr
 )
 
@@ -149,9 +154,9 @@ type SubqMode uint8
 
 // Subquery check modes.
 const (
-	// SubqBridge evaluates the subquery through the classic evaluator
-	// (memoized per correlation binding) and applies the match predicates
-	// row by row, short-circuiting at the first decisive row.
+	// SubqBridge materializes the subquery through its bridge (memoized per
+	// correlation binding) and applies the match predicates row by row,
+	// short-circuiting at the first decisive row.
 	SubqBridge SubqMode = iota
 	// SubqFirstMatch streams the subquery operator tree and stops pulling at
 	// the first decisive row — the semi/anti-join early exit. Only
@@ -159,14 +164,14 @@ const (
 	SubqFirstMatch
 )
 
-// Subquery is one Exists (semi-join) or ForAll (anti-join) check of an
-// OpSelect node.
+// Subquery is one Exists (semi-join), ForAll (anti-join) or Scalar
+// subquery of an OpSelect node.
 type Subquery struct {
 	Quant *qgm.Quantifier
 	Match []qgm.Expr
 	Mode  SubqMode
-	// Child is the subquery operator tree (streamed for SubqFirstMatch;
-	// display-only for SubqBridge).
+	// Child is the subquery operator tree: streamed for SubqFirstMatch, a
+	// bridge over the subquery's subtree for SubqBridge.
 	Child *Node
 }
 
@@ -200,7 +205,7 @@ type Node struct {
 	// OpSelect payload.
 	ConstPreds []qgm.Expr // stage-0 predicates (constant under no bindings)
 	Stages     []Stage
-	Scalars    []*qgm.Quantifier
+	Scalars    []Subquery // SubqBridge, no match predicates
 	Subqs      []Subquery
 	PostPreds  []qgm.Expr
 
@@ -214,8 +219,7 @@ type Node struct {
 	// BoxRoot marks the node that completes its box's semantics (for a
 	// DISTINCT select box that is the distinct wrapper, not the join
 	// pipeline). The executor counts BoxEvals/OutputRows and enforces the
-	// row budget at box roots, once per box, matching the classic
-	// evaluator's accounting.
+	// row budget at box roots, once per box evaluation.
 	BoxRoot bool
 
 	// Vec marks an operator the lowering judged vectorizable (see

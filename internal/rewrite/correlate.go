@@ -11,9 +11,13 @@ import (
 // correlated predicates, so the view is re-evaluated once per outer row —
 // DB2's classic correlated evaluation of nested tables, "a leading
 // optimization technique for complex SQL queries" that the paper benchmarks
-// EMST against. Combined with the executor's NoSubqueryCache mode this
-// reproduces both correlation's wins (very selective outers) and its
-// disasters (wide outers re-triggering expensive views).
+// EMST against. Lowering bridges each correlated copy as an AccessCorr stage
+// over the copy's own subtree, planned with the outer columns bound (an
+// index probe where the pushed equality meets an index), and the executor
+// re-opens that subtree per outer row; its NoSubqueryCache mode keeps any
+// result from being reused across rows. This reproduces both correlation's
+// wins (very selective outers) and its disasters (wide outers
+// re-triggering expensive views).
 func CorrelateViews(g *qgm.Graph) {
 	for changed := true; changed; {
 		changed = false

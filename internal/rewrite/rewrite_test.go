@@ -8,6 +8,7 @@ import (
 	"starmagic/internal/catalog"
 	"starmagic/internal/datum"
 	"starmagic/internal/exec"
+	"starmagic/internal/plan"
 	"starmagic/internal/qgm"
 	"starmagic/internal/semant"
 	"starmagic/internal/sql"
@@ -111,7 +112,7 @@ func buildGraph(t *testing.T, cat *catalog.Catalog, query string) *qgm.Graph {
 
 func evalRows(t *testing.T, store *storage.Store, g *qgm.Graph) []string {
 	t.Helper()
-	rows, err := exec.New(store).EvalGraph(g)
+	rows, _, err := exec.New(store).EvalPlan(plan.Lower(g))
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -504,7 +505,7 @@ func TestCorrelatedExecutionCounters(t *testing.T) {
 	// Materialized: employee scanned once for the view.
 	g1 := buildGraph(t, cat, query)
 	ev1 := exec.New(store)
-	if _, err := ev1.EvalGraph(g1); err != nil {
+	if _, _, err := ev1.EvalPlan(plan.Lower(g1)); err != nil {
 		t.Fatal(err)
 	}
 	// Correlated: view re-evaluated per department row.
@@ -512,7 +513,7 @@ func TestCorrelatedExecutionCounters(t *testing.T) {
 	CorrelateViews(g2)
 	ev2 := exec.New(store)
 	ev2.NoSubqueryCache = true
-	if _, err := ev2.EvalGraph(g2); err != nil {
+	if _, _, err := ev2.EvalPlan(plan.Lower(g2)); err != nil {
 		t.Fatal(err)
 	}
 	if ev2.Counters.BaseRows <= ev1.Counters.BaseRows {

@@ -3,8 +3,8 @@ package rewrite
 import (
 	"testing"
 
-	"starmagic/internal/exec"
 	"starmagic/internal/qgm"
+	"starmagic/internal/testutil"
 )
 
 // TestDuplicateFreeSoundness checks the key-inference engine against
@@ -36,8 +36,7 @@ func TestDuplicateFreeSoundness(t *testing.T) {
 				}
 				// Skip correlated boxes: they cannot be materialized
 				// standalone.
-				ev := exec.New(store)
-				rows, err := ev.EvalBox(b, exec.Env{})
+				rows, err := testutil.Reference(&qgm.Graph{Top: b, Limit: -1}, store.LiveView(), nil)
 				if err != nil {
 					continue
 				}
@@ -71,8 +70,7 @@ func TestDistinctPermitImpliesDuplicateFree(t *testing.T) {
 			if b.Distinct != qgm.DistinctPermit {
 				continue
 			}
-			ev := exec.New(store)
-			rows, err := ev.EvalBox(b, exec.Env{})
+			rows, err := testutil.Reference(&qgm.Graph{Top: b, Limit: -1}, store.LiveView(), nil)
 			if err != nil {
 				continue
 			}

@@ -1,7 +1,9 @@
 // Package testutil provides the shared test fixture: the paper's
 // employee/department schema (Example 1.1) with its mgrSal/avgMgrSal views,
 // loaded at a configurable scale, plus helpers to build and evaluate QGM
-// graphs. Tests across core, engine and the benchmark harness use it.
+// graphs, and the naive reference evaluator (Reference) that tests check
+// the engine's answers against. Tests across core, engine and the
+// benchmark harness use it.
 package testutil
 
 import (
@@ -12,6 +14,7 @@ import (
 	"starmagic/internal/catalog"
 	"starmagic/internal/datum"
 	"starmagic/internal/exec"
+	"starmagic/internal/plan"
 	"starmagic/internal/qgm"
 	"starmagic/internal/semant"
 	"starmagic/internal/sql"
@@ -150,11 +153,12 @@ func (db *DB) Build(query string) (*qgm.Graph, error) {
 	return semant.NewBuilder(db.Cat).Build(q)
 }
 
-// Eval evaluates a graph and renders rows as sorted strings for order-
-// insensitive comparison. It returns the evaluator for counter inspection.
+// Eval lowers and runs a graph and renders rows as sorted strings for
+// order-insensitive comparison. It returns the evaluator for counter
+// inspection.
 func (db *DB) Eval(g *qgm.Graph) ([]string, *exec.Evaluator, error) {
 	ev := exec.New(db.Store)
-	rows, err := ev.EvalGraph(g)
+	rows, _, err := ev.EvalPlan(plan.Lower(g))
 	if err != nil {
 		return nil, nil, err
 	}
